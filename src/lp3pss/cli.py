@@ -98,6 +98,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     raw: dict = {"sensing": {}}
     if args.config:
         raw = json.loads(args.config.read_text())
+        # check the shape of what the flags below write into before writing
+        if not isinstance(raw, dict):
+            raise ConfigError("config: expected a JSON object")
+        for section in ("sensing", "churn", "output"):
+            if not isinstance(raw.get(section, {}), dict):
+                raise ConfigError(f"{section}: expected an object")
         raw.setdefault("sensing", {})
     for key, value in (("n", args.n), ("rounds", args.rounds), ("seed", args.seed)):
         if value is not None:
@@ -109,6 +115,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     raw["sensing"].setdefault("n", 10)
     raw["sensing"].setdefault("rounds", 10)
     output = raw.pop("output", {})
+    if not isinstance(output.get("transcript", ""), str):
+        raise ConfigError("output.transcript: expected a path string")
     config = config_from_dict(raw)
     result = run_simulation(config)
     out_path = args.out

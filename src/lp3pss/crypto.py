@@ -2,9 +2,12 @@
 
 Three pieces live here:
 
-* a keyed order-preserving encryption (OPE) over a fixed integer domain,
-  built as a strictly increasing keyed prefix sum so that
-  ``m1 < m2  =>  enc(m1) < enc(m2)`` under the same key;
+* a keyed order-preserving encryption (OPE) over a fixed integer domain:
+  a stateless recursive split of the ciphertext range along the bits of
+  the plaintext, each split point drawn uniformly by AES under the key
+  (after Boldyreva et al., "Order-Preserving Symmetric Encryption",
+  EUROCRYPT 2009, with a uniform split in place of the hypergeometric
+  one), so that ``m1 < m2  =>  enc(m1) < enc(m2)`` under the same key;
 * an authenticated channel cipher (AES-GCM) with a deterministic per-key
   nonce counter, so simulation runs are reproducible byte-for-byte;
 * pairwise key derivation from a single master seed, standing in for the
@@ -19,10 +22,8 @@ from __future__ import annotations
 
 import hmac
 import hashlib
-import threading
 from dataclasses import dataclass, field
 
-import numpy as np
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -58,7 +59,12 @@ class OpeKey:
 
     ``domain_bits`` is the plaintext width d (messages are integers in
     [0, 2^d)); ``range_bits`` is the ciphertext width. The codomain needs
-    at least 8 bits of headroom so the per-step random increments fit.
+    at least 8 bits of headroom: with none, every split of the range is
+    forced and the cipher is the identity; each extra bit doubles the
+    mean number of range values left to each plaintext.
+
+    The key owns the AES-ECB encryptor that ``ope_encrypt`` draws from,
+    built once here and freed with the key.
     """
 
     key_bytes: bytes
@@ -74,6 +80,12 @@ class OpeKey:
             raise ValueError("range_bits must be >= domain_bits + 8")
         if self.range_bits > 63:
             raise ValueError("range_bits must be <= 63")
+        ecb = Cipher(algorithms.AES(self.key_bytes), modes.ECB()).encryptor()
+        object.__setattr__(self, "_ecb", ecb)
+
+    def __reduce__(self):
+        # the encryptor cannot be copied or pickled; rebuild it from the key
+        return (OpeKey, (self.key_bytes, self.domain_bits, self.range_bits))
 
     @property
     def domain_size(self) -> int:
@@ -94,65 +106,46 @@ class OpeCiphertext:
         return cls(int.from_bytes(data, "big"))
 
 
-class _PrefixTable:
-    """Lazily grown cumulative sums of keyed pseudorandom increments.
-
-    Increment k is ``1 + (PRF_key(k) mod M)`` where the PRF stream is the
-    AES-CTR keystream of the key, read in 8-byte big-endian words, and
-    ``M = 2^(range_bits - domain_bits) - 1``. Every increment is >= 1, so
-    the cumulative sums are strictly increasing; the worst-case ciphertext
-    is 2^domain_bits * M < 2^range_bits.
-    """
-
-    CHUNK_WORDS = 8192
-    WORD_LEN = 8
-
-    def __init__(self, key: OpeKey) -> None:
-        self._modulus = (1 << (key.range_bits - key.domain_bits)) - 1
-        self._domain_size = key.domain_size
-        cipher = Cipher(algorithms.AES(key.key_bytes), modes.CTR(b"\x00" * 16))
-        self._keystream = cipher.encryptor()
-        self._sums: list[int] = []
-        self._lock = threading.Lock()
-
-    def value_at(self, m: int) -> int:
-        if m >= len(self._sums):
-            with self._lock:
-                self._grow(m)
-        return self._sums[m]
-
-    def _grow(self, m: int) -> None:
-        while len(self._sums) <= m:
-            want = min(self.CHUNK_WORDS, self._domain_size - len(self._sums))
-            raw = self._keystream.update(b"\x00" * (want * self.WORD_LEN))
-            words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
-            incs = words % np.uint64(self._modulus) + np.uint64(1)
-            base = np.uint64(self._sums[-1]) if self._sums else np.uint64(0)
-            self._sums.extend((np.cumsum(incs) + base).tolist())
-
-
-_TABLES: dict[tuple[bytes, int, int], _PrefixTable] = {}
-_TABLES_LOCK = threading.Lock()
-
-
-def _table_for(key: OpeKey) -> _PrefixTable:
-    cache_key = (key.key_bytes, key.domain_bits, key.range_bits)
-    table = _TABLES.get(cache_key)
-    if table is None:
-        with _TABLES_LOCK:
-            table = _TABLES.setdefault(cache_key, _PrefixTable(key))
-    return table
+_BLOCK_MASK = (1 << 128) - 1
 
 
 def ope_encrypt(key: OpeKey, m: int) -> OpeCiphertext:
     """Encrypt integer ``m`` preserving strict order.
 
+    Walks the binary tree over the domain from the root to the leaf of
+    ``m``. The node at depth i, labelled by its heap index
+    ``(m | 2^d) >> (d - i)``, holds 2^(d-i) plaintexts and a ciphertext
+    range of at least as many values; its split point is drawn uniformly
+    from those that leave each child at least one value per plaintext,
+    and the leaf picks its ciphertext uniformly from what is left. Each
+    draw is one AES block of the node label under the key, reduced
+    modulo a count below 2^63, so its bias is below 2^-64. Cost is
+    d + 1 blocks and O(d) integer steps; nothing is stored.
+
     Deterministic: the same (key, m) always yields the same ciphertext.
     Raises ValueError if ``m`` lies outside [0, 2^domain_bits).
     """
-    if not 0 <= m < key.domain_size:
+    d = key.domain_bits
+    if not 0 <= m < 1 << d:
         raise ValueError(f"plaintext {m} outside OPE domain [0, {key.domain_size})")
-    return OpeCiphertext(_table_for(key).value_at(m))
+    top = m | 1 << d
+    labels = b"".join([(top >> s).to_bytes(16, "big") for s in range(d, -1, -1)])
+    draws = int.from_bytes(key._ecb.update(labels), "big")  # type: ignore[attr-defined]
+    lo = 0
+    size = 1 << key.range_bits
+    n = 1 << d  # plaintexts under the current node
+    shift = 128 * d  # bit offset of the current node's block in draws
+    while n > 1:
+        half = n >> 1
+        left = half + (draws >> shift & _BLOCK_MASK) % (size - n + 1)
+        if m & half:
+            lo += left
+            size -= left
+        else:
+            size = left
+        n = half
+        shift -= 128
+    return OpeCiphertext(lo + (draws & _BLOCK_MASK) % size)
 
 
 # ---------------------------------------------------------------------------

@@ -110,7 +110,6 @@ class FcState:
     records: dict[int, ReputationRecord]
     live: set[int]
     range_bits: int
-    t: int = 0
 
 
 @dataclass
@@ -119,7 +118,6 @@ class SuState:
     ope_key: OpeKey
     gw_key: AeadKey
     range_bits: int
-    last_rss: int | None = None
 
 
 @dataclass
@@ -270,7 +268,6 @@ def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMess
     )
     inner = ope_encrypt(su.ope_key, rss_q)
     recorder.crypto_op(me, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, meta={"user": su.uid})
-    su.last_rss = rss_q
     assoc = message_assoc(MsgPhase.REPORT, su.uid, recorder.round)
     body = aead_encrypt(su.gw_key, inner.to_bytes(su.range_bits), assoc)
     msg = ProtocolMessage(me, GW_NAME, MsgPhase.REPORT, su.uid, recorder.round, body)
@@ -308,7 +305,7 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
         try:
             payload = aead_decrypt(gw.user_keys[uid], msg.body, msg.assoc)
         except AuthenticationFailure:
-            recorder.ops.bump(recorder.round, GW_NAME, recorder.phase, AEAD_DEC)
+            recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, msg.wire_size, {"user": uid})
             recorder.protocol_error(GW_NAME, "report failed authentication", {"user": uid})
             continue
         rss_ope = OpeCiphertext.from_bytes(payload)
@@ -349,7 +346,7 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     try:
         payload = aead_decrypt(fc.gw_key, msg.body, msg.assoc)
     except AuthenticationFailure as exc:
-        recorder.ops.bump(recorder.round, FC_NAME, recorder.phase, AEAD_DEC)
+        recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, msg.wire_size)
         recorder.protocol_error(FC_NAME, "decision vector failed authentication")
         raise RoundAborted("decision vector failed authentication") from exc
     recorder.crypto_op(
@@ -375,7 +372,6 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     for uid, weight in zip(roster, weights):
         record = fc.records[uid]
         fc.records[uid] = ReputationRecord(record.rho, record.eta, weight)
-    fc.t += 1
     return RoundResult(outcome, present, bits, n_live=len(roster))
 
 

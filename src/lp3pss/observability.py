@@ -109,8 +109,11 @@ def check_leakage(logs: dict[str, ViewLog]) -> LeakageReport:
         raise ValueError("incomplete transcript: missing fusion center or gateway log")
     if not any(_uid_of(entity) is not None for entity in logs):
         raise ValueError("incomplete transcript: no user logs")
+    # a decryption that failed authentication yields nothing and is
+    # logged as an opaque ciphertext; it does not decide a round
     decided = any(
-        event.meta.get("op") == AEAD_DEC for event in logs[FC_NAME]
+        event.meta.get("op") == AEAD_DEC and event.tag is not ViewTag.OPAQUE_CIPHERTEXT
+        for event in logs[FC_NAME]
     )
     if not decided:
         raise ValueError("incomplete transcript: no decided round")

@@ -107,14 +107,6 @@ class OpCounts:
     def get(self, round_: int, entity: str, phase: str, op: str) -> int:
         return self._counts.get((round_, entity, phase, op), 0)
 
-    def round_entity(self, round_: int, entity: str) -> dict[str, dict[str, int]]:
-        """phase -> op -> count for one entity in one round."""
-        out: dict[str, dict[str, int]] = {}
-        for (r, e, phase, op), c in self._counts.items():
-            if r == round_ and e == entity:
-                out.setdefault(phase, {})[op] = c
-        return out
-
     def entity_totals(self) -> dict[str, dict[str, dict[str, int]]]:
         """entity -> phase -> op -> total over all rounds."""
         out: dict[str, dict[str, dict[str, int]]] = {}

@@ -183,6 +183,8 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     channel = build(ChannelSpec, raw.get("channel", {}), "channel")
     crypto_params = build(CryptoParams, raw.get("crypto", {}), "crypto")
 
+    if not isinstance(raw.get("churn", {}), dict):
+        raise ConfigError("churn: expected an object")
     churn_raw = dict(raw.get("churn", {}))
     _require_keys(churn_raw, {"mu", "join", "leave"}, "churn")
     for key in ("join", "leave"):

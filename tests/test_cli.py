@@ -54,6 +54,25 @@ def test_simulate_rejects_bad_config(tmp_path, capsys):
     assert "sensing.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, flags",
+    [
+        ([1, 2], []),
+        ({"sensing": "x"}, []),
+        ({"sensing": {"n": 2}, "churn": "x"}, ["--churn-mu", "0.5"]),
+        ({"sensing": {"n": 2}, "output": "x"}, []),
+        ({"sensing": {"n": 2}, "output": {"transcript": 5}}, []),
+    ],
+)
+def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg_path), "--seed", "1",
+                 "--out", str(tmp_path / "r.json"), *flags])
+    assert code == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["simulate", "--n", "5", "--out", "x.json"]) == 2  # no --seed
     assert main(["frobnicate"]) == 2

@@ -1,5 +1,9 @@
 """Order preservation, AEAD contracts, and key-table derivation."""
 
+import copy
+import pickle
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -58,6 +62,32 @@ class TestOpe:
             assert c1 == c2
         else:
             assert c1 > c2
+
+    def test_top_of_32_bit_domain_in_bounded_memory(self):
+        # cost is O(domain_bits): no per-key table covering [0, m]
+        tracemalloc.start()
+        try:
+            key = ope_key(domain_bits=32, range_bits=63)
+            value = ope_encrypt(key, 2**32 - 1).value
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert 0 <= value < 2**63
+
+    @pytest.mark.parametrize("d", [1, 16, 32])
+    def test_domain_ends_under_tightest_headroom(self, d):
+        key = ope_key(domain_bits=d, range_bits=d + 8)
+        top = 2**d - 1
+        values = [ope_encrypt(key, m).value for m in sorted({0, 1, top - 1, top})]
+        assert values == sorted(set(values))
+        assert 0 <= values[0] and values[-1] < 2 ** (d + 8)
+
+    def test_key_copies_encrypt_alike(self):
+        key = ope_key()
+        for twin in (copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+            assert twin == key
+            assert ope_encrypt(twin, 4321) == ope_encrypt(key, 4321)
 
     def test_ciphertext_serialization_roundtrip(self):
         ct = ope_encrypt(ope_key(), 12345)

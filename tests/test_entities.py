@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from lp3pss.crypto import (
     FC,
     GW,
+    AeadCiphertext,
     OpeCiphertext,
     OpeKey,
     aead_decrypt,
@@ -33,6 +34,7 @@ from lp3pss.entities import (
     unpack_decision_vector,
 )
 from lp3pss.fusion import CHANNEL_BUSY, CHANNEL_FREE, DetectionProfile
+from lp3pss.observability import check_leakage
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -42,6 +44,7 @@ from lp3pss.recording import (
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
     Recorder,
+    ViewTag,
     user_name,
 )
 
@@ -224,6 +227,24 @@ class TestDecision:
         with pytest.raises(RoundAborted):
             fc_decide(fc, forged, recorder)
         assert fc.records == records_before
+
+    def test_failed_decision_vector_is_logged_and_decides_nothing(self, master_seed):
+        _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
+        recorder.start_round(1)
+        recorder.set_phase(PHASE_SENSING)
+        zeta = gw_compare(gw, [su_sense_report(sus[1], 4000, recorder)], recorder)
+        tag = bytes([zeta.body.tag[0] ^ 1]) + zeta.body.tag[1:]
+        forged = ProtocolMessage(
+            zeta.sender, zeta.receiver, zeta.phase, None, 1,
+            AeadCiphertext(zeta.body.nonce, zeta.body.body, tag),
+        )
+        with pytest.raises(RoundAborted):
+            fc_decide(fc, forged, recorder)
+        failed = [e for e in recorder.view_logs[FC_NAME] if e.meta.get("op") == AEAD_DEC]
+        assert len(failed) == recorder.ops.get(1, FC_NAME, PHASE_SENSING, AEAD_DEC) == 1
+        assert failed[0].tag is ViewTag.OPAQUE_CIPHERTEXT
+        with pytest.raises(ValueError, match="no decided round"):
+            check_leakage(recorder.view_logs)
 
     def test_reputation_updates_after_round(self, master_seed):
         _, fc, gw, sus, recorder, _ = setup_network(3, master_seed)

@@ -4,7 +4,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lp3pss.fusion import (
     CHANNEL_BUSY,
@@ -156,13 +156,21 @@ class TestWeights:
         with pytest.raises(ValueError):
             compute_weights([], 0)
 
+    # Rounding is monotone, so n * phi / total never reverses an order, but
+    # two scores one ulp apart can round to the same weight. Strict order is
+    # required only when the scores differ by more than this relative gap.
+    ORDER_REL_TOL = 1e-12
+
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=40))
+    @example([0.5, 0.9899999999999999, 0.99])
     def test_sum_and_order_preserved(self, phis):
         weights = compute_weights(phis, len(phis))
         assert sum(weights) == pytest.approx(len(phis), rel=1e-9)
         for (p1, w1), (p2, w2) in itertools.combinations(zip(phis, weights), 2):
             if p1 < p2:
-                assert w1 < w2
+                assert w1 <= w2
+                if p2 - p1 > self.ORDER_REL_TOL * p2:
+                    assert w1 < w2
             elif p1 == p2:
                 assert w1 == pytest.approx(w2)
 

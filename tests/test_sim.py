@@ -1,15 +1,18 @@
 """Driver behavior: determinism, counters, error rates, config parsing."""
 
+import dataclasses
 import io
 
 import pytest
 
+from lp3pss import sim as sim_module
 from lp3pss.costs import (
     LP3PSS as COST_LP3PSS,
     AnalyticalCostParams,
     analytical_cost,
     measured_round_bits_model,
 )
+from lp3pss.crypto import AeadCiphertext
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -125,19 +128,39 @@ class TestConformance:
         measured = 8 * result.recorder.comm.round_bytes(1, PHASE_SENSING)
         assert measured == measured_round_bits_model(25, 32)
 
-    def test_counter_totals_match_transcript_events(self):
-        # audit: one logged event per counted crypto operation
+    def test_counter_totals_match_transcript_events(self, monkeypatch):
+        # audit: one logged event per counted crypto operation, in an honest
+        # run and in one where a report fails authentication at the gateway
+        def audit(result):
+            ops = result.recorder.ops
+            for op in (OPE_ENC, AEAD_ENC, AEAD_DEC):
+                counted = ops.total(op)
+                logged = sum(
+                    1
+                    for log in result.recorder.view_logs.values()
+                    for event in log
+                    if event.meta.get("op") == op
+                )
+                assert counted == logged, op
+
+        audit(small_run(n=12, rounds=6))
+
+        honest_report = sim_module.su_sense_report
+
+        def tampered_report(su, rss_q, recorder):
+            msg = honest_report(su, rss_q, recorder)
+            if su.uid == 3 and recorder.round == 2:
+                body = msg.body
+                flipped = AeadCiphertext(body.nonce, body.body, bytes([body.tag[0] ^ 1]) + body.tag[1:])
+                msg = dataclasses.replace(msg, body=flipped)
+            return msg
+
+        monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
         result = small_run(n=12, rounds=6)
-        ops = result.recorder.ops
-        for op in (OPE_ENC, AEAD_ENC, AEAD_DEC):
-            counted = ops.total(op)
-            logged = sum(
-                1
-                for log in result.recorder.view_logs.values()
-                for event in log
-                if event.meta.get("op") == op
-            )
-            assert counted == logged, op
+        assert [(e["round"], e["reason"]) for e in result.recorder.errors] == [
+            (2, "report failed authentication")
+        ]
+        audit(result)
 
     def test_mismatch_is_reported_not_hidden(self):
         result = small_run(rounds=1)
@@ -239,6 +262,7 @@ class TestConfigParsing:
                 "adversary.1",
             ),
             ({"sensing": {"n": 1, "rounds": 1, "seed": 1}, "crypto": {"domain_bits": 40}}, "crypto"),
+            ({"sensing": {"n": 1, "rounds": 1, "seed": 1}, "churn": "x"}, "churn"),
         ],
     )
     def test_field_level_diagnostics(self, raw, fragment):
