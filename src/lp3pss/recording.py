@@ -6,8 +6,19 @@ performer, and every plaintext an entity learns at a decryption boundary.
 An entity's view log is therefore exactly what that entity could know,
 which is what the leakage checker inspects.
 
-Transcript files are JSON lines, one event per line, with fields
-{round, entity, direction, tag, size_bytes, meta}.
+Transcript files are JSON lines: one event per line, the entities' view
+logs in sorted order of entity name, each log's events in the order they
+happened. A line is the compact, sorted-key, ASCII-only JSON object
+
+    {"direction":...,"entity":...,"meta":...,"round":...,"size_bytes":...,"tag":...}
+
+that is, ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
+of the event, followed by a newline. The reader skips blank lines and
+rejects, naming the line, any line that is not exactly one JSON object
+with all six fields typed as the writer writes them: ``round`` and
+``size_bytes`` integers (not booleans), ``entity`` and ``direction``
+strings, ``meta`` an object and ``tag`` the value of a ``ViewTag``.
+Other fields are ignored.
 """
 
 from __future__ import annotations
@@ -53,29 +64,6 @@ class ViewEvent:
     tag: ViewTag
     size_bytes: int = 0
     meta: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        record = {
-            "round": self.round,
-            "entity": self.entity,
-            "direction": self.direction,
-            "tag": self.tag.value,
-            "size_bytes": self.size_bytes,
-            "meta": self.meta,
-        }
-        return json.dumps(record, sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, line: str) -> "ViewEvent":
-        record = json.loads(line)
-        return cls(
-            round=record["round"],
-            entity=record["entity"],
-            direction=record["direction"],
-            tag=ViewTag(record["tag"]),
-            size_bytes=record.get("size_bytes", 0),
-            meta=record.get("meta", {}),
-        )
 
 
 @dataclass
@@ -124,41 +112,39 @@ class OpCounts:
 
 
 class CommCounts:
-    """Message/byte tallies per link per round, plus logical ciphertexts.
+    """Message/byte tallies per link, bytes per (round, phase), logical ciphertexts.
 
     ``size_bytes`` counts the authenticated-ciphertext wire encoding of
     the message body; addressing headers are not charged. One logical
     ciphertext is counted per protocol message of the sensing phase.
+    Each tally is keyed by what its reader asks for, so every read is a
+    lookup or a pass over the links.
     """
 
     def __init__(self) -> None:
-        self.messages: Counter[tuple[int, str, str]] = Counter()
-        self.bytes: Counter[tuple[int, str, str]] = Counter()
+        self.messages: Counter[str] = Counter()
+        self.bytes: Counter[str] = Counter()
+        self.phase_bytes: Counter[tuple[int, str]] = Counter()
         self.logical: Counter[int] = Counter()
 
     def add_message(self, round_: int, link: str, size_bytes: int, phase: str) -> None:
-        self.messages[(round_, link, phase)] += 1
-        self.bytes[(round_, link, phase)] += size_bytes
+        self.messages[link] += 1
+        self.bytes[link] += size_bytes
+        self.phase_bytes[(round_, phase)] += size_bytes
         if phase == PHASE_SENSING:
             self.logical[round_] += 1
 
     def logical_per_round(self) -> dict[int, int]:
         return dict(sorted(self.logical.items()))
 
-    def round_bytes(self, round_: int, phase: str | None = None) -> int:
-        return sum(
-            b
-            for (r, _, p), b in self.bytes.items()
-            if r == round_ and (phase is None or p == phase)
-        )
+    def round_bytes(self, round_: int, phase: str) -> int:
+        return self.phase_bytes.get((round_, phase), 0)
 
     def link_totals(self) -> dict[str, dict[str, int]]:
-        out: dict[str, dict[str, int]] = {}
-        for (_, link, _), c in sorted(self.messages.items()):
-            out.setdefault(link, {"messages": 0, "bytes": 0})["messages"] += c
-        for (_, link, _), b in sorted(self.bytes.items()):
-            out.setdefault(link, {"messages": 0, "bytes": 0})["bytes"] += b
-        return out
+        return {
+            link: {"messages": self.messages[link], "bytes": self.bytes[link]}
+            for link in sorted(self.messages)
+        }
 
 
 class Recorder:
@@ -253,28 +239,128 @@ class Recorder:
 
     # -- transcript I/O ----------------------------------------------------
 
-    def iter_events(self) -> Iterator[ViewEvent]:
-        for entity in sorted(self.view_logs):
-            yield from self.view_logs[entity].events
-
     def dump_transcript(self, fh: IO[str]) -> int:
+        """Write every event as one JSONL line (format in the module docstring)."""
+        strings = _JsonStrings()
+        encode_meta = _META_ENCODER.encode
         count = 0
-        for event in self.iter_events():
-            fh.write(event.to_json() + "\n")
-            count += 1
+        for entity in sorted(self.view_logs):
+            events = self.view_logs[entity].events
+            for start in range(0, len(events), _CHUNK_EVENTS):
+                fh.write("".join([
+                    _LINE % (
+                        strings[e.direction],
+                        strings[e.entity],
+                        encode_meta(e.meta),
+                        e.round,
+                        e.size_bytes,
+                        _TAG_JSON[e.tag],
+                    )
+                    for e in events[start:start + _CHUNK_EVENTS]
+                ]))
+            count += len(events)
         return count
 
 
+# -- transcript codec ---------------------------------------------------------
+
+# One line, keys in sorted order: what json.dumps(record, sort_keys=True,
+# separators=(",", ":")) writes for an event with int round and size_bytes.
+_LINE = '{"direction":%s,"entity":%s,"meta":%s,"round":%d,"size_bytes":%d,"tag":%s}\n'
+# Lines joined per write; bounds the writer's buffer, not the transcript.
+_CHUNK_EVENTS = 1024
+_META_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_TAG_JSON = {tag: json.dumps(tag.value) for tag in ViewTag}
+_TAG_BY_VALUE = {tag.value: tag for tag in ViewTag}
+_scan_once = json.JSONDecoder().scan_once
+_FIELD_TYPES = (
+    ("round", int),
+    ("entity", str),
+    ("direction", str),
+    ("tag", str),
+    ("size_bytes", int),
+    ("meta", dict),
+)
+_JSON_TYPE_NAMES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    bool: "a boolean",
+    type(None): "null",
+}
+
+
+class _JsonStrings(dict):
+    """JSON text of each value looked up, encoded once per distinct value."""
+
+    def __missing__(self, value: str) -> str:
+        text = self[value] = json.dumps(value)
+        return text
+
+
+def _shape_error(record: object) -> str:
+    """Why a parsed line is not an event record."""
+    if type(record) is not dict:
+        return f"expected an object, found {_JSON_TYPE_NAMES[type(record)]}"
+    for name, kind in _FIELD_TYPES:
+        if name not in record:
+            return f"missing field {name!r}"
+        if type(record[name]) is not kind:
+            found = _JSON_TYPE_NAMES[type(record[name])]
+            return f"field {name!r} must be {_JSON_TYPE_NAMES[kind]}, found {found}"
+    return f"unknown tag {record['tag']!r}"
+
+
+def _parse_event(line: str) -> ViewEvent:
+    """The event on one stripped, non-empty transcript line."""
+    try:
+        record, end = _scan_once(line, 0)
+    except StopIteration as exc:
+        raise json.JSONDecodeError("Expecting value", line, exc.value) from None
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    if type(record) is dict:
+        try:
+            event = ViewEvent(
+                record["round"],
+                record["entity"],
+                record["direction"],
+                _TAG_BY_VALUE[record["tag"]],
+                record["size_bytes"],
+                record["meta"],
+            )
+        except (KeyError, TypeError):  # a field missing, or an unknown or unhashable tag
+            pass
+        else:
+            if (
+                type(event.round) is int
+                and type(event.size_bytes) is int
+                and type(event.entity) is str
+                and type(event.direction) is str
+                and type(event.meta) is dict
+            ):
+                return event
+    raise ValueError(_shape_error(record))
+
+
 def load_transcript(lines: Iterable[str]) -> dict[str, ViewLog]:
-    """Rebuild per-entity view logs from a JSONL transcript."""
+    """Rebuild per-entity view logs from a JSONL transcript.
+
+    Raises ``ValueError`` naming the first malformed line.
+    """
     logs: dict[str, ViewLog] = {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            event = ViewEvent.from_json(line)
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            event = _parse_event(line)
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"transcript line {lineno} is malformed: {exc}") from exc
-        logs.setdefault(event.entity, ViewLog(event.entity)).append(event)
+        log = logs.get(event.entity)
+        if log is None:
+            log = logs[event.entity] = ViewLog(event.entity)
+        log.events.append(event)
     return logs

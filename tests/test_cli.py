@@ -130,3 +130,29 @@ def test_verify_malformed_transcript(tmp_path, capsys):
     bad.write_text("this is not json\n")
     assert main(["verify", "--transcript", str(bad)]) == 2
     assert main(["verify", "--transcript", str(tmp_path / "missing.jsonl")]) == 2
+
+    # JSON that parses but is not an event record, appended to a good transcript
+    transcript = tmp_path / "t.jsonl"
+    assert main(["simulate", "--n", "4", "--rounds", "2", "--seed", "7",
+                 "--out", str(tmp_path / "r.json"), "--transcript", str(transcript)]) == 0
+    good_lines = transcript.read_text()
+    good = json.loads(good_lines.splitlines()[0])
+    wrong_shapes = [
+        "[1]",
+        "5",
+        json.dumps({**good, "meta": "s"}),
+        json.dumps({**good, "entity": 7}),
+        json.dumps({**good, "size_bytes": "z"}),
+        json.dumps({**good, "round": True}),
+        json.dumps({**good, "tag": "SECRET"}),
+        json.dumps({k: v for k, v in good.items() if k != "meta"}),
+        json.dumps(good) + " {}",
+        "[" * 100_000,
+    ]
+    lineno = good_lines.count("\n") + 1
+    for line in wrong_shapes:
+        bad.write_text(good_lines + line + "\n")
+        capsys.readouterr()
+        assert main(["verify", "--transcript", str(bad)]) == 2, line[:40]
+        err = capsys.readouterr().err
+        assert f"malformed transcript: transcript line {lineno} is malformed" in err
