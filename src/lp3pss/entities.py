@@ -15,8 +15,9 @@ One sensing period works like this:
   reputation table;
 * membership update: joiners get fresh pairwise keys and one new wrapped
   OPE threshold; leavers have their keys and cache entries purged; the
-  voting threshold is recomputed for the new population. Existing users
-  are untouched.
+  voting threshold follows the new population, since the fusion center
+  computes it each period over the users present. Existing users are
+  untouched.
 
 The fusion center never sees an OPE encryption of any RSS; the gateway
 never sees the threshold in plaintext nor any OPE key; users never see
@@ -102,7 +103,6 @@ class ProtocolMessage:
 @dataclass
 class FcState:
     tau: int
-    lam: int
     alpha: float
     profile: DetectionProfile
     gw_key: AeadKey
@@ -124,13 +124,12 @@ class SuState:
 class GwState:
     fc_key: AeadKey
     user_keys: dict[int, AeadKey]
-    tau_cache: dict[int, OpeCiphertext] = field(default_factory=dict)
-    live: set[int] = field(default_factory=set)
+    tau_cache: dict[int, OpeCiphertext] = field(default_factory=dict)  # keyed by live user
 
 
 @dataclass(frozen=True)
 class RoundResult:
-    outcome: FusionOutcome
+    outcome: FusionOutcome | None  # None: the round was aborted
     present: tuple[int, ...]
     bits: dict[int, int]
     n_live: int
@@ -183,11 +182,7 @@ def make_su_states(keys: KeyTable) -> dict[int, SuState]:
 
 
 def gw_init(keys: KeyTable) -> GwState:
-    return GwState(
-        fc_key=keys.fc_gw,
-        user_keys=dict(keys.gw_user),
-        live=set(keys.user_ids()),
-    )
+    return GwState(fc_key=keys.fc_gw, user_keys=dict(keys.gw_user))
 
 
 def fc_init(
@@ -202,11 +197,9 @@ def fc_init(
         raise ValueError("need at least one user")
     if not 0 <= tau < (1 << keys.domain_bits):
         raise ValueError(f"tau {tau} outside OPE domain")
-    alpha = compute_alpha(profile)
     fc = FcState(
         tau=tau,
-        lam=compute_lambda(len(users), alpha),
-        alpha=alpha,
+        alpha=compute_alpha(profile),
         profile=profile,
         gw_key=keys.fc_gw,
         ope_keys=dict(keys.ope_user),
@@ -247,7 +240,6 @@ def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recor
             {"kind": "tau_ope", "user": msg.subject, "value": tau_ope.value},
         )
         gw.tau_cache[msg.subject] = tau_ope
-        gw.live.add(msg.subject)
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +276,11 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
     reading exactly at the threshold votes busy. Reports from unknown
     users or failing authentication are skipped and marked absent.
     """
-    roster = sorted(gw.live)
+    roster = sorted(gw.tau_cache)
     bits: dict[int, int] = {}
     for msg in reports:
         uid = msg.subject
-        if (
-            msg.phase is not MsgPhase.REPORT
-            or uid is None
-            or uid not in gw.live
-            or uid not in gw.tau_cache
-        ):
+        if msg.phase is not MsgPhase.REPORT or uid not in gw.tau_cache:
             recorder.protocol_error(GW_NAME, "report from unknown user", {"user": uid})
             continue
         if uid in bits:
@@ -388,11 +375,10 @@ def handle_membership(
     keys: KeyTable,
     recorder: Recorder,
 ) -> dict[int, SuState]:
-    """Apply joins and leaves, rekey, and recompute the voting threshold.
+    """Apply joins and leaves and rekey the joiners.
 
-    Joins and leaves may arrive in the same period; both are applied with
-    a single threshold recomputation. No stored state of any remaining
-    user changes. Returns states for the joining users.
+    Joins and leaves may arrive in the same period. No stored state of
+    any remaining user changes. Returns states for the joining users.
     """
     if set(joins) & set(leaves):
         raise ProtocolError("a user cannot both join and leave in one period")
@@ -407,7 +393,6 @@ def handle_membership(
         fc.live.discard(uid)
         del fc.ope_keys[uid]
         del fc.records[uid]
-        gw.live.discard(uid)
         del gw.user_keys[uid]
         del gw.tau_cache[uid]
     new_states: dict[int, SuState] = {}
@@ -416,12 +401,10 @@ def handle_membership(
         fc.live.add(uid)
         fc.ope_keys[uid] = keys.ope_user[uid]
         fc.records[uid] = ReputationRecord()
-        gw.live.add(uid)
         gw.user_keys[uid] = keys.gw_user[uid]
         msg = _wrap_tau(fc, uid, recorder)
         gw_ingest_init(gw, [msg], recorder)
         new_states[uid] = make_su_state(keys, uid)
     if not fc.live:
         raise ProtocolError("membership change emptied the network")
-    fc.lam = compute_lambda(len(fc.live), fc.alpha)
     return new_states

@@ -32,7 +32,6 @@ from lp3pss.recording import (
     GW_NAME,
     Recorder,
     ViewEvent,
-    ViewLog,
     ViewTag,
     user_name,
 )
@@ -99,7 +98,7 @@ def _violation_reason(entity: str, event: ViewEvent) -> str | None:
     return f"unknown entity {entity!r}"
 
 
-def check_leakage(logs: dict[str, ViewLog]) -> LeakageReport:
+def check_leakage(logs: dict[str, list[ViewEvent]]) -> LeakageReport:
     """Verdict every entity's view against the permitted-knowledge rules.
 
     Requires a complete transcript: logs for the fusion center, the
@@ -130,7 +129,7 @@ def check_leakage(logs: dict[str, ViewLog]) -> LeakageReport:
     return LeakageReport(verdicts, tuple(violations))
 
 
-def srlp_exposure(logs: dict[str, ViewLog], scheme: str) -> set[int]:
+def srlp_exposure(logs: dict[str, list[ViewEvent]], scheme: str) -> set[int]:
     """Users whose RSS plaintext appears in some other entity's view.
 
     The baseline exposes every reporter to the fusion center; the voting
@@ -189,7 +188,7 @@ def dlp_attack_oracle(before: AggView, after: AggView, target: int) -> DlpResult
     return DlpResult(delta, delta, "aggregate difference isolates the target")
 
 
-def agg_view_from_logs(logs: dict[str, ViewLog], round_: int, roster: set[int]) -> AggView:
+def agg_view_from_logs(logs: dict[str, list[ViewEvent]], round_: int, roster: set[int]) -> AggView:
     """Attacker's view of one round, derived honestly from the logs.
 
     Scans every entity view for an RSS aggregate exposed in that round;
@@ -229,7 +228,7 @@ class BaselineResult:
     rounds: list[BaselineRound] = field(default_factory=list)
     recorder: Recorder = field(default_factory=Recorder)
 
-    def view_logs(self) -> dict[str, ViewLog]:
+    def view_logs(self) -> dict[str, list[ViewEvent]]:
         return self.recorder.view_logs
 
     def round_view(self, round_: int) -> AggView:
@@ -311,15 +310,15 @@ def build_dlp_scenario(
 
 
 def inject_event(
-    logs: dict[str, ViewLog],
+    logs: dict[str, list[ViewEvent]],
     entity: str,
     tag: ViewTag,
     meta: dict,
     round_: int = 1,
-) -> dict[str, ViewLog]:
+) -> dict[str, list[ViewEvent]]:
     """Copy the logs and append one foreign observation at ``entity``."""
-    mutated = {name: ViewLog(name, list(log.events)) for name, log in logs.items()}
-    mutated.setdefault(entity, ViewLog(entity)).append(
+    mutated = {name: list(log) for name, log in logs.items()}
+    mutated.setdefault(entity, []).append(
         ViewEvent(round_, entity, "received", tag, 0, meta)
     )
     return mutated

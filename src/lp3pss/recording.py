@@ -1,14 +1,19 @@
-"""Per-entity view logging and operation/byte accounting.
+"""The event stream of one run, and everything counted from it.
 
-Every observable event of a run lands here: messages on each link (logged
-at both the sender and the receiver), every crypto operation at its
-performer, and every plaintext an entity learns at a decryption boundary.
-An entity's view log is therefore exactly what that entity could know,
-which is what the leakage checker inspects.
+Every observable event of a run is appended here, once, as a
+``ViewEvent``: messages on each link (logged at both the sender and the
+receiver), every crypto operation at its performer, every plaintext an
+entity learns at a decryption boundary, and every protocol error at the
+entity that detected it. The stream is the recorder's only record.
+Grouped by entity it gives the view logs, exactly what each entity could
+know, which is what the leakage checker inspects. ``Recorder.fold``
+walks it once and returns the rest: operation counts, per-link traffic,
+bytes per round and phase, logical ciphertexts per sensing round and the
+protocol errors.
 
-Transcript files are JSON lines: one event per line, the entities' view
-logs in sorted order of entity name, each log's events in the order they
-happened. A line is the compact, sorted-key, ASCII-only JSON object
+Transcript files are JSON lines: one event per line, the stream
+stable-sorted by entity name, so each entity's events stay in the order
+they happened. A line is the compact, sorted-key, ASCII-only JSON object
 
     {"direction":...,"entity":...,"meta":...,"round":...,"size_bytes":...,"tag":...}
 
@@ -27,7 +32,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable
 
 PHASE_INIT = "init"
 PHASE_SENSING = "sensing"
@@ -66,103 +71,66 @@ class ViewEvent:
     meta: dict = field(default_factory=dict)
 
 
+def group_by_entity(events: Iterable[ViewEvent]) -> dict[str, list[ViewEvent]]:
+    """entity -> its events in stream order; entities in order of first event."""
+    logs: dict[str, list[ViewEvent]] = {}
+    for event in events:
+        log = logs.get(event.entity)
+        if log is None:
+            log = logs[event.entity] = []
+        log.append(event)
+    return logs
+
+
 @dataclass
-class ViewLog:
-    """Append-only list of everything one entity observed."""
+class Tally:
+    """What ``Recorder.fold`` counts from one event stream.
 
-    entity: str
-    events: list[ViewEvent] = field(default_factory=list)
+    ``size_bytes`` counts the authenticated-ciphertext wire encoding of
+    the message body; addressing headers are not charged. One logical
+    ciphertext is counted per message delivered in the sensing phase.
+    """
 
-    def append(self, event: ViewEvent) -> None:
-        self.events.append(event)
+    ops: Counter[tuple[int, str, str, str]]  # (round, entity, phase, op)
+    messages: Counter[str]  # per link, "sender->receiver"
+    link_bytes: Counter[str]
+    phase_bytes: Counter[tuple[int, str]]  # (round, phase)
+    logical: Counter[int]  # per sensing round
+    protocol_errors: list[dict]  # {"round", "entity", "reason", ...} in event order
 
-    def __iter__(self) -> Iterator[ViewEvent]:
-        return iter(self.events)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class OpCounts:
-    """Crypto-operation counters keyed by (round, entity, phase, op)."""
-
-    def __init__(self) -> None:
-        self._counts: Counter[tuple[int, str, str, str]] = Counter()
-
-    def bump(self, round_: int, entity: str, phase: str, op: str) -> None:
-        self._counts[(round_, entity, phase, op)] += 1
-
-    def get(self, round_: int, entity: str, phase: str, op: str) -> int:
-        return self._counts.get((round_, entity, phase, op), 0)
-
-    def entity_totals(self) -> dict[str, dict[str, dict[str, int]]]:
+    def op_totals(self) -> dict[str, dict[str, dict[str, int]]]:
         """entity -> phase -> op -> total over all rounds."""
         out: dict[str, dict[str, dict[str, int]]] = {}
-        for (_, entity, phase, op), c in sorted(self._counts.items()):
+        for (_, entity, phase, op), c in sorted(self.ops.items()):
             bucket = out.setdefault(entity, {}).setdefault(phase, {})
             bucket[op] = bucket.get(op, 0) + c
         return out
 
-    def total(self, op: str, entity: str | None = None) -> int:
-        return sum(
-            c
-            for (_, e, _, o), c in self._counts.items()
-            if o == op and (entity is None or e == entity)
-        )
-
-
-class CommCounts:
-    """Message/byte tallies per link, bytes per (round, phase), logical ciphertexts.
-
-    ``size_bytes`` counts the authenticated-ciphertext wire encoding of
-    the message body; addressing headers are not charged. One logical
-    ciphertext is counted per protocol message of the sensing phase.
-    Each tally is keyed by what its reader asks for, so every read is a
-    lookup or a pass over the links.
-    """
-
-    def __init__(self) -> None:
-        self.messages: Counter[str] = Counter()
-        self.bytes: Counter[str] = Counter()
-        self.phase_bytes: Counter[tuple[int, str]] = Counter()
-        self.logical: Counter[int] = Counter()
-
-    def add_message(self, round_: int, link: str, size_bytes: int, phase: str) -> None:
-        self.messages[link] += 1
-        self.bytes[link] += size_bytes
-        self.phase_bytes[(round_, phase)] += size_bytes
-        if phase == PHASE_SENSING:
-            self.logical[round_] += 1
+    def link_totals(self) -> dict[str, dict[str, int]]:
+        return {
+            link: {"messages": self.messages[link], "bytes": self.link_bytes[link]}
+            for link in sorted(self.messages)
+        }
 
     def logical_per_round(self) -> dict[int, int]:
         return dict(sorted(self.logical.items()))
 
-    def round_bytes(self, round_: int, phase: str) -> int:
-        return self.phase_bytes.get((round_, phase), 0)
-
-    def link_totals(self) -> dict[str, dict[str, int]]:
-        return {
-            link: {"messages": self.messages[link], "bytes": self.bytes[link]}
-            for link in sorted(self.messages)
-        }
-
 
 class Recorder:
-    """Collects the full transcript of one simulation run.
+    """The ordered event stream of one run.
 
-    The driver sets the round/phase context; entities report what they do
-    through the log_* methods. Crypto operations are both counted and
-    logged as view events, so counter totals can be audited against the
-    transcript.
+    It holds the events, the current round and the index at which each
+    phase began. The driver sets the round and phase; entities report
+    what they do through the entry points, each of which appends exactly
+    one event. Nothing is counted as events arrive: ``fold`` derives
+    every count from the stream, so a count cannot disagree with the
+    events it counts.
     """
 
     def __init__(self) -> None:
-        self.view_logs: dict[str, ViewLog] = {}
-        self.ops = OpCounts()
-        self.comm = CommCounts()
+        self.events: list[ViewEvent] = []
         self.round = 0
-        self.phase = PHASE_INIT
-        self.errors: list[dict] = []
+        self.phase_starts: list[tuple[int, str]] = [(0, PHASE_INIT)]
 
     # -- context ---------------------------------------------------------
 
@@ -170,14 +138,10 @@ class Recorder:
         self.round = round_
 
     def set_phase(self, phase: str) -> None:
+        """Events from the next one on belong to ``phase``."""
         if phase not in (PHASE_INIT, PHASE_SENSING, PHASE_MEMBERSHIP):
             raise ValueError(f"unknown phase {phase!r}")
-        self.phase = phase
-
-    def log_for(self, entity: str) -> ViewLog:
-        if entity not in self.view_logs:
-            self.view_logs[entity] = ViewLog(entity)
-        return self.view_logs[entity]
+        self.phase_starts.append((len(self.events), phase))
 
     # -- event entry points ------------------------------------------------
 
@@ -189,31 +153,26 @@ class Recorder:
         size_bytes: int = 0,
         meta: dict | None = None,
     ) -> None:
-        self.ops.bump(self.round, entity, self.phase, op)
         direction = "decrypt" if op == AEAD_DEC else "encrypt"
         if op == COMPARE:
             direction = "computed"
         full_meta = {"op": op, **(meta or {})}
-        self.log_for(entity).append(
-            ViewEvent(self.round, entity, direction, tag, size_bytes, full_meta)
-        )
+        self.events.append(ViewEvent(self.round, entity, direction, tag, size_bytes, full_meta))
 
     def message_sent(
         self, sender: str, receiver: str, size_bytes: int, meta: dict | None = None
     ) -> None:
         full_meta = {"link": f"{sender}->{receiver}", **(meta or {})}
-        self.log_for(sender).append(
+        self.events.append(
             ViewEvent(self.round, sender, "sent", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, full_meta)
         )
 
     def message_delivered(
         self, sender: str, receiver: str, size_bytes: int, meta: dict | None = None
     ) -> None:
-        """Charge the link and log the receiver view; lost messages never get here."""
-        link = f"{sender}->{receiver}"
-        self.comm.add_message(self.round, link, size_bytes, self.phase)
-        full_meta = {"link": link, **(meta or {})}
-        self.log_for(receiver).append(
+        """Log the receiver's view; lost messages never get here, so only these are traffic."""
+        full_meta = {"link": f"{sender}->{receiver}", **(meta or {})}
+        self.events.append(
             ViewEvent(
                 self.round, receiver, "received", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, full_meta
             )
@@ -226,16 +185,51 @@ class Recorder:
         direction: str = "computed",
         meta: dict | None = None,
     ) -> None:
-        self.log_for(entity).append(
-            ViewEvent(self.round, entity, direction, tag, 0, meta or {})
-        )
+        self.events.append(ViewEvent(self.round, entity, direction, tag, 0, meta or {}))
 
     def protocol_error(self, entity: str, reason: str, meta: dict | None = None) -> None:
         full_meta = {"reason": reason, **(meta or {})}
-        self.errors.append({"round": self.round, "entity": entity, **full_meta})
-        self.log_for(entity).append(
+        self.events.append(
             ViewEvent(self.round, entity, "error", ViewTag.OPAQUE_CIPHERTEXT, 0, full_meta)
         )
+
+    # -- derived views -----------------------------------------------------
+
+    @property
+    def view_logs(self) -> dict[str, list[ViewEvent]]:
+        """entity -> everything it observed, in order; a fresh dict per read."""
+        return group_by_entity(self.events)
+
+    def fold(self) -> Tally:
+        """Count everything from one pass over the stream.
+
+        Operation counts come from events whose ``meta`` has ``"op"``;
+        traffic from ``"received"`` events; protocol errors from
+        ``"error"`` events, in order.
+        """
+        ops: Counter[tuple[int, str, str, str]] = Counter()
+        messages: Counter[str] = Counter()
+        link_bytes: Counter[str] = Counter()
+        phase_bytes: Counter[tuple[int, str]] = Counter()
+        logical: Counter[int] = Counter()
+        errors: list[dict] = []
+        events = self.events
+        ends = [start for start, _ in self.phase_starts[1:]] + [len(events)]
+        for (start, phase), end in zip(self.phase_starts, ends):
+            for e in events[start:end]:
+                op = e.meta.get("op")
+                if op is not None:
+                    ops[e.round, e.entity, phase, op] += 1
+                if e.direction == "received":
+                    link = e.meta["link"]
+                    messages[link] += 1
+                    link_bytes[link] += e.size_bytes
+                    phase_bytes[e.round, phase] += e.size_bytes
+                    if phase == PHASE_SENSING:
+                        logical[e.round] += 1
+                elif e.direction == "error":
+                    errors.append({"round": e.round, "entity": e.entity, **e.meta})
+        return Tally(ops, messages, link_bytes, phase_bytes, logical, errors)
 
     # -- transcript I/O ----------------------------------------------------
 
@@ -243,9 +237,10 @@ class Recorder:
         """Write every event as one JSONL line (format in the module docstring)."""
         strings = _JsonStrings()
         encode_meta = _META_ENCODER.encode
+        logs = self.view_logs
         count = 0
-        for entity in sorted(self.view_logs):
-            events = self.view_logs[entity].events
+        for entity in sorted(logs):
+            events = logs[entity]
             for start in range(0, len(events), _CHUNK_EVENTS):
                 fh.write("".join([
                     _LINE % (
@@ -345,22 +340,20 @@ def _parse_event(line: str) -> ViewEvent:
     raise ValueError(_shape_error(record))
 
 
-def load_transcript(lines: Iterable[str]) -> dict[str, ViewLog]:
+def load_transcript(lines: Iterable[str]) -> dict[str, list[ViewEvent]]:
     """Rebuild per-entity view logs from a JSONL transcript.
 
     Raises ``ValueError`` naming the first malformed line.
     """
-    logs: dict[str, ViewLog] = {}
+    return group_by_entity(_parse_lines(lines))
+
+
+def _parse_lines(lines: Iterable[str]) -> Iterable[ViewEvent]:
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            event = _parse_event(line)
+            yield _parse_event(line)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"transcript line {lineno} is malformed: {exc}") from exc
-        log = logs.get(event.entity)
-        if log is None:
-            log = logs[event.entity] = ViewLog(event.entity)
-        log.events.append(event)
-    return logs

@@ -2,11 +2,16 @@
 
 A run executes initialization once, then a fixed number of sensing
 periods; membership churn is applied between periods. Everything an
-entity does or observes lands in the run's recorder, so the resulting
-report carries operation counts, per-link traffic, reputation
-trajectories, empirical error rates and the leakage verdict, and is a
-pure function of (config, seed): two runs with the same config produce
-byte-identical reports and transcripts.
+entity does or observes lands in the run's event stream, folded once at
+the end of the run, so the resulting report carries operation counts,
+per-link traffic, reputation trajectories, empirical error rates, the
+protocol errors and the leakage verdict, and is a pure function of
+(config, seed): two runs with the same config produce byte-identical
+reports and transcripts.
+
+A round whose decision vector fails authentication is aborted, not
+fatal: it is recorded with no outcome and nobody present, leaves
+reputation and weights untouched, and is left out of Q_f and Q_m.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from lp3pss.entities import (
     FcState,
     GwState,
     ProtocolMessage,
+    RoundAborted,
     RoundResult,
     SuState,
     fc_decide,
@@ -46,6 +52,7 @@ from lp3pss.recording import (
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
     Recorder,
+    Tally,
     user_name,
 )
 from lp3pss.scenario import (
@@ -256,6 +263,7 @@ class SimulationResult:
     sus: dict[int, SuState]
     keys: KeyTable
     recorder: Recorder
+    tally: Tally
     leakage: LeakageReport
 
     def report_dict(self) -> dict:
@@ -265,9 +273,7 @@ class SimulationResult:
             {
                 "t": r.t,
                 "truth": r.truth,
-                "decision": r.result.outcome.decision,
-                "vote_sum": r.result.outcome.vote_sum,
-                "lambda": r.result.outcome.lam,
+                **_outcome_fields(r.result),
                 "n_live": r.result.n_live,
                 "beta": r.beta,
                 "joins": list(r.joins),
@@ -321,22 +327,29 @@ class SimulationResult:
                 ],
             },
             "error_rates": rates.to_dict(),
-            "op_counts": self.recorder.ops.entity_totals(),
+            "op_counts": self.tally.op_totals(),
             "comm": {
-                "links": self.recorder.comm.link_totals(),
+                "links": self.tally.link_totals(),
                 "logical_per_round": {
-                    str(t): c for t, c in self.recorder.comm.logical_per_round().items()
+                    str(t): c for t, c in self.tally.logical_per_round().items()
                 },
             },
             "leakage": {
                 "verdict": "conforms" if self.leakage.conforms else "violates",
                 "entities": dict(sorted(self.leakage.verdicts.items())),
             },
-            "protocol_errors": self.recorder.errors,
+            "protocol_errors": self.tally.protocol_errors,
         }
 
     def report_json(self) -> str:
         return json.dumps(self.report_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _outcome_fields(result: RoundResult) -> dict:
+    outcome = result.outcome
+    if outcome is None:  # aborted round
+        return {"decision": None, "vote_sum": None, "lambda": None}
+    return {"decision": outcome.decision, "vote_sum": outcome.vote_sum, "lambda": outcome.lam}
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +395,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 def estimate_error_rates(rounds: list[RoundRecord]) -> ErrorRates:
     """Empirical conditional error frequencies with Wilson 95% intervals.
 
-    An estimate is unavailable (None) when its conditioning hypothesis
-    never occurred.
+    Aborted rounds decided nothing and are left out. An estimate is
+    unavailable (None) when its conditioning hypothesis never occurred
+    in a decided round.
     """
-    busy_truth = [r for r in rounds if r.truth == PU_PRESENT]
-    free_truth = [r for r in rounds if r.truth != PU_PRESENT]
+    decided = [r for r in rounds if r.result.outcome is not None]
+    busy_truth = [r for r in decided if r.truth == PU_PRESENT]
+    free_truth = [r for r in decided if r.truth != PU_PRESENT]
     q_f = None
     q_m = None
     if free_truth:
@@ -455,7 +470,10 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         else:
             delivered = reports
         zeta = gw_compare(gw, delivered, recorder)
-        result = fc_decide(fc, zeta, recorder)
+        try:
+            result = fc_decide(fc, zeta, recorder)
+        except RoundAborted:
+            result = RoundResult(None, (), {}, n_live=len(roster))
         records.append(
             RoundRecord(
                 t=t,
@@ -472,7 +490,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
     leakage = check_leakage(recorder.view_logs)
     return SimulationResult(
-        config, model, tau, records, fc, gw, sus, keys, recorder, leakage
+        config, model, tau, records, fc, gw, sus, keys, recorder, recorder.fold(), leakage
     )
 
 
@@ -501,7 +519,7 @@ def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
     thresholds cost the fusion center n (OPE + encryption) and the
     gateway n decryptions.
     """
-    ops = result.recorder.ops
+    ops = result.tally.ops
     bad: list[str] = []
 
     def expect(actual: int, wanted: int, what: str) -> None:
@@ -509,24 +527,24 @@ def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
             bad.append(f"{what}: measured {actual}, expected {wanted}")
 
     n0 = result.config.sensing.n
-    expect(ops.get(0, FC_NAME, PHASE_INIT, OPE_ENC), n0, "init FC ope_enc")
-    expect(ops.get(0, FC_NAME, PHASE_INIT, AEAD_ENC), n0, "init FC aead_enc")
-    expect(ops.get(0, GW_NAME, PHASE_INIT, AEAD_DEC), n0, "init GW aead_dec")
+    expect(ops[0, FC_NAME, PHASE_INIT, OPE_ENC], n0, "init FC ope_enc")
+    expect(ops[0, FC_NAME, PHASE_INIT, AEAD_ENC], n0, "init FC aead_enc")
+    expect(ops[0, GW_NAME, PHASE_INIT, AEAD_DEC], n0, "init GW aead_dec")
 
     for r in result.rounds:
         t, beta, delivered = r.t, r.beta, len(r.delivered)
-        expect(ops.get(t, FC_NAME, PHASE_SENSING, AEAD_DEC), 1, f"round {t} FC aead_dec")
-        expect(ops.get(t, FC_NAME, PHASE_SENSING, AEAD_ENC), 0, f"round {t} FC sensing aead_enc")
-        expect(ops.get(t, FC_NAME, PHASE_SENSING, OPE_ENC), 0, f"round {t} FC sensing ope_enc")
-        expect(ops.get(t, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC), beta, f"round {t} FC membership aead_enc")
-        expect(ops.get(t, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC), beta, f"round {t} FC membership ope_enc")
-        expect(ops.get(t, GW_NAME, PHASE_SENSING, AEAD_DEC), delivered, f"round {t} GW aead_dec")
-        expect(ops.get(t, GW_NAME, PHASE_SENSING, AEAD_ENC), 1, f"round {t} GW aead_enc")
-        expect(ops.get(t, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC), beta, f"round {t} GW membership aead_dec")
+        expect(ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC], 1, f"round {t} FC aead_dec")
+        expect(ops[t, FC_NAME, PHASE_SENSING, AEAD_ENC], 0, f"round {t} FC sensing aead_enc")
+        expect(ops[t, FC_NAME, PHASE_SENSING, OPE_ENC], 0, f"round {t} FC sensing ope_enc")
+        expect(ops[t, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC], beta, f"round {t} FC membership aead_enc")
+        expect(ops[t, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC], beta, f"round {t} FC membership ope_enc")
+        expect(ops[t, GW_NAME, PHASE_SENSING, AEAD_DEC], delivered, f"round {t} GW aead_dec")
+        expect(ops[t, GW_NAME, PHASE_SENSING, AEAD_ENC], 1, f"round {t} GW aead_enc")
+        expect(ops[t, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC], beta, f"round {t} GW membership aead_dec")
         for uid in r.roster:
             su = user_name(uid)
-            expect(ops.get(t, su, PHASE_SENSING, OPE_ENC), 1, f"round {t} {su} ope_enc")
-            expect(ops.get(t, su, PHASE_SENSING, AEAD_ENC), 1, f"round {t} {su} aead_enc")
+            expect(ops[t, su, PHASE_SENSING, OPE_ENC], 1, f"round {t} {su} ope_enc")
+            expect(ops[t, su, PHASE_SENSING, AEAD_ENC], 1, f"round {t} {su} aead_enc")
     return ConformanceVerdict(not bad, bad)
 
 
@@ -536,15 +554,15 @@ def verify_communication_counts(result: SimulationResult) -> ConformanceVerdict:
     Logical ciphertexts per sensing round must equal delivered + 1; the
     sensing-phase bytes must equal the framing model exactly.
     """
-    comm = result.recorder.comm
+    tally = result.tally
     range_bits = result.config.crypto.range_bits
     bad: list[str] = []
     for r in result.rounds:
         delivered = len(r.delivered)
-        logical = comm.logical.get(r.t, 0)
+        logical = tally.logical[r.t]
         if logical != delivered + 1:
             bad.append(f"round {r.t}: {logical} logical ciphertexts, expected {delivered + 1}")
-        measured = 8 * comm.round_bytes(r.t, PHASE_SENSING)
+        measured = 8 * tally.phase_bytes[r.t, PHASE_SENSING]
         expected = delivered * costs.report_wire_bits(range_bits) + costs.decision_vector_wire_bits(
             len(r.roster)
         )

@@ -96,7 +96,8 @@ def test_costs_csv_layout(tmp_path):
     code = main(["costs", "--schemes", "lp3pss,ppss,pdaft,lpos", "--n", "10,100,500",
                  "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open(newline="") as fh:
+        rows = list(csv.DictReader(fh))
     cells = {(r["scheme"], r["n"]) for r in rows}
     assert len(cells) == 12  # every (scheme, n) combination is present
     assert rows[0].keys() == {"scheme", "n", "entity", "primitive", "count", "comm_bits"}

@@ -97,9 +97,10 @@ class TestInit:
             fc_init(1 << 16, PROFILE, keys, Recorder())
 
     def test_initial_lambda_and_weights(self, master_seed):
-        _, fc, _, _, _, _ = setup_network(10, master_seed)
-        assert fc.lam == 5  # symmetric profile, majority rule
+        _, fc, gw, sus, recorder, _ = setup_network(10, master_seed)
         assert all(rec.weight == 1.0 for rec in fc.records.values())
+        result = run_round(fc, gw, sus, recorder, {u: 4000 for u in range(1, 11)})
+        assert result.outcome.lam == 5  # symmetric profile, majority rule
 
     def test_view_discipline_is_structural(self, master_seed):
         # the gateway's state can hold OPE ciphertexts but never OPE keys;
@@ -119,8 +120,9 @@ class TestSensing:
         recorder.set_phase(PHASE_SENSING)
         su_sense_report(sus[1], 100, recorder)
         name = user_name(1)
-        assert recorder.ops.get(1, name, PHASE_SENSING, OPE_ENC) == 1
-        assert recorder.ops.get(1, name, PHASE_SENSING, AEAD_ENC) == 1
+        ops = recorder.fold().ops
+        assert ops[1, name, PHASE_SENSING, OPE_ENC] == 1
+        assert ops[1, name, PHASE_SENSING, AEAD_ENC] == 1
 
     def test_same_reading_same_inner_different_outer(self, master_seed):
         keys, _, _, sus, recorder, _ = setup_network(1, master_seed)
@@ -180,7 +182,7 @@ class TestSensing:
         zeta = gw_compare(gw, reports, recorder)
         result = fc_decide(fc, zeta, recorder)
         assert result.present == (1, 2)
-        assert any(e["reason"] == "report from unknown user" for e in recorder.errors)
+        assert any(e["reason"] == "report from unknown user" for e in recorder.fold().protocol_errors)
 
     def test_tampered_report_skipped(self, master_seed):
         _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
@@ -212,8 +214,8 @@ class TestDecision:
         gw = gw_init(keys)
         gw_ingest_init(gw, msgs, recorder)
         sus = make_su_states(keys)
-        assert fc.lam == 1
         result = run_round(fc, gw, sus, recorder, {1: 4000, 2: 100, 3: 100, 4: 100, 5: 100})
+        assert result.outcome.lam == 1
         assert result.outcome.decision == CHANNEL_BUSY
 
     def test_aborted_round_leaves_reputation_unchanged(self, master_seed):
@@ -241,7 +243,7 @@ class TestDecision:
         with pytest.raises(RoundAborted):
             fc_decide(fc, forged, recorder)
         failed = [e for e in recorder.view_logs[FC_NAME] if e.meta.get("op") == AEAD_DEC]
-        assert len(failed) == recorder.ops.get(1, FC_NAME, PHASE_SENSING, AEAD_DEC) == 1
+        assert len(failed) == recorder.fold().ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
         assert failed[0].tag is ViewTag.OPAQUE_CIPHERTEXT
         with pytest.raises(ValueError, match="no decided round"):
             check_leakage(recorder.view_logs)
@@ -262,9 +264,10 @@ class TestMembership:
         recorder.set_phase(PHASE_MEMBERSHIP)
         new_states = handle_membership(fc, gw, [11, 12], [], keys, recorder)
         assert set(new_states) == {11, 12}
-        assert recorder.ops.get(1, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC) == 2
-        assert recorder.ops.get(1, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC) == 2
-        assert recorder.ops.get(1, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC) == 2
+        ops = recorder.fold().ops
+        assert ops[1, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC] == 2
+        assert ops[1, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC] == 2
+        assert ops[1, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC] == 2
         # no traffic to any existing user, and their states are untouched
         for uid, snap in su_snapshot.items():
             assert sus[uid] == snap
@@ -276,19 +279,20 @@ class TestMembership:
     def test_leave_recomputes_lambda(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(10, master_seed)
         handle_membership(fc, gw, [], [7], keys, recorder)
-        assert fc.lam == 5  # ceil(9/2) with symmetric profile
-        assert 7 not in fc.live and 7 not in gw.live
-        assert 7 not in gw.tau_cache and 7 not in keys.fc_user
+        assert 7 not in fc.live and 7 not in set(gw.tau_cache)
+        assert 7 not in keys.fc_user
+        result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.live})
+        assert result.outcome.lam == 5  # ceil(9/2) with symmetric profile
 
     def test_simultaneous_join_and_leave(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(5, master_seed)
         new_states = handle_membership(fc, gw, [6, 7], [1], keys, recorder)
         assert fc.live == {2, 3, 4, 5, 6, 7}
-        assert gw.live == fc.live
-        assert fc.lam == 3  # single recomputation at n=6
+        assert set(gw.tau_cache) == fc.live
         sus.update(new_states)
         del sus[1]
         result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.live})
+        assert result.outcome.lam == 3  # computed over the n=6 present users
         assert result.outcome.decision == CHANNEL_BUSY
 
     def test_join_of_existing_id_rejected(self, master_seed):

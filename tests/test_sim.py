@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import json
 
 import pytest
 
@@ -47,7 +48,7 @@ def small_run(**kwargs):
 class TestDriver:
     def test_single_round_has_n_plus_one_ciphertexts(self):
         result = small_run(rounds=1)
-        assert result.recorder.comm.logical_per_round() == {1: 11}
+        assert result.tally.logical_per_round() == {1: 11}
 
     def test_report_determinism(self):
         config = SimulationConfig(
@@ -98,11 +99,11 @@ class TestDriver:
 class TestConformance:
     def test_fc_counts_without_churn(self):
         result = small_run(n=50, rounds=3)
-        ops = result.recorder.ops
+        ops = result.tally.ops
         for t in (1, 2, 3):
-            assert ops.get(t, FC_NAME, PHASE_SENSING, AEAD_DEC) == 1
-            assert ops.get(t, FC_NAME, PHASE_SENSING, AEAD_ENC) == 0
-            assert ops.get(t, FC_NAME, PHASE_SENSING, OPE_ENC) == 0
+            assert ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
+            assert ops[t, FC_NAME, PHASE_SENSING, AEAD_ENC] == 0
+            assert ops[t, FC_NAME, PHASE_SENSING, OPE_ENC] == 0
         assert verify_computation_counts(result).ok
 
     def test_fc_counts_with_five_joins(self):
@@ -111,30 +112,30 @@ class TestConformance:
             churn=ChurnConfig(mu=1.0, join_count=CountRange(5, 5), leave_count=CountRange(0, 0)),
         )
         result = run_simulation(config)
-        ops = result.recorder.ops
-        assert ops.get(2, FC_NAME, "membership", AEAD_ENC) == 5
-        assert ops.get(2, FC_NAME, "membership", OPE_ENC) == 5
+        ops = result.tally.ops
+        assert ops[2, FC_NAME, "membership", AEAD_ENC] == 5
+        assert ops[2, FC_NAME, "membership", OPE_ENC] == 5
         assert verify_computation_counts(result).ok
 
     def test_gw_counts_scale_with_population(self):
         result = small_run(n=100, rounds=2)
-        ops = result.recorder.ops
-        assert ops.get(1, GW_NAME, PHASE_SENSING, AEAD_DEC) == 100
-        assert ops.get(1, GW_NAME, PHASE_SENSING, AEAD_ENC) == 1
+        ops = result.tally.ops
+        assert ops[1, GW_NAME, PHASE_SENSING, AEAD_DEC] == 100
+        assert ops[1, GW_NAME, PHASE_SENSING, AEAD_ENC] == 1
 
     def test_traffic_matches_framing_model(self):
         result = small_run(n=25, rounds=4)
         assert verify_communication_counts(result).ok
-        measured = 8 * result.recorder.comm.round_bytes(1, PHASE_SENSING)
+        measured = 8 * result.tally.phase_bytes[1, PHASE_SENSING]
         assert measured == measured_round_bits_model(25, 32)
 
     def test_counter_totals_match_transcript_events(self, monkeypatch):
         # audit: one logged event per counted crypto operation, in an honest
         # run and in one where a report fails authentication at the gateway
         def audit(result):
-            ops = result.recorder.ops
+            ops = result.tally.ops
             for op in (OPE_ENC, AEAD_ENC, AEAD_DEC):
-                counted = ops.total(op)
+                counted = sum(c for (_, _, _, o), c in ops.items() if o == op)
                 logged = sum(
                     1
                     for log in result.recorder.view_logs.values()
@@ -157,14 +158,47 @@ class TestConformance:
 
         monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
         result = small_run(n=12, rounds=6)
-        assert [(e["round"], e["reason"]) for e in result.recorder.errors] == [
+        assert [(e["round"], e["reason"]) for e in result.tally.protocol_errors] == [
             (2, "report failed authentication")
         ]
         audit(result)
 
+    def test_failed_decision_vector_aborts_only_its_round(self, monkeypatch):
+        honest_compare = sim_module.gw_compare
+
+        def tampered_compare(gw, reports, recorder):
+            msg = honest_compare(gw, reports, recorder)
+            if recorder.round == 2:
+                body = msg.body
+                flipped = AeadCiphertext(body.nonce, body.body, bytes([body.tag[0] ^ 1]) + body.tag[1:])
+                msg = dataclasses.replace(msg, body=flipped)
+            return msg
+
+        monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
+        result = small_run(rounds=4)
+        report = json.loads(result.report_json())
+        aborted = report["rounds"][1]
+        assert aborted["t"] == 2
+        assert (aborted["decision"], aborted["vote_sum"], aborted["lambda"]) == (None, None, None)
+        assert aborted["present"] == [] and aborted["bits"] == {}
+        assert aborted["n_live"] == 10
+        assert all(r["decision"] is not None for i, r in enumerate(report["rounds"]) if i != 1)
+        # reputation and weights untouched: the round's phi row repeats round 1's
+        phi = report["reputation"]["phi_trajectory"]
+        assert phi[1] == phi[0] and phi[2] != phi[1]
+        assert [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors] == [
+            (2, FC_NAME, "decision vector failed authentication")
+        ]
+        assert verify_computation_counts(result).ok
+        assert verify_communication_counts(result).ok
+        assert result.leakage.conforms
+        # Q_f and Q_m count the three decided rounds only
+        rates = estimate_error_rates(result.rounds)
+        assert sum(q.trials for q in (rates.q_f, rates.q_m) if q is not None) == 3
+
     def test_mismatch_is_reported_not_hidden(self):
         result = small_run(rounds=1)
-        result.recorder.ops.bump(1, FC_NAME, PHASE_SENSING, AEAD_DEC)  # inject a bogus count
+        result.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] += 1  # inject a bogus count
         verdict = verify_computation_counts(result)
         assert not verdict.ok
         assert any("FC aead_dec" in line for line in verdict.mismatches)
@@ -181,17 +215,17 @@ class TestConformance:
         model = analytical_cost(
             COST_LP3PSS, len(record.roster), AnalyticalCostParams(beta=float(beta))
         ).computation
-        ops = result.recorder.ops
+        ops = result.tally.ops
         t = record.t
-        assert ops.get(t, FC_NAME, PHASE_SENSING, AEAD_DEC) == model["FC"]["D"]
-        assert ops.get(t, FC_NAME, "membership", AEAD_ENC) == model["FC"]["E"]
-        assert ops.get(t, FC_NAME, "membership", OPE_ENC) == model["FC"]["OPE_E"]
-        assert ops.get(t, GW_NAME, PHASE_SENSING, AEAD_DEC) == model["GW"]["D"]
-        assert ops.get(t, GW_NAME, PHASE_SENSING, AEAD_ENC) == model["GW"]["E"]
+        assert ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC] == model["FC"]["D"]
+        assert ops[t, FC_NAME, "membership", AEAD_ENC] == model["FC"]["E"]
+        assert ops[t, FC_NAME, "membership", OPE_ENC] == model["FC"]["OPE_E"]
+        assert ops[t, GW_NAME, PHASE_SENSING, AEAD_DEC] == model["GW"]["D"]
+        assert ops[t, GW_NAME, PHASE_SENSING, AEAD_ENC] == model["GW"]["E"]
         for uid in record.roster:
             name = user_name(uid)
-            assert ops.get(t, name, PHASE_SENSING, OPE_ENC) == model["SU"]["OPE_E"]
-            assert ops.get(t, name, PHASE_SENSING, AEAD_ENC) == model["SU"]["E"]
+            assert ops[t, name, PHASE_SENSING, OPE_ENC] == model["SU"]["OPE_E"]
+            assert ops[t, name, PHASE_SENSING, AEAD_ENC] == model["SU"]["E"]
 
 
 class TestErrorRates:
