@@ -10,7 +10,8 @@ Subcommands:
   and check they behave as that scheme predicts;
 * ``costs``    — evaluate the analytical cost formulas over schemes and
   population sizes into a CSV;
-* ``verify``   — leakage-check a transcript file.
+* ``verify``   — leakage-check a transcript file; the transcript must
+  hold the fusion center, the gateway, a user and a decided round.
 
 Exit status: 0 on success, 1 on conformance/leakage/attack-expectation
 failure, 2 on bad flags or malformed input.
@@ -164,7 +165,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     if args.scheme == BASELINE:
         target = 1 + args.seed % args.n
         baseline, true_rss = obs.build_dlp_scenario(args.n, target, args.seed, model, tau)
-        exposed = obs.srlp_exposure(baseline.view_logs(), BASELINE)
+        exposed = obs.srlp_exposure(baseline.recorder.events, BASELINE)
         print(f"SRLP: exposed users at the fusion center: {sorted(exposed)}")
         if exposed != set(range(1, args.n + 1)):
             failures.append("SRLP should expose every reporter in the baseline")
@@ -175,13 +176,13 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     else:
         config = SimulationConfig(SensingConfig(n=args.n, rounds=2, seed=args.seed))
         result = run_simulation(config)
-        exposed = obs.srlp_exposure(result.recorder.view_logs, LP3PSS)
+        exposed = obs.srlp_exposure(result.recorder.events, LP3PSS)
         print(f"SRLP: exposed users: {sorted(exposed)}")
         if exposed:
             failures.append("no user's RSS may appear in a foreign view")
         target = sorted(result.fc.live)[0]
         views = [
-            obs.agg_view_from_logs(result.recorder.view_logs, t, set(result.fc.live) - ({target} if t == 2 else set()))
+            obs.agg_view_from_logs(result.recorder.events, t, set(result.fc.live) - ({target} if t == 2 else set()))
             for t in (1, 2)
         ]
         dlp = obs.dlp_attack_oracle(views[0], views[1], target)
@@ -214,7 +215,7 @@ def _cmd_costs(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.transcript) as fh:
-            logs = load_transcript(fh)
+            events = load_transcript(fh)
     except OSError as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 2
@@ -222,10 +223,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"malformed transcript: {exc}", file=sys.stderr)
         return 2
     try:
-        report = obs.check_leakage(logs)
+        obs.require_complete(events)
     except ValueError as exc:
         print(f"cannot check transcript: {exc}", file=sys.stderr)
         return 2
+    report = obs.check_leakage(events)
     for entity in sorted(report.verdicts):
         print(f"{entity}: {report.verdicts[entity]}")
     for violation in report.violations:

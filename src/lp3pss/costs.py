@@ -39,7 +39,6 @@ class AnalyticalCostParams:
     change rate and ``beta`` the average join count per period.
     """
 
-    kappa: int = 80
     p_bits: int = 1024
     n_modulus_bits: int = 1024
     q_bits: int = 192
@@ -51,7 +50,7 @@ class AnalyticalCostParams:
     beta: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("kappa", "p_bits", "n_modulus_bits", "q_bits", "eps_ope_bits", "blck_bits", "gamma", "y"):
+        for name in ("p_bits", "n_modulus_bits", "q_bits", "eps_ope_bits", "blck_bits", "gamma", "y"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.mu <= 1.0:

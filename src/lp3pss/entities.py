@@ -26,6 +26,7 @@ the threshold or the voting threshold in any form.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,7 +69,7 @@ class ProtocolError(Exception):
 
 
 class RoundAborted(ProtocolError):
-    """The decision-vector message failed authentication; no decision."""
+    """The decision vector failed authentication or has the wrong length; no decision."""
 
 
 class MsgPhase(str, Enum):
@@ -77,9 +78,20 @@ class MsgPhase(str, Enum):
     DECISION_VEC = "DECISION_VEC"
 
 
-def message_assoc(phase: MsgPhase, subject: int | None, round_: int) -> bytes:
-    """Associated data binding phase, subject and round against replay."""
-    return f"{phase.value}|{subject}|{round_}".encode()
+def message_assoc(
+    phase: MsgPhase, subject: int | None, round_: int, roster: list[int] | None = None
+) -> bytes:
+    """Associated data binding phase, subject and round against replay.
+
+    Sender and receiver each build it from their own state, never from
+    the message. A decision vector also binds a digest of the sorted
+    roster it is packed over, so a vector packed over another roster
+    fails authentication instead of crediting votes to the wrong users.
+    """
+    assoc = f"{phase.value}|{subject}|{round_}".encode()
+    if roster is not None:
+        assoc += b"|" + hashlib.sha256(",".join(map(str, roster)).encode()).digest()
+    return assoc
 
 
 @dataclass(frozen=True)
@@ -88,12 +100,7 @@ class ProtocolMessage:
     receiver: str
     phase: MsgPhase
     subject: int | None  # user the payload concerns; None for decision vectors
-    round: int
     body: crypto.AeadCiphertext
-
-    @property
-    def assoc(self) -> bytes:
-        return message_assoc(self.phase, self.subject, self.round)
 
     @property
     def wire_size(self) -> int:
@@ -104,7 +111,6 @@ class ProtocolMessage:
 class FcState:
     tau: int
     alpha: float
-    profile: DetectionProfile
     gw_key: AeadKey
     ope_keys: dict[int, OpeKey]
     records: dict[int, ReputationRecord]
@@ -200,7 +206,6 @@ def fc_init(
     fc = FcState(
         tau=tau,
         alpha=compute_alpha(profile),
-        profile=profile,
         gw_key=keys.fc_gw,
         ope_keys=dict(keys.ope_user),
         records={uid: ReputationRecord() for uid in users},
@@ -216,7 +221,7 @@ def _wrap_tau(fc: FcState, uid: int, recorder: Recorder) -> ProtocolMessage:
     recorder.crypto_op(FC_NAME, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, meta={"user": uid})
     assoc = message_assoc(MsgPhase.INIT_C, uid, recorder.round)
     body = aead_encrypt(fc.gw_key, inner.to_bytes(fc.range_bits), assoc)
-    msg = ProtocolMessage(FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, recorder.round, body)
+    msg = ProtocolMessage(FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, body)
     recorder.crypto_op(FC_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, body.wire_size, {"user": uid})
     recorder.message_sent(FC_NAME, GW_NAME, body.wire_size, {"phase": msg.phase.value, "subject": uid})
     return msg
@@ -230,7 +235,8 @@ def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recor
         recorder.message_delivered(
             msg.sender, msg.receiver, msg.wire_size, {"phase": msg.phase.value, "subject": msg.subject}
         )
-        payload = aead_decrypt(gw.fc_key, msg.body, msg.assoc)
+        assoc = message_assoc(MsgPhase.INIT_C, msg.subject, recorder.round)
+        payload = aead_decrypt(gw.fc_key, msg.body, assoc)
         tau_ope = OpeCiphertext.from_bytes(payload)
         recorder.crypto_op(
             GW_NAME,
@@ -262,7 +268,7 @@ def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMess
     recorder.crypto_op(me, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, meta={"user": su.uid})
     assoc = message_assoc(MsgPhase.REPORT, su.uid, recorder.round)
     body = aead_encrypt(su.gw_key, inner.to_bytes(su.range_bits), assoc)
-    msg = ProtocolMessage(me, GW_NAME, MsgPhase.REPORT, su.uid, recorder.round, body)
+    msg = ProtocolMessage(me, GW_NAME, MsgPhase.REPORT, su.uid, body)
     recorder.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, body.wire_size, {"user": su.uid})
     recorder.message_sent(me, GW_NAME, body.wire_size, {"phase": msg.phase.value, "subject": su.uid})
     return msg
@@ -274,7 +280,8 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
     A report votes busy (bit 1) whenever its OPE value is not below the
     user's OPE threshold; equal plaintexts encrypt identically, so a
     reading exactly at the threshold votes busy. Reports from unknown
-    users or failing authentication are skipped and marked absent.
+    users or failing authentication (a report replayed from another round
+    among them) are skipped and marked absent.
     """
     roster = sorted(gw.tau_cache)
     bits: dict[int, int] = {}
@@ -290,7 +297,9 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
             msg.sender, msg.receiver, msg.wire_size, {"phase": msg.phase.value, "subject": uid}
         )
         try:
-            payload = aead_decrypt(gw.user_keys[uid], msg.body, msg.assoc)
+            payload = aead_decrypt(
+                gw.user_keys[uid], msg.body, message_assoc(MsgPhase.REPORT, uid, recorder.round)
+            )
         except AuthenticationFailure:
             recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, msg.wire_size, {"user": uid})
             recorder.protocol_error(GW_NAME, "report failed authentication", {"user": uid})
@@ -312,9 +321,9 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
             meta={"user": uid, "pair": [rss_ope.value, gw.tau_cache[uid].value]},
         )
         recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT, "computed", {"kind": "vote", "user": uid, "bit": bit})
-    assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round)
+    assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round, roster)
     body = aead_encrypt(gw.fc_key, pack_decision_vector(roster, bits), assoc)
-    msg = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, recorder.round, body)
+    msg = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, body)
     recorder.crypto_op(GW_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, body.wire_size)
     recorder.message_sent(GW_NAME, FC_NAME, body.wire_size, {"phase": msg.phase.value})
     return msg
@@ -325,22 +334,29 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
 
     Absent users contribute nothing to the vote sum, keep their record
     untouched, and the voting threshold is recomputed over the number of
-    users actually present this round.
+    users actually present this round. A vector that fails authentication
+    (tampered, replayed, or packed over another roster) or has the wrong
+    length yields no votes: the decryption is logged as an opaque
+    ciphertext, a protocol error is recorded and ``RoundAborted`` raised.
     """
     if msg.phase is not MsgPhase.DECISION_VEC:
         raise ProtocolError(f"not a decision vector: {msg.phase}")
     recorder.message_delivered(msg.sender, msg.receiver, msg.wire_size, {"phase": msg.phase.value})
+    roster = sorted(fc.live)
+    assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round, roster)
     try:
-        payload = aead_decrypt(fc.gw_key, msg.body, msg.assoc)
-    except AuthenticationFailure as exc:
+        bits = unpack_decision_vector(roster, aead_decrypt(fc.gw_key, msg.body, assoc))
+    except (AuthenticationFailure, ProtocolError) as exc:
+        if isinstance(exc, AuthenticationFailure):
+            reason = "decision vector failed authentication"
+        else:
+            reason = "decision vector has the wrong length"
         recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, msg.wire_size)
-        recorder.protocol_error(FC_NAME, "decision vector failed authentication")
-        raise RoundAborted("decision vector failed authentication") from exc
+        recorder.protocol_error(FC_NAME, reason)
+        raise RoundAborted(reason) from exc
     recorder.crypto_op(
         FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, msg.wire_size, {"kind": "vote_vector"}
     )
-    roster = sorted(fc.live)
-    bits = unpack_decision_vector(roster, payload)
     present = tuple(sorted(bits))
     for uid in present:
         recorder.observe(

@@ -26,7 +26,7 @@ CHANNEL_BUSY = 1
 
 @dataclass(frozen=True)
 class DetectionProfile:
-    """Per-user single-sensor error rates; p_d = 1 - p_m."""
+    """Per-user single-sensor error rates."""
 
     p_f: float
     p_m: float
@@ -38,10 +38,6 @@ class DetectionProfile:
             raise ValueError("p_m must lie in (0, 1)")
         if self.p_f + self.p_m >= 1.0:
             raise ValueError("need p_f + p_m < 1 for a meaningful detector")
-
-    @property
-    def p_d(self) -> float:
-        return 1.0 - self.p_m
 
 
 @dataclass(frozen=True)
@@ -69,7 +65,6 @@ class FusionOutcome:
     decision: int  # CHANNEL_BUSY or CHANNEL_FREE
     vote_sum: float
     lam: int
-    bits: tuple[int, ...]
 
 
 def compute_alpha(profile: DetectionProfile) -> float:
@@ -110,7 +105,7 @@ def fuse_votes(weights: Sequence[float], bits: Sequence[int], lam: int) -> Fusio
         raise ValueError("bits must be 0 or 1")
     vote_sum = float(sum(w * b for w, b in zip(weights, bits)))
     decision = CHANNEL_BUSY if vote_sum >= lam else CHANNEL_FREE
-    return FusionOutcome(decision, vote_sum, lam, tuple(bits))
+    return FusionOutcome(decision, vote_sum, lam)
 
 
 def update_reputation(

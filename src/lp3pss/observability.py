@@ -1,14 +1,19 @@
 """Leakage verification and location-privacy attack oracles.
 
-``check_leakage`` scans the per-entity view logs of a run and verdicts
-each entity against what the protocol permits it to learn:
+``check_leakage`` reads the event stream of a run (or of a transcript)
+once and verdicts each entity against what the protocol permits it to
+learn:
 
 * a user sees opaque ciphertexts and its own plaintexts, nothing else;
 * the fusion center sees opaque ciphertexts and the vote bits;
 * the gateway sees opaque ciphertexts, OPE ciphertexts it may order-
   compare, and the vote bits it computed itself;
-* nobody's log may contain the detection threshold, another user's RSS
+* nobody's view may contain the detection threshold, another user's RSS
   plaintext, or key material of a pair it does not belong to.
+
+``lp3pss verify`` first calls ``require_complete`` on a transcript file;
+a run's own stream needs no such check, so a run whose every round was
+aborted still gets a verdict.
 
 The module also hosts a deliberately naive soft-fusion baseline (users
 send their RSS readings to the fusion center, which averages them against
@@ -21,6 +26,7 @@ aggregate, neither of which is possible against the voting protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -67,12 +73,13 @@ def _uid_of(entity: str) -> int | None:
     return None
 
 
-def _violation_reason(entity: str, event: ViewEvent) -> str | None:
-    """Why this event is not allowed in this entity's view, or None."""
+def _violation_reason(event: ViewEvent) -> str | None:
+    """Why this event is not allowed in its entity's view, or None."""
     tag = event.tag
-    meta = event.meta
     if tag is ViewTag.OPAQUE_CIPHERTEXT:
         return None
+    entity = event.entity
+    meta = event.meta
     if tag is ViewTag.KEY_MATERIAL:
         parties = meta.get("parties", [])
         if entity not in parties:
@@ -98,38 +105,48 @@ def _violation_reason(entity: str, event: ViewEvent) -> str | None:
     return f"unknown entity {entity!r}"
 
 
-def check_leakage(logs: dict[str, list[ViewEvent]]) -> LeakageReport:
-    """Verdict every entity's view against the permitted-knowledge rules.
-
-    Requires a complete transcript: logs for the fusion center, the
-    gateway and at least one user, covering at least one decided round.
-    """
-    if FC_NAME not in logs or GW_NAME not in logs:
+def require_complete(events: Iterable[ViewEvent]) -> None:
+    """Raise ``ValueError`` unless the stream holds events of the fusion
+    center, the gateway and a user, and a decided round: a fusion-center
+    decryption that yielded the vote bits (a failed one is opaque)."""
+    entities: set[str] = set()
+    decided = False
+    for event in events:
+        entities.add(event.entity)
+        decided = decided or (
+            event.entity == FC_NAME
+            and event.meta.get("op") == AEAD_DEC
+            and event.tag is not ViewTag.OPAQUE_CIPHERTEXT
+        )
+    if FC_NAME not in entities or GW_NAME not in entities:
         raise ValueError("incomplete transcript: missing fusion center or gateway log")
-    if not any(_uid_of(entity) is not None for entity in logs):
+    if not any(_uid_of(entity) is not None for entity in entities):
         raise ValueError("incomplete transcript: no user logs")
-    # a decryption that failed authentication yields nothing and is
-    # logged as an opaque ciphertext; it does not decide a round
-    decided = any(
-        event.meta.get("op") == AEAD_DEC and event.tag is not ViewTag.OPAQUE_CIPHERTEXT
-        for event in logs[FC_NAME]
-    )
     if not decided:
         raise ValueError("incomplete transcript: no decided round")
+
+
+def check_leakage(events: Iterable[ViewEvent]) -> LeakageReport:
+    """Verdict every entity's view against the permitted-knowledge rules.
+
+    One pass over the stream. Verdicts are keyed in sorted entity order;
+    violations are grouped by entity in that order, each entity's in the
+    order its events happened.
+    """
     verdicts: dict[str, str] = {}
     violations: list[Violation] = []
-    for entity in sorted(logs):
-        entity_violations = []
-        for event in logs[entity]:
-            reason = _violation_reason(entity, event)
-            if reason is not None:
-                entity_violations.append(Violation(entity, event, reason))
-        verdicts[entity] = VIOLATES if entity_violations else CONFORMS
-        violations.extend(entity_violations)
-    return LeakageReport(verdicts, tuple(violations))
+    for event in events:
+        reason = _violation_reason(event)
+        if reason is None:
+            verdicts.setdefault(event.entity, CONFORMS)
+        else:
+            verdicts[event.entity] = VIOLATES
+            violations.append(Violation(event.entity, event, reason))
+    violations.sort(key=lambda v: v.entity)  # stable
+    return LeakageReport(dict(sorted(verdicts.items())), tuple(violations))
 
 
-def srlp_exposure(logs: dict[str, list[ViewEvent]], scheme: str) -> set[int]:
+def srlp_exposure(events: Iterable[ViewEvent], scheme: str) -> set[int]:
     """Users whose RSS plaintext appears in some other entity's view.
 
     The baseline exposes every reporter to the fusion center; the voting
@@ -138,13 +155,11 @@ def srlp_exposure(logs: dict[str, list[ViewEvent]], scheme: str) -> set[int]:
     if scheme not in (BASELINE, LP3PSS):
         raise ValueError(f"unknown scheme {scheme!r}")
     exposed: set[int] = set()
-    for entity, log in logs.items():
-        own = _uid_of(entity)
-        for event in log:
-            if event.tag is ViewTag.PLAINTEXT_VALUE and event.meta.get("kind") == "rss":
-                uid = event.meta.get("user")
-                if uid is not None and uid != own:
-                    exposed.add(uid)
+    for event in events:
+        if event.tag is ViewTag.PLAINTEXT_VALUE and event.meta.get("kind") == "rss":
+            uid = event.meta.get("user")
+            if uid is not None and uid != _uid_of(event.entity):
+                exposed.add(uid)
     return exposed
 
 
@@ -188,21 +203,20 @@ def dlp_attack_oracle(before: AggView, after: AggView, target: int) -> DlpResult
     return DlpResult(delta, delta, "aggregate difference isolates the target")
 
 
-def agg_view_from_logs(logs: dict[str, list[ViewEvent]], round_: int, roster: set[int]) -> AggView:
-    """Attacker's view of one round, derived honestly from the logs.
+def agg_view_from_logs(events: Iterable[ViewEvent], round_: int, roster: set[int]) -> AggView:
+    """Attacker's view of one round, derived honestly from the event stream.
 
-    Scans every entity view for an RSS aggregate exposed in that round;
-    the voting protocol never produces one.
+    Scans every entity's events for an RSS aggregate exposed in that
+    round; the voting protocol never produces one.
     """
     rss_sum: int | None = None
-    for log in logs.values():
-        for event in log:
-            if (
-                event.round == round_
-                and event.tag is ViewTag.PLAINTEXT_VALUE
-                and event.meta.get("kind") == "rss_sum"
-            ):
-                rss_sum = event.meta["value"]
+    for event in events:
+        if (
+            event.round == round_
+            and event.tag is ViewTag.PLAINTEXT_VALUE
+            and event.meta.get("kind") == "rss_sum"
+        ):
+            rss_sum = event.meta["value"]
     return AggView(frozenset(roster), rss_sum)
 
 
@@ -227,9 +241,6 @@ class BaselineResult:
 
     rounds: list[BaselineRound] = field(default_factory=list)
     recorder: Recorder = field(default_factory=Recorder)
-
-    def view_logs(self) -> dict[str, list[ViewEvent]]:
-        return self.recorder.view_logs
 
     def round_view(self, round_: int) -> AggView:
         row = next(r for r in self.rounds if r.round == round_)
@@ -310,15 +321,11 @@ def build_dlp_scenario(
 
 
 def inject_event(
-    logs: dict[str, list[ViewEvent]],
+    events: Iterable[ViewEvent],
     entity: str,
     tag: ViewTag,
     meta: dict,
     round_: int = 1,
-) -> dict[str, list[ViewEvent]]:
-    """Copy the logs and append one foreign observation at ``entity``."""
-    mutated = {name: list(log) for name, log in logs.items()}
-    mutated.setdefault(entity, []).append(
-        ViewEvent(round_, entity, "received", tag, 0, meta)
-    )
-    return mutated
+) -> list[ViewEvent]:
+    """Copy the stream and append one foreign observation at ``entity``."""
+    return [*events, ViewEvent(round_, entity, "received", tag, 0, meta)]

@@ -4,12 +4,11 @@ Every observable event of a run is appended here, once, as a
 ``ViewEvent``: messages on each link (logged at both the sender and the
 receiver), every crypto operation at its performer, every plaintext an
 entity learns at a decryption boundary, and every protocol error at the
-entity that detected it. The stream is the recorder's only record.
-Grouped by entity it gives the view logs, exactly what each entity could
-know, which is what the leakage checker inspects. ``Recorder.fold``
-walks it once and returns the rest: operation counts, per-link traffic,
-bytes per round and phase, logical ciphertexts per sensing round and the
-protocol errors.
+entity that detected it. The stream is the recorder's only record and
+what the leakage checker reads: each event names the entity that could
+know it. ``Recorder.fold`` walks it once and returns the counts:
+operation counts, per-link traffic, bytes per round and phase, logical
+ciphertexts per sensing round and the protocol errors.
 
 Transcript files are JSON lines: one event per line, the stream
 stable-sorted by entity name, so each entity's events stay in the order
@@ -32,6 +31,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import IO, Iterable
 
 PHASE_INIT = "init"
@@ -69,17 +69,6 @@ class ViewEvent:
     tag: ViewTag
     size_bytes: int = 0
     meta: dict = field(default_factory=dict)
-
-
-def group_by_entity(events: Iterable[ViewEvent]) -> dict[str, list[ViewEvent]]:
-    """entity -> its events in stream order; entities in order of first event."""
-    logs: dict[str, list[ViewEvent]] = {}
-    for event in events:
-        log = logs.get(event.entity)
-        if log is None:
-            log = logs[event.entity] = []
-        log.append(event)
-    return logs
 
 
 @dataclass
@@ -197,8 +186,14 @@ class Recorder:
 
     @property
     def view_logs(self) -> dict[str, list[ViewEvent]]:
-        """entity -> everything it observed, in order; a fresh dict per read."""
-        return group_by_entity(self.events)
+        """entity -> everything it observed, in order; a fresh dict per read.
+
+        Entities appear in the order of their first event.
+        """
+        logs: dict[str, list[ViewEvent]] = {}
+        for event in self.events:
+            logs.setdefault(event.entity, []).append(event)
+        return logs
 
     def fold(self) -> Tally:
         """Count everything from one pass over the stream.
@@ -237,24 +232,20 @@ class Recorder:
         """Write every event as one JSONL line (format in the module docstring)."""
         strings = _JsonStrings()
         encode_meta = _META_ENCODER.encode
-        logs = self.view_logs
-        count = 0
-        for entity in sorted(logs):
-            events = logs[entity]
-            for start in range(0, len(events), _CHUNK_EVENTS):
-                fh.write("".join([
-                    _LINE % (
-                        strings[e.direction],
-                        strings[e.entity],
-                        encode_meta(e.meta),
-                        e.round,
-                        e.size_bytes,
-                        _TAG_JSON[e.tag],
-                    )
-                    for e in events[start:start + _CHUNK_EVENTS]
-                ]))
-            count += len(events)
-        return count
+        events = sorted(self.events, key=attrgetter("entity"))  # stable: each entity's in order
+        for start in range(0, len(events), _CHUNK_EVENTS):
+            fh.write("".join([
+                _LINE % (
+                    strings[e.direction],
+                    strings[e.entity],
+                    encode_meta(e.meta),
+                    e.round,
+                    e.size_bytes,
+                    _TAG_JSON[e.tag],
+                )
+                for e in events[start:start + _CHUNK_EVENTS]
+            ]))
+        return len(events)
 
 
 # -- transcript codec ---------------------------------------------------------
@@ -340,20 +331,18 @@ def _parse_event(line: str) -> ViewEvent:
     raise ValueError(_shape_error(record))
 
 
-def load_transcript(lines: Iterable[str]) -> dict[str, list[ViewEvent]]:
-    """Rebuild per-entity view logs from a JSONL transcript.
+def load_transcript(lines: Iterable[str]) -> list[ViewEvent]:
+    """The events of a JSONL transcript, in file order.
 
     Raises ``ValueError`` naming the first malformed line.
     """
-    return group_by_entity(_parse_lines(lines))
-
-
-def _parse_lines(lines: Iterable[str]) -> Iterable[ViewEvent]:
+    events: list[ViewEvent] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            yield _parse_event(line)
+            events.append(_parse_event(line))
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"transcript line {lineno} is malformed: {exc}") from exc
+    return events

@@ -34,7 +34,7 @@ _BEHAVIOR_KINDS = (HONEST, ALWAYS_FLIP, RANDOM_FLIP, STUCK_AT)
 
 @dataclass(frozen=True)
 class Quantization:
-    """Mapping between dBm readings and the integer OPE domain."""
+    """The dBm grid of the integer OPE domain: value q reads min_dbm + q * step_dbm."""
 
     min_dbm: float = -110.0
     step_dbm: float = 0.01
@@ -43,13 +43,6 @@ class Quantization:
     @property
     def domain_max(self) -> int:
         return (1 << self.domain_bits) - 1
-
-    def to_grid(self, dbm: float) -> int:
-        q = round((dbm - self.min_dbm) / self.step_dbm)
-        return min(max(q, 0), self.domain_max)
-
-    def to_dbm(self, q: int) -> float:
-        return self.min_dbm + q * self.step_dbm
 
 
 @dataclass(frozen=True)
@@ -196,9 +189,6 @@ class AdversaryProfile:
 
     def behavior_of(self, uid: int) -> Behavior:
         return self.behaviors.get(uid, Behavior())
-
-    def adversarial_ids(self) -> list[int]:
-        return sorted(u for u, b in self.behaviors.items() if b.kind != HONEST)
 
 
 def _reflect(rss_q: int, model: ChannelModel) -> int:

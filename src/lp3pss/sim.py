@@ -9,9 +9,12 @@ protocol errors and the leakage verdict, and is a pure function of
 (config, seed): two runs with the same config produce byte-identical
 reports and transcripts.
 
-A round whose decision vector fails authentication is aborted, not
-fatal: it is recorded with no outcome and nobody present, leaves
-reputation and weights untouched, and is left out of Q_f and Q_m.
+A round whose decision vector the fusion center cannot use (it fails
+authentication, was packed over another roster or has the wrong length)
+is aborted, not fatal: it is recorded with no outcome and nobody
+present, leaves reputation and weights untouched, and is left out of
+Q_f and Q_m. A run in which every round is aborted still finishes, with
+null decisions and a leakage verdict.
 """
 
 from __future__ import annotations
@@ -19,17 +22,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from lp3pss import costs
 from lp3pss.entities import (
     FcState,
-    GwState,
     ProtocolMessage,
     RoundAborted,
     RoundResult,
-    SuState,
     fc_decide,
     fc_init,
     gw_compare,
@@ -39,7 +40,7 @@ from lp3pss.entities import (
     make_su_states,
     su_sense_report,
 )
-from lp3pss.crypto import KeyTable, derive_pairwise_keys
+from lp3pss.crypto import derive_pairwise_keys
 from lp3pss.fusion import DetectionProfile
 from lp3pss.observability import LeakageReport, check_leakage
 from lp3pss.recording import (
@@ -259,9 +260,6 @@ class SimulationResult:
     tau: int
     rounds: list[RoundRecord]
     fc: FcState
-    gw: GwState
-    sus: dict[int, SuState]
-    keys: KeyTable
     recorder: Recorder
     tally: Tally
     leakage: LeakageReport
@@ -488,10 +486,8 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
             )
         )
 
-    leakage = check_leakage(recorder.view_logs)
-    return SimulationResult(
-        config, model, tau, records, fc, gw, sus, keys, recorder, recorder.fold(), leakage
-    )
+    leakage = check_leakage(recorder.events)
+    return SimulationResult(config, model, tau, records, fc, recorder, recorder.fold(), leakage)
 
 
 # ---------------------------------------------------------------------------

@@ -156,13 +156,13 @@ def test_c05_leakage_checker_on_honest_runs_and_mutants():
         )
         result = run_simulation(config)
         simultaneous += sum(1 for r in result.rounds if r.joins and r.leaves)
-        report = check_leakage(result.recorder.view_logs)
+        report = check_leakage(result.recorder.events)
         assert report.conforms, f"false violation in honest run {i}: {report.violations[:2]}"
     assert simultaneous > 0  # the sweep exercised simultaneous joins+leaves
 
-    logs = run_simulation(
+    events = run_simulation(
         SimulationConfig(SensingConfig(n=8, rounds=5, seed=99))
-    ).recorder.view_logs
+    ).recorder.events
     mutants = [
         (FC_NAME, ViewTag.OPE_ORDER_PAIR, {"kind": "rss_ope", "user": 1}),
         (GW_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "tau", "value": 3000}),
@@ -172,7 +172,7 @@ def test_c05_leakage_checker_on_honest_runs_and_mutants():
         (user_name(2), ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 4, "bit": 1}),
     ]
     for entity, tag, meta in mutants:
-        mutated = inject_event(logs, entity, tag, meta)
+        mutated = inject_event(events, entity, tag, meta)
         report = check_leakage(mutated)
         assert not report.conforms, f"missed injected violation at {entity}"
         assert report.verdicts[entity] == "violates"
@@ -241,15 +241,15 @@ def test_c09_attack_oracles_randomized():
         baseline, true_rss = build_dlp_scenario(n, target, seed, model, tau, leave=leave)
         outcome = dlp_attack_oracle(baseline.round_view(1), baseline.round_view(2), target)
         assert outcome.recovered == true_rss, f"case {case}"
-        assert srlp_exposure(baseline.view_logs(), BASELINE) == set(range(1, n + 1))
+        assert srlp_exposure(baseline.recorder.events, BASELINE) == set(range(1, n + 1))
 
         result = run_simulation(config)
-        logs = result.recorder.view_logs
-        assert srlp_exposure(logs, LP3PSS) == set(), f"case {case}"
+        events = result.recorder.events
+        assert srlp_exposure(events, LP3PSS) == set(), f"case {case}"
         roster = set(result.fc.live)
         views = (
-            agg_view_from_logs(logs, 1, roster),
-            agg_view_from_logs(logs, 2, roster - {target if target in roster else min(roster)}),
+            agg_view_from_logs(events, 1, roster),
+            agg_view_from_logs(events, 2, roster - {target if target in roster else min(roster)}),
         )
         protected = dlp_attack_oracle(views[0], views[1], target if target in roster else min(roster))
         assert protected.recovered is None, f"case {case}"

@@ -157,3 +157,30 @@ def test_verify_malformed_transcript(tmp_path, capsys):
         assert main(["verify", "--transcript", str(bad)]) == 2, line[:40]
         err = capsys.readouterr().err
         assert f"malformed transcript: transcript line {lineno} is malformed" in err
+
+
+@pytest.mark.parametrize(
+    "keep, reason",
+    [
+        (lambda rec: rec["entity"] != "FC", "missing fusion center or gateway log"),
+        (lambda rec: rec["entity"] != "GW", "missing fusion center or gateway log"),
+        (lambda rec: rec["entity"].startswith("U"), "missing fusion center or gateway log"),
+        (
+            lambda rec: not (rec["entity"] == "FC" and rec["meta"].get("op") == "aead_dec"),
+            "no decided round",
+        ),
+    ],
+    ids=["no-fc", "no-gw", "users-only", "no-decided-round"],
+)
+def test_verify_rejects_incomplete_transcript(tmp_path, capsys, keep, reason):
+    transcript = tmp_path / "t.jsonl"
+    assert main(["simulate", "--n", "4", "--rounds", "2", "--seed", "7",
+                 "--out", str(tmp_path / "r.json"), "--transcript", str(transcript)]) == 0
+    lines = transcript.read_text().splitlines(keepends=True)
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text("".join(line for line in lines if keep(json.loads(line))))
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(partial)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot check transcript: incomplete transcript: {reason}\n"

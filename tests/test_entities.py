@@ -9,6 +9,7 @@ from lp3pss.crypto import (
     FC,
     GW,
     AeadCiphertext,
+    AuthenticationFailure,
     OpeCiphertext,
     OpeKey,
     aead_decrypt,
@@ -34,7 +35,7 @@ from lp3pss.entities import (
     unpack_decision_vector,
 )
 from lp3pss.fusion import CHANNEL_BUSY, CHANNEL_FREE, DetectionProfile
-from lp3pss.observability import check_leakage
+from lp3pss.observability import require_complete
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -131,8 +132,8 @@ class TestSensing:
         m1 = su_sense_report(sus[1], 1234, recorder)
         recorder.start_round(2)
         m2 = su_sense_report(sus[1], 1234, recorder)
-        inner1 = aead_decrypt(keys.gw_user[1], m1.body, m1.assoc)
-        inner2 = aead_decrypt(keys.gw_user[1], m2.body, m2.assoc)
+        inner1 = aead_decrypt(keys.gw_user[1], m1.body, message_assoc(MsgPhase.REPORT, 1, 1))
+        inner2 = aead_decrypt(keys.gw_user[1], m2.body, message_assoc(MsgPhase.REPORT, 1, 2))
         assert inner1 == inner2  # deterministic OPE layer
         assert m1.body != m2.body  # fresh nonce outside
 
@@ -188,13 +189,21 @@ class TestSensing:
         _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
+        stale = su_sense_report(sus[2], 4000, recorder)
+        recorder.start_round(2)
         good = su_sense_report(sus[1], 4000, recorder)
-        bad = su_sense_report(sus[2], 4000, recorder)
-        forged = ProtocolMessage(
-            bad.sender, bad.receiver, bad.phase, bad.subject, round=7, body=bad.body
-        )  # replayed under the wrong round context
-        result = fc_decide(fc, gw_compare(gw, [good, forged], recorder), recorder)
+        # U2's round-1 report replayed in round 2
+        result = fc_decide(fc, gw_compare(gw, [good, stale], recorder), recorder)
         assert result.present == (1,)
+        assert [e["reason"] for e in recorder.fold().protocol_errors] == ["report failed authentication"]
+
+    def test_init_message_replayed_in_a_later_round_refused(self, master_seed):
+        _, _, gw, _, recorder, msgs = setup_network(2, master_seed)
+        cached = dict(gw.tau_cache)
+        recorder.start_round(3)
+        with pytest.raises(AuthenticationFailure):
+            gw_ingest_init(gw, msgs[:1], recorder)
+        assert gw.tau_cache == cached
 
 
 class TestDecision:
@@ -223,9 +232,9 @@ class TestDecision:
         records_before = dict(fc.records)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
-        assoc = message_assoc(MsgPhase.DECISION_VEC, None, 1)
+        assoc = message_assoc(MsgPhase.DECISION_VEC, None, 1, [1, 2])
         forged_body = aead_encrypt(keys.gw_user[1], b"\x03\x03", assoc)  # wrong key entirely
-        forged = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, 1, forged_body)
+        forged = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, forged_body)
         with pytest.raises(RoundAborted):
             fc_decide(fc, forged, recorder)
         assert fc.records == records_before
@@ -237,7 +246,7 @@ class TestDecision:
         zeta = gw_compare(gw, [su_sense_report(sus[1], 4000, recorder)], recorder)
         tag = bytes([zeta.body.tag[0] ^ 1]) + zeta.body.tag[1:]
         forged = ProtocolMessage(
-            zeta.sender, zeta.receiver, zeta.phase, None, 1,
+            zeta.sender, zeta.receiver, zeta.phase, None,
             AeadCiphertext(zeta.body.nonce, zeta.body.body, tag),
         )
         with pytest.raises(RoundAborted):
@@ -246,7 +255,37 @@ class TestDecision:
         assert len(failed) == recorder.fold().ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
         assert failed[0].tag is ViewTag.OPAQUE_CIPHERTEXT
         with pytest.raises(ValueError, match="no decided round"):
-            check_leakage(recorder.view_logs)
+            require_complete(recorder.events)
+
+    def test_decision_vector_replayed_next_round_aborts(self, master_seed):
+        _, fc, gw, sus, recorder, _ = setup_network(3, master_seed)
+        recorder.start_round(1)
+        recorder.set_phase(PHASE_SENSING)
+        stale = gw_compare(gw, [su_sense_report(sus[u], 4000, recorder) for u in (1, 2, 3)], recorder)
+        fc_decide(fc, stale, recorder)
+        records_after_round_1 = dict(fc.records)
+        recorder.start_round(2)
+        with pytest.raises(RoundAborted):
+            fc_decide(fc, stale, recorder)
+        assert fc.records == records_after_round_1
+
+    def test_roster_mismatch_aborts_instead_of_misattributing(self, master_seed):
+        # same size, one id swapped: GW packs over [2, 3, 4], the FC reads [1, 2, 3],
+        # which would credit U2's busy vote to U1
+        _, fc, gw, sus, recorder, _ = setup_network(4, master_seed)
+        fc.live.discard(4)
+        del gw.tau_cache[1]
+        records_before = dict(fc.records)
+        recorder.start_round(1)
+        recorder.set_phase(PHASE_SENSING)
+        reports = [su_sense_report(sus[u], rss, recorder) for u, rss in ((2, 4000), (3, 100), (4, 100))]
+        zeta = gw_compare(gw, reports, recorder)
+        with pytest.raises(RoundAborted):
+            fc_decide(fc, zeta, recorder)
+        assert fc.records == records_before
+        assert [e["reason"] for e in recorder.fold().protocol_errors] == [
+            "decision vector failed authentication"
+        ]
 
     def test_reputation_updates_after_round(self, master_seed):
         _, fc, gw, sus, recorder, _ = setup_network(3, master_seed)

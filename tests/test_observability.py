@@ -11,6 +11,7 @@ from lp3pss.observability import (
     check_leakage,
     dlp_attack_oracle,
     inject_event,
+    require_complete,
     run_baseline,
     srlp_exposure,
 )
@@ -19,99 +20,112 @@ from lp3pss.scenario import ChurnConfig, CountRange
 from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
 
 
-def honest_logs(n=10, rounds=20, seed=5, churn=ChurnConfig()):
+def honest_events(n=10, rounds=20, seed=5, churn=ChurnConfig()):
     config = SimulationConfig(SensingConfig(n=n, rounds=rounds, seed=seed), churn=churn)
-    return run_simulation(config).recorder.view_logs
+    return run_simulation(config).recorder.events
 
 
 class TestCheckLeakage:
     def test_honest_run_conforms_everywhere(self):
-        report = check_leakage(honest_logs())
+        report = check_leakage(honest_events())
         assert report.conforms
         assert set(report.verdicts.values()) == {"conforms"}
 
     def test_honest_run_with_churn_conforms(self):
         churn = ChurnConfig(mu=0.5, join_count=CountRange(1, 2), leave_count=CountRange(0, 2))
-        report = check_leakage(honest_logs(rounds=15, churn=churn))
+        report = check_leakage(honest_events(rounds=15, churn=churn))
         assert report.conforms
 
     def test_ope_ciphertext_forwarded_to_fc_violates(self):
-        logs = inject_event(
-            honest_logs(), FC_NAME, ViewTag.OPE_ORDER_PAIR, {"kind": "rss_ope", "user": 3}
+        events = inject_event(
+            honest_events(), FC_NAME, ViewTag.OPE_ORDER_PAIR, {"kind": "rss_ope", "user": 3}
         )
-        report = check_leakage(logs)
+        report = check_leakage(events)
         assert not report.conforms
         assert report.verdicts[FC_NAME] == "violates"
 
     def test_plaintext_tau_at_gateway_violates(self):
-        logs = inject_event(
-            honest_logs(), GW_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "tau", "value": 3000}
+        events = inject_event(
+            honest_events(), GW_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "tau", "value": 3000}
         )
-        report = check_leakage(logs)
+        report = check_leakage(events)
         assert report.verdicts[GW_NAME] == "violates"
 
     def test_foreign_rss_at_fc_violates(self):
-        logs = inject_event(
-            honest_logs(), FC_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 2, "value": 999}
+        events = inject_event(
+            honest_events(), FC_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 2, "value": 999}
         )
-        assert check_leakage(logs).verdicts[FC_NAME] == "violates"
+        assert check_leakage(events).verdicts[FC_NAME] == "violates"
 
     def test_foreign_rss_at_other_user_violates(self):
-        logs = inject_event(
-            honest_logs(), user_name(1), ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 2, "value": 7}
+        events = inject_event(
+            honest_events(), user_name(1), ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 2, "value": 7}
         )
-        assert check_leakage(logs).verdicts[user_name(1)] == "violates"
+        assert check_leakage(events).verdicts[user_name(1)] == "violates"
 
     def test_foreign_key_material_violates(self):
-        logs = inject_event(
-            honest_logs(), user_name(4), ViewTag.KEY_MATERIAL, {"parties": [FC_NAME, GW_NAME]}
+        events = inject_event(
+            honest_events(), user_name(4), ViewTag.KEY_MATERIAL, {"parties": [FC_NAME, GW_NAME]}
         )
-        assert check_leakage(logs).verdicts[user_name(4)] == "violates"
+        assert check_leakage(events).verdicts[user_name(4)] == "violates"
 
     def test_vote_bit_at_user_violates(self):
-        logs = inject_event(
-            honest_logs(), user_name(2), ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 5, "bit": 1}
+        events = inject_event(
+            honest_events(), user_name(2), ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 5, "bit": 1}
         )
-        assert check_leakage(logs).verdicts[user_name(2)] == "violates"
+        assert check_leakage(events).verdicts[user_name(2)] == "violates"
 
     def test_incomplete_transcript_rejected(self):
-        logs = honest_logs()
+        events = honest_events()
+        require_complete(events)
         for missing in (FC_NAME, GW_NAME):
-            partial = {k: v for k, v in logs.items() if k != missing}
+            partial = [e for e in events if e.entity != missing]
             with pytest.raises(ValueError):
-                check_leakage(partial)
-        users_only = {k: v for k, v in logs.items() if k.startswith("U")}
+                require_complete(partial)
+        users_only = [e for e in events if e.entity.startswith("U")]
         with pytest.raises(ValueError):
-            check_leakage(users_only)
+            require_complete(users_only)
 
     def test_violation_carries_offending_event(self):
-        logs = inject_event(
-            honest_logs(), FC_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 1, "value": 1}
+        events = inject_event(
+            honest_events(), FC_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 1, "value": 1}
         )
-        report = check_leakage(logs)
+        report = check_leakage(events)
         assert report.violations
         violation = report.violations[0]
         assert violation.entity == FC_NAME
         assert violation.event.meta["user"] == 1
 
+    def test_violations_grouped_by_entity_in_event_order(self):
+        events = honest_events(n=10, rounds=2)  # U10 sorts before U2
+        for entity, user in ((user_name(3), 1), (FC_NAME, 2), (user_name(3), 4)):
+            events = inject_event(
+                events, entity, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": user, "value": 1}
+            )
+        report = check_leakage(events)
+        assert [(v.entity, v.event.meta["user"]) for v in report.violations] == [
+            (FC_NAME, 2), (user_name(3), 1), (user_name(3), 4)
+        ]
+        assert list(report.verdicts) == sorted(report.verdicts)
+
 
 class TestSrlp:
     def test_baseline_exposes_every_reporter(self):
         result = run_baseline(3000, [({1, 2, 3, 4, 5}, {u: 2500 for u in range(1, 6)})], bytes(32))
-        assert srlp_exposure(result.view_logs(), BASELINE) == {1, 2, 3, 4, 5}
+        assert srlp_exposure(result.recorder.events, BASELINE) == {1, 2, 3, 4, 5}
 
     def test_protocol_exposes_nobody(self):
-        assert srlp_exposure(honest_logs(n=5), LP3PSS) == set()
+        assert srlp_exposure(honest_events(n=5), LP3PSS) == set()
 
     def test_detector_sees_injected_exposure(self):
-        logs = inject_event(
-            honest_logs(n=5), GW_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 4, "value": 1}
+        events = inject_event(
+            honest_events(n=5), GW_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 4, "value": 1}
         )
-        assert srlp_exposure(logs, LP3PSS) == {4}
+        assert srlp_exposure(events, LP3PSS) == {4}
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
-            srlp_exposure(honest_logs(n=3), "both")
+            srlp_exposure(honest_events(n=3), "both")
 
 
 class TestDlp:
@@ -143,10 +157,10 @@ class TestDlp:
     def test_voting_protocol_yields_bottom(self):
         config = SimulationConfig(SensingConfig(n=6, rounds=2, seed=3))
         result = run_simulation(config)
-        logs = result.recorder.view_logs
+        events = result.recorder.events
         roster = set(result.fc.live)
-        before = agg_view_from_logs(logs, 1, roster)
-        after = agg_view_from_logs(logs, 2, roster - {1})
+        before = agg_view_from_logs(events, 1, roster)
+        after = agg_view_from_logs(events, 2, roster - {1})
         outcome = dlp_attack_oracle(before, after, 1)
         assert outcome.recovered is None
         assert "no RSS aggregate" in outcome.reason

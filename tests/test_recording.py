@@ -177,10 +177,8 @@ def dump(recorder: Recorder) -> str:
 def assert_codec_conforms(recorder: Recorder) -> None:
     text = dump(recorder)
     assert text.splitlines(keepends=True) == reference_transcript(recorder)
-    reloaded = load_transcript(io.StringIO(text))
-    logs = recorder.view_logs
-    assert list(reloaded) == sorted(logs)
-    assert reloaded == logs
+    # file order: the stream stable-sorted by entity
+    assert load_transcript(io.StringIO(text)) == sorted(recorder.events, key=lambda e: e.entity)
 
 
 def eventful_config() -> SimulationConfig:

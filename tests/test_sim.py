@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
 from lp3pss.costs import (
     LP3PSS as COST_LP3PSS,
@@ -195,6 +196,50 @@ class TestConformance:
         # Q_f and Q_m count the three decided rounds only
         rates = estimate_error_rates(result.rounds)
         assert sum(q.trials for q in (rates.q_f, rates.q_m) if q is not None) == 3
+
+    def test_wrong_length_decision_vector_aborts_only_its_round(self, monkeypatch):
+        # the gateway packs once a round; in round 2 it sends an authenticated
+        # vector one byte long for 3 users, which needs two
+        honest_pack = entities_module.pack_decision_vector
+        packed = []
+
+        def short_in_round_2(roster, bits):
+            packed.append(roster)
+            payload = honest_pack(roster, bits)
+            return payload[:1] if len(packed) == 2 else payload
+
+        monkeypatch.setattr(entities_module, "pack_decision_vector", short_in_round_2)
+        result = small_run(n=3, rounds=3)
+        report = json.loads(result.report_json())
+        assert [r["decision"] is None for r in report["rounds"]] == [False, True, False]
+        assert [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors] == [
+            (2, FC_NAME, "decision vector has the wrong length")
+        ]
+        assert verify_computation_counts(result).ok
+        # the short vector is one byte off the framing model, in round 2 only
+        assert [line.split(":")[0] for line in verify_communication_counts(result).mismatches] == [
+            "round 2"
+        ]
+        assert result.leakage.conforms
+
+    def test_run_with_every_round_aborted_finishes(self, monkeypatch):
+        honest_compare = sim_module.gw_compare
+
+        def tampered_compare(gw, reports, recorder):
+            msg = honest_compare(gw, reports, recorder)
+            body = msg.body
+            flipped = AeadCiphertext(body.nonce, body.body, bytes([body.tag[0] ^ 1]) + body.tag[1:])
+            return dataclasses.replace(msg, body=flipped)
+
+        monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
+        result = small_run(n=3, rounds=2)
+        report = json.loads(result.report_json())
+        assert [r["decision"] for r in report["rounds"]] == [None, None]
+        assert report["error_rates"] == {"q_f": None, "q_m": None}
+        assert report["leakage"]["verdict"] == "conforms"
+        assert [e["reason"] for e in result.tally.protocol_errors] == [
+            "decision vector failed authentication"
+        ] * 2
 
     def test_mismatch_is_reported_not_hidden(self):
         result = small_run(rounds=1)
