@@ -6,7 +6,6 @@ conformance checks.
 """
 
 from lp3pss.crypto import (
-    AeadCiphertext,
     AeadKey,
     AuthenticationFailure,
     KeyTable,

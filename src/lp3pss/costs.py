@@ -149,7 +149,9 @@ def cost_rows(
 
 
 # ---------------------------------------------------------------------------
-# wire-framing model of the measured implementation
+# wire-framing model of the measured implementation; written apart from
+# lp3pss.crypto on purpose, as the reference the traffic check holds the
+# real message bytes to
 # ---------------------------------------------------------------------------
 
 LENGTH_PREFIX_BYTES = 4

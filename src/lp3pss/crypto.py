@@ -13,8 +13,10 @@ Three pieces live here:
 * pairwise key derivation from a single master seed, standing in for the
   key-establishment handshake of a real deployment.
 
-Wire format for authenticated ciphertexts:
-``u32 total_len (big endian) || nonce (12B) || body || tag (16B)``.
+An authenticated ciphertext exists only as its framed wire bytes,
+``u32 total_len (big endian) || nonce (12B) || ciphertext || tag (16B)``:
+``aead_encrypt`` returns them and ``aead_decrypt`` parses them, so a
+message's traffic is the length of the bytes it carries.
 OPE ciphertexts serialize as fixed-width big-endian integers.
 """
 
@@ -155,7 +157,7 @@ def ope_encrypt(key: OpeKey, m: int) -> OpeCiphertext:
 
 @dataclass
 class AeadKey:
-    """Pairwise channel key with a role label such as ``"FC|U3"``.
+    """Pairwise channel key with a role label such as ``"GW|3"``.
 
     The nonce counter makes encryption deterministic for a fixed call
     sequence; both ends of a pair share the same key object inside one
@@ -176,35 +178,9 @@ class AeadKey:
         return nonce
 
 
-@dataclass(frozen=True)
-class AeadCiphertext:
-    nonce: bytes
-    body: bytes
-    tag: bytes
-
-    def to_wire(self) -> bytes:
-        blob = self.nonce + self.body + self.tag
-        return len(blob).to_bytes(4, "big") + blob
-
-    @property
-    def wire_size(self) -> int:
-        return 4 + len(self.nonce) + len(self.body) + len(self.tag)
-
-    @classmethod
-    def from_wire(cls, data: bytes) -> "AeadCiphertext":
-        if len(data) < 4:
-            raise MalformedCiphertext("missing length prefix")
-        total = int.from_bytes(data[:4], "big")
-        blob = data[4:]
-        if len(blob) != total or total < NONCE_LEN + TAG_LEN:
-            raise MalformedCiphertext(
-                f"declared {total} bytes, got {len(blob)} (minimum {NONCE_LEN + TAG_LEN})"
-            )
-        return cls(blob[:NONCE_LEN], blob[NONCE_LEN:-TAG_LEN], blob[-TAG_LEN:])
-
-
-def aead_encrypt(key: AeadKey, payload: bytes, assoc: bytes = b"") -> AeadCiphertext:
-    """Encrypt-and-authenticate ``payload`` binding ``assoc`` as context.
+def aead_encrypt(key: AeadKey, payload: bytes, assoc: bytes = b"") -> bytes:
+    """Encrypt-and-authenticate ``payload`` binding ``assoc`` as context;
+    returns the framed wire bytes ``u32 len || nonce || ciphertext || tag``.
 
     Each call consumes a fresh nonce, so equal payloads never produce
     equal ciphertexts under the same key.
@@ -212,16 +188,23 @@ def aead_encrypt(key: AeadKey, payload: bytes, assoc: bytes = b"") -> AeadCipher
     if not payload:
         raise ValueError("payload must be non-empty")
     nonce = key._next_nonce()
-    out = AESGCM(key.key_bytes).encrypt(nonce, payload, assoc)
-    return AeadCiphertext(nonce, out[:-TAG_LEN], out[-TAG_LEN:])
+    blob = nonce + AESGCM(key.key_bytes).encrypt(nonce, payload, assoc)
+    return len(blob).to_bytes(4, "big") + blob
 
 
-def aead_decrypt(key: AeadKey, ct: AeadCiphertext, assoc: bytes = b"") -> bytes:
-    """Recover the payload; fails unless key, nonce, tag and assoc all match."""
-    if len(ct.nonce) != NONCE_LEN or len(ct.tag) != TAG_LEN:
-        raise MalformedCiphertext("bad nonce or tag length")
+def aead_decrypt(key: AeadKey, wire: bytes, assoc: bytes = b"") -> bytes:
+    """Recover the payload from framed wire bytes. A frame that is short,
+    truncated or overlong raises ``MalformedCiphertext``; one that parses
+    fails with ``AuthenticationFailure`` unless key, bytes and assoc match."""
+    if len(wire) < 4:
+        raise MalformedCiphertext("missing length prefix")
+    total = int.from_bytes(wire[:4], "big")
+    if len(wire) - 4 != total or total < NONCE_LEN + TAG_LEN:
+        raise MalformedCiphertext(
+            f"declared {total} bytes, got {len(wire) - 4} (minimum {NONCE_LEN + TAG_LEN})"
+        )
     try:
-        return AESGCM(key.key_bytes).decrypt(ct.nonce, ct.body + ct.tag, assoc)
+        return AESGCM(key.key_bytes).decrypt(wire[4 : 4 + NONCE_LEN], wire[4 + NONCE_LEN :], assoc)
     except InvalidTag as exc:
         raise AuthenticationFailure(f"tag verification failed for {key.label}") from exc
 
@@ -251,57 +234,53 @@ def pair_label(a: str | int, b: str | int) -> str:
     return f"{first}|{second}"
 
 
+def pair_channel_key(master_seed: bytes, a: str | int, b: str | int) -> AeadKey:
+    """The AEAD channel key of the pair (a, b), labelled ``pair_label(a, b)``."""
+    label = pair_label(a, b)
+    return AeadKey(_kdf(_kdf(master_seed, f"pair|{label}"), "aead")[:KEY_LEN], label)
+
+
 @dataclass
 class KeyTable:
-    """All pairwise keys of one deployment: 2n+1 channel keys plus the
-    per-user OPE subkeys shared between the fusion center and each user.
+    """All pairwise keys of one deployment: the FC<->GW channel key, one
+    GW<->user channel key per user, and the per-user OPE subkeys shared
+    between the fusion center and each user.
 
-    The FC<->user pair secret is expanded into two independent subkeys
-    (one for the channel, one for OPE) so the two roles never interact.
-    The master seed is retained so joining users can be keyed later.
+    The OPE subkey is expanded from the FC<->user pair secret. The master
+    seed is retained so joining users can be keyed later.
     """
 
     master_seed: bytes
     domain_bits: int = 16
     range_bits: int = 32
     fc_gw: AeadKey = field(init=False)
-    fc_user: dict[int, AeadKey] = field(default_factory=dict)
     gw_user: dict[int, AeadKey] = field(default_factory=dict)
     ope_user: dict[int, OpeKey] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if len(self.master_seed) != 32:
             raise ValueError("master seed must be 32 bytes")
-        label = pair_label(FC, GW)
-        secret = _kdf(self.master_seed, f"pair|{label}")
-        self.fc_gw = AeadKey(_kdf(secret, "aead")[:KEY_LEN], label)
+        self.fc_gw = pair_channel_key(self.master_seed, FC, GW)
 
     def add_user(self, uid: int) -> None:
         if not isinstance(uid, int) or uid < 0:
             raise ValueError(f"user id must be a non-negative int, got {uid!r}")
-        if uid in self.fc_user:
+        if uid in self.gw_user:
             raise ValueError(f"user {uid} already keyed")
         fc_secret = _kdf(self.master_seed, f"pair|{pair_label(FC, uid)}")
-        gw_secret = _kdf(self.master_seed, f"pair|{pair_label(GW, uid)}")
-        self.fc_user[uid] = AeadKey(_kdf(fc_secret, "aead")[:KEY_LEN], pair_label(FC, uid))
-        self.gw_user[uid] = AeadKey(_kdf(gw_secret, "aead")[:KEY_LEN], pair_label(GW, uid))
+        self.gw_user[uid] = pair_channel_key(self.master_seed, GW, uid)
         self.ope_user[uid] = OpeKey(
             _kdf(fc_secret, "ope")[:KEY_LEN], self.domain_bits, self.range_bits
         )
 
     def remove_user(self, uid: int) -> None:
-        if uid not in self.fc_user:
+        if uid not in self.gw_user:
             raise ValueError(f"user {uid} not keyed")
-        del self.fc_user[uid]
         del self.gw_user[uid]
         del self.ope_user[uid]
 
     def user_ids(self) -> list[int]:
-        return sorted(self.fc_user)
-
-    @property
-    def pair_count(self) -> int:
-        return 1 + 2 * len(self.fc_user)
+        return sorted(self.gw_user)
 
 
 def derive_pairwise_keys(

@@ -30,11 +30,11 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
-from lp3pss import crypto
 from lp3pss.crypto import (
     AeadKey,
-    AuthenticationFailure,
+    CryptoError,
     KeyTable,
+    MalformedCiphertext,
     OpeCiphertext,
     OpeKey,
     aead_decrypt,
@@ -69,7 +69,7 @@ class ProtocolError(Exception):
 
 
 class RoundAborted(ProtocolError):
-    """The decision vector failed authentication or has the wrong length; no decision."""
+    """The decision vector is malformed, failed authentication or has the wrong length; no decision."""
 
 
 class MsgPhase(str, Enum):
@@ -94,17 +94,23 @@ def message_assoc(
     return assoc
 
 
+def _failure_reason(what: str, exc: CryptoError) -> str:
+    if isinstance(exc, MalformedCiphertext):
+        return f"{what} is malformed"
+    return f"{what} failed authentication"
+
+
 @dataclass(frozen=True)
 class ProtocolMessage:
+    """One message on a link. ``body`` is the framed AEAD ciphertext exactly
+    as it travels (see ``crypto.aead_encrypt``); its length is the traffic
+    the recorder counts for the message."""
+
     sender: str
     receiver: str
     phase: MsgPhase
     subject: int | None  # user the payload concerns; None for decision vectors
-    body: crypto.AeadCiphertext
-
-    @property
-    def wire_size(self) -> int:
-        return self.body.wire_size
+    body: bytes
 
 
 @dataclass
@@ -222,30 +228,36 @@ def _wrap_tau(fc: FcState, uid: int, recorder: Recorder) -> ProtocolMessage:
     assoc = message_assoc(MsgPhase.INIT_C, uid, recorder.round)
     body = aead_encrypt(fc.gw_key, inner.to_bytes(fc.range_bits), assoc)
     msg = ProtocolMessage(FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, body)
-    recorder.crypto_op(FC_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, body.wire_size, {"user": uid})
-    recorder.message_sent(FC_NAME, GW_NAME, body.wire_size, {"phase": msg.phase.value, "subject": uid})
+    recorder.crypto_op(FC_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": uid})
+    recorder.message_sent(FC_NAME, GW_NAME, len(body), {"phase": msg.phase.value, "subject": uid})
     return msg
 
 
 def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recorder) -> None:
-    """Cache the decrypted OPE threshold for each user the FC wrapped."""
+    """Cache the decrypted OPE threshold for each user the FC wrapped. A
+    malformed or unauthentic message (tampered, or replayed from another
+    round) becomes a protocol error and leaves its user out of the cache."""
     for msg in messages:
-        if msg.phase is not MsgPhase.INIT_C or msg.subject is None:
+        uid = msg.subject
+        if msg.phase is not MsgPhase.INIT_C or uid is None:
             raise ProtocolError(f"not an init message: {msg.phase}")
-        recorder.message_delivered(
-            msg.sender, msg.receiver, msg.wire_size, {"phase": msg.phase.value, "subject": msg.subject}
-        )
-        assoc = message_assoc(MsgPhase.INIT_C, msg.subject, recorder.round)
-        payload = aead_decrypt(gw.fc_key, msg.body, assoc)
+        size = len(msg.body)
+        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": msg.phase.value, "subject": uid})
+        try:
+            payload = aead_decrypt(gw.fc_key, msg.body, message_assoc(MsgPhase.INIT_C, uid, recorder.round))
+        except CryptoError as exc:
+            recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size, {"user": uid})
+            recorder.protocol_error(GW_NAME, _failure_reason("init message", exc), {"user": uid})
+            continue
         tau_ope = OpeCiphertext.from_bytes(payload)
         recorder.crypto_op(
             GW_NAME,
             AEAD_DEC,
             ViewTag.OPE_ORDER_PAIR,
-            msg.wire_size,
-            {"kind": "tau_ope", "user": msg.subject, "value": tau_ope.value},
+            size,
+            {"kind": "tau_ope", "user": uid, "value": tau_ope.value},
         )
-        gw.tau_cache[msg.subject] = tau_ope
+        gw.tau_cache[uid] = tau_ope
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +281,8 @@ def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMess
     assoc = message_assoc(MsgPhase.REPORT, su.uid, recorder.round)
     body = aead_encrypt(su.gw_key, inner.to_bytes(su.range_bits), assoc)
     msg = ProtocolMessage(me, GW_NAME, MsgPhase.REPORT, su.uid, body)
-    recorder.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, body.wire_size, {"user": su.uid})
-    recorder.message_sent(me, GW_NAME, body.wire_size, {"phase": msg.phase.value, "subject": su.uid})
+    recorder.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": su.uid})
+    recorder.message_sent(me, GW_NAME, len(body), {"phase": msg.phase.value, "subject": su.uid})
     return msg
 
 
@@ -280,8 +292,8 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
     A report votes busy (bit 1) whenever its OPE value is not below the
     user's OPE threshold; equal plaintexts encrypt identically, so a
     reading exactly at the threshold votes busy. Reports from unknown
-    users or failing authentication (a report replayed from another round
-    among them) are skipped and marked absent.
+    users, malformed or failing authentication (a report replayed from
+    another round among them) are skipped and marked absent.
     """
     roster = sorted(gw.tau_cache)
     bits: dict[int, int] = {}
@@ -293,23 +305,22 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
         if uid in bits:
             recorder.protocol_error(GW_NAME, "duplicate report", {"user": uid})
             continue
-        recorder.message_delivered(
-            msg.sender, msg.receiver, msg.wire_size, {"phase": msg.phase.value, "subject": uid}
-        )
+        size = len(msg.body)
+        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": msg.phase.value, "subject": uid})
         try:
             payload = aead_decrypt(
                 gw.user_keys[uid], msg.body, message_assoc(MsgPhase.REPORT, uid, recorder.round)
             )
-        except AuthenticationFailure:
-            recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, msg.wire_size, {"user": uid})
-            recorder.protocol_error(GW_NAME, "report failed authentication", {"user": uid})
+        except CryptoError as exc:
+            recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size, {"user": uid})
+            recorder.protocol_error(GW_NAME, _failure_reason("report", exc), {"user": uid})
             continue
         rss_ope = OpeCiphertext.from_bytes(payload)
         recorder.crypto_op(
             GW_NAME,
             AEAD_DEC,
             ViewTag.OPE_ORDER_PAIR,
-            msg.wire_size,
+            size,
             {"kind": "rss_ope", "user": uid, "value": rss_ope.value},
         )
         bit = 0 if rss_ope < gw.tau_cache[uid] else 1
@@ -324,8 +335,8 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
     assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round, roster)
     body = aead_encrypt(gw.fc_key, pack_decision_vector(roster, bits), assoc)
     msg = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, body)
-    recorder.crypto_op(GW_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, body.wire_size)
-    recorder.message_sent(GW_NAME, FC_NAME, body.wire_size, {"phase": msg.phase.value})
+    recorder.crypto_op(GW_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body))
+    recorder.message_sent(GW_NAME, FC_NAME, len(body), {"phase": msg.phase.value})
     return msg
 
 
@@ -334,29 +345,29 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
 
     Absent users contribute nothing to the vote sum, keep their record
     untouched, and the voting threshold is recomputed over the number of
-    users actually present this round. A vector that fails authentication
-    (tampered, replayed, or packed over another roster) or has the wrong
-    length yields no votes: the decryption is logged as an opaque
-    ciphertext, a protocol error is recorded and ``RoundAborted`` raised.
+    users actually present this round. A vector that is malformed, fails
+    authentication (tampered, replayed, or packed over another roster) or
+    has the wrong length yields no votes: the decryption is logged as an
+    opaque ciphertext, a protocol error is recorded and ``RoundAborted``
+    raised.
     """
     if msg.phase is not MsgPhase.DECISION_VEC:
         raise ProtocolError(f"not a decision vector: {msg.phase}")
-    recorder.message_delivered(msg.sender, msg.receiver, msg.wire_size, {"phase": msg.phase.value})
+    size = len(msg.body)
+    recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": msg.phase.value})
     roster = sorted(fc.live)
     assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round, roster)
     try:
         bits = unpack_decision_vector(roster, aead_decrypt(fc.gw_key, msg.body, assoc))
-    except (AuthenticationFailure, ProtocolError) as exc:
-        if isinstance(exc, AuthenticationFailure):
-            reason = "decision vector failed authentication"
+    except (CryptoError, ProtocolError) as exc:
+        if isinstance(exc, CryptoError):
+            reason = _failure_reason("decision vector", exc)
         else:
             reason = "decision vector has the wrong length"
-        recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, msg.wire_size)
+        recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size)
         recorder.protocol_error(FC_NAME, reason)
         raise RoundAborted(reason) from exc
-    recorder.crypto_op(
-        FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, msg.wire_size, {"kind": "vote_vector"}
-    )
+    recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, size, {"kind": "vote_vector"})
     present = tuple(sorted(bits))
     for uid in present:
         recorder.observe(

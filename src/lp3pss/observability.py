@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from lp3pss.crypto import aead_decrypt, aead_encrypt, derive_pairwise_keys
+from lp3pss.crypto import aead_decrypt, aead_encrypt, pair_channel_key
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -259,7 +259,7 @@ def run_baseline(
     when the average reported RSS is at least the threshold.
     """
     all_users = sorted({uid for roster, _ in rounds for uid in roster})
-    keys = derive_pairwise_keys(master_seed, ["FC", "GW", *all_users])
+    channel = {uid: pair_channel_key(master_seed, FC_NAME, uid) for uid in all_users}
     result = BaselineResult()
     rec = result.recorder
     rec.set_phase("sensing")
@@ -270,17 +270,17 @@ def run_baseline(
             rss = reports[uid]
             me = user_name(uid)
             rec.observe(me, ViewTag.PLAINTEXT_VALUE, "local", {"kind": "rss", "user": uid, "value": rss})
-            body = aead_encrypt(keys.fc_user[uid], rss.to_bytes(4, "big"), b"BASELINE_REPORT")
-            rec.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, body.wire_size, {"user": uid})
-            rec.message_sent(me, FC_NAME, body.wire_size, {"phase": "BASELINE_REPORT", "subject": uid})
-            rec.message_delivered(me, FC_NAME, body.wire_size, {"phase": "BASELINE_REPORT", "subject": uid})
-            plain = aead_decrypt(keys.fc_user[uid], body, b"BASELINE_REPORT")
+            body = aead_encrypt(channel[uid], rss.to_bytes(4, "big"), b"BASELINE_REPORT")
+            rec.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": uid})
+            rec.message_sent(me, FC_NAME, len(body), {"phase": "BASELINE_REPORT", "subject": uid})
+            rec.message_delivered(me, FC_NAME, len(body), {"phase": "BASELINE_REPORT", "subject": uid})
+            plain = aead_decrypt(channel[uid], body, b"BASELINE_REPORT")
             value = int.from_bytes(plain, "big")
             rec.crypto_op(
                 FC_NAME,
                 AEAD_DEC,
                 ViewTag.PLAINTEXT_VALUE,
-                body.wire_size,
+                len(body),
                 {"kind": "rss", "user": uid, "value": value},
             )
             total += value

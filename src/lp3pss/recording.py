@@ -75,8 +75,8 @@ class ViewEvent:
 class Tally:
     """What ``Recorder.fold`` counts from one event stream.
 
-    ``size_bytes`` counts the authenticated-ciphertext wire encoding of
-    the message body; addressing headers are not charged. One logical
+    ``size_bytes`` is the length of the framed AEAD bytes a message
+    carries; addressing headers are not charged. One logical
     ciphertext is counted per message delivered in the sensing phase.
     """
 

@@ -9,11 +9,11 @@ protocol errors and the leakage verdict, and is a pure function of
 (config, seed): two runs with the same config produce byte-identical
 reports and transcripts.
 
-A round whose decision vector the fusion center cannot use (it fails
-authentication, was packed over another roster or has the wrong length)
-is aborted, not fatal: it is recorded with no outcome and nobody
-present, leaves reputation and weights untouched, and is left out of
-Q_f and Q_m. A run in which every round is aborted still finishes, with
+A round whose decision vector the fusion center cannot use (it is
+malformed, fails authentication, was packed over another roster or has
+the wrong length) is aborted, not fatal: it is recorded with no outcome
+and nobody present, leaves reputation and weights untouched, and is left
+out of Q_f and Q_m. A run in which every round is aborted still finishes, with
 null decisions and a leakage verdict.
 """
 

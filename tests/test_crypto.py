@@ -1,6 +1,7 @@
 """Order preservation, AEAD contracts, and key-table derivation."""
 
 import copy
+import hashlib
 import pickle
 import tracemalloc
 
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from lp3pss.crypto import (
     FC,
     GW,
-    AeadCiphertext,
+    NONCE_LEN,
+    TAG_LEN,
     AeadKey,
     AuthenticationFailure,
     MalformedCiphertext,
@@ -20,6 +22,7 @@ from lp3pss.crypto import (
     aead_encrypt,
     derive_pairwise_keys,
     ope_encrypt,
+    pair_channel_key,
 )
 
 KEY16 = bytes(range(16))
@@ -125,29 +128,43 @@ class TestAead:
 
     def test_tamper_detection_at_every_byte(self):
         key = AeadKey(KEY16, "a")
-        ct = aead_encrypt(key, b"sixteen byte msg", b"ctx")
-        wire = ct.to_wire()
+        wire = aead_encrypt(key, b"sixteen byte msg", b"ctx")
         for pos in range(4, len(wire)):  # skip the length prefix: that is framing
             tampered = bytearray(wire)
             tampered[pos] ^= 0x01
             with pytest.raises(AuthenticationFailure):
-                aead_decrypt(key, AeadCiphertext.from_wire(bytes(tampered)), b"ctx")
+                aead_decrypt(key, bytes(tampered), b"ctx")
 
     def test_truncated_wire_is_malformed(self):
-        ct = aead_encrypt(AeadKey(KEY16, "a"), b"payload", b"")
-        wire = ct.to_wire()
-        with pytest.raises(MalformedCiphertext):
-            AeadCiphertext.from_wire(wire[:-3])
-        with pytest.raises(MalformedCiphertext):
-            AeadCiphertext.from_wire(b"\x00\x00")
+        key = AeadKey(KEY16, "a")
+        wire = aead_encrypt(key, b"payload", b"")
+        declared_longer = (len(wire) - 3).to_bytes(4, "big") + wire[4:]
+        declared_too_short = (NONCE_LEN + TAG_LEN - 1).to_bytes(4, "big") + bytes(NONCE_LEN + TAG_LEN - 1)
+        for bad in (
+            wire[:-1],
+            wire[:-3],
+            wire + b"\x00",
+            b"\x00\x00",
+            b"",
+            declared_longer,
+            declared_too_short,
+        ):
+            with pytest.raises(MalformedCiphertext):
+                aead_decrypt(key, bad, b"")
 
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
             aead_encrypt(AeadKey(KEY16, "a"), b"", b"")
 
     def test_wire_roundtrip(self):
-        ct = aead_encrypt(AeadKey(KEY16, "a"), b"payload", b"")
-        assert AeadCiphertext.from_wire(ct.to_wire()) == ct
+        # u32 len || nonce || ciphertext || tag; the nonce is the key's counter
+        key = AeadKey(KEY16, "a")
+        aead_encrypt(key, b"first", b"")
+        wire = aead_encrypt(key, b"payload", b"")
+        assert len(wire) == 4 + NONCE_LEN + len(b"payload") + TAG_LEN
+        assert int.from_bytes(wire[:4], "big") == len(wire) - 4
+        assert wire[4 : 4 + NONCE_LEN] == (1).to_bytes(NONCE_LEN, "big")
+        assert aead_decrypt(key, wire, b"") == b"payload"
 
     @given(st.binary(min_size=1, max_size=200), st.binary(max_size=32))
     @settings(max_examples=50)
@@ -158,21 +175,23 @@ class TestAead:
 
 class TestKeyTable:
     def test_single_user_yields_three_pairs(self, master_seed):
+        # FC<->GW and GW<->U1 channels, and the FC<->U1 OPE subkey
         table = derive_pairwise_keys(master_seed, [FC, GW, 1])
-        assert table.pair_count == 3
-        assert set(table.fc_user) == set(table.gw_user) == set(table.ope_user) == {1}
+        assert 1 + len(table.gw_user) + len(table.ope_user) == 3
+        assert set(table.gw_user) == set(table.ope_user) == {1}
+        assert table.user_ids() == [1]
 
     def test_deterministic(self, master_seed):
         ids = [FC, GW, 1, 2, 3]
         t1 = derive_pairwise_keys(master_seed, ids)
         t2 = derive_pairwise_keys(master_seed, ids)
         assert t1.fc_gw.key_bytes == t2.fc_gw.key_bytes
-        assert all(t1.fc_user[u].key_bytes == t2.fc_user[u].key_bytes for u in (1, 2, 3))
+        assert all(t1.gw_user[u].key_bytes == t2.gw_user[u].key_bytes for u in (1, 2, 3))
         assert all(t1.ope_user[u].key_bytes == t2.ope_user[u].key_bytes for u in (1, 2, 3))
 
     def test_fifty_users_yield_101_pairs(self, master_seed):
         table = derive_pairwise_keys(master_seed, [FC, GW, *range(1, 51)])
-        assert table.pair_count == 2 * 50 + 1
+        assert 1 + len(table.gw_user) + len(table.ope_user) == 2 * 50 + 1
 
     def test_duplicate_id_rejected(self, master_seed):
         with pytest.raises(ValueError):
@@ -185,22 +204,23 @@ class TestKeyTable:
     def test_all_keys_distinct(self, master_seed):
         table = derive_pairwise_keys(master_seed, [FC, GW, *range(1, 20)])
         raws = [table.fc_gw.key_bytes]
-        raws += [k.key_bytes for k in table.fc_user.values()]
+        raws += [pair_channel_key(master_seed, FC, u).key_bytes for u in range(1, 20)]
         raws += [k.key_bytes for k in table.gw_user.values()]
         raws += [k.key_bytes for k in table.ope_user.values()]
         assert len(set(raws)) == len(raws)
 
     def test_key_separation_between_users(self, master_seed):
         table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2])
-        ct = aead_encrypt(table.fc_user[1], b"for user 1 channel", b"")
+        ct = aead_encrypt(table.gw_user[1], b"for user 1 channel", b"")
         with pytest.raises(AuthenticationFailure):
-            aead_decrypt(table.fc_user[2], ct, b"")
+            aead_decrypt(table.gw_user[2], ct, b"")
 
     def test_departed_user_keys_removed(self, master_seed):
         table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2])
         table.remove_user(1)
-        assert 1 not in table.fc_user and 1 not in table.gw_user and 1 not in table.ope_user
-        assert table.pair_count == 3
+        assert 1 not in table.gw_user and 1 not in table.ope_user
+        assert table.user_ids() == [2]
+        assert 1 + len(table.gw_user) + len(table.ope_user) == 3
         with pytest.raises(ValueError):
             table.remove_user(1)
 
@@ -208,7 +228,22 @@ class TestKeyTable:
         # derivation is a pure function of (seed, id); resurrection is the
         # driver's concern, which never re-issues ids
         table = derive_pairwise_keys(master_seed, [FC, GW, 1])
-        before = table.fc_user[1].key_bytes
+        before = (table.gw_user[1].key_bytes, table.ope_user[1].key_bytes)
         table.remove_user(1)
         table.add_user(1)
-        assert table.fc_user[1].key_bytes == before
+        assert (table.gw_user[1].key_bytes, table.ope_user[1].key_bytes) == before
+
+    def test_derived_key_bytes_are_pinned(self, master_seed):
+        # the FC<->GW, GW<->user and OPE keys and the baseline's FC<->user
+        # channel keys, as derived since the key table was introduced
+        table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2, 3])
+        raws = [table.fc_gw.key_bytes]
+        raws += [table.gw_user[u].key_bytes for u in (1, 2, 3)]
+        raws += [table.ope_user[u].key_bytes for u in (1, 2, 3)]
+        raws += [pair_channel_key(master_seed, FC, u).key_bytes for u in (1, 2, 3)]
+        assert hashlib.sha256(b"".join(raws)).hexdigest() == (
+            "7ba85cfecd52b847be55cb42c2983f58a29bf2ed84e1d1f331b0f8e79a5f1460"
+        )
+        assert [table.fc_gw.label, table.gw_user[2].label, pair_channel_key(master_seed, 2, FC).label] == [
+            "FC|GW", "GW|2", "FC|2"
+        ]

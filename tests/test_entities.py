@@ -1,15 +1,15 @@
 """Protocol state machines: init, sensing, decision, membership."""
 
 import copy
+import dataclasses
 
 import pytest
+from conftest import flip_tag_bit
 from hypothesis import given, strategies as st
 
 from lp3pss.crypto import (
     FC,
     GW,
-    AeadCiphertext,
-    AuthenticationFailure,
     OpeCiphertext,
     OpeKey,
     aead_decrypt,
@@ -201,9 +201,23 @@ class TestSensing:
         _, _, gw, _, recorder, msgs = setup_network(2, master_seed)
         cached = dict(gw.tau_cache)
         recorder.start_round(3)
-        with pytest.raises(AuthenticationFailure):
-            gw_ingest_init(gw, msgs[:1], recorder)
+        gw_ingest_init(gw, msgs[:1], recorder)
         assert gw.tau_cache == cached
+        assert recorder.fold().protocol_errors == [
+            {"round": 3, "entity": GW_NAME, "reason": "init message failed authentication", "user": 1}
+        ]
+
+    def test_malformed_init_message_leaves_its_user_uncached(self, master_seed):
+        keys = derive_pairwise_keys(master_seed, [FC, GW, 1, 2, 3])
+        recorder = Recorder()
+        _, msgs = fc_init(TAU, PROFILE, keys, recorder)
+        msgs[1] = dataclasses.replace(msgs[1], body=msgs[1].body[:-1])
+        gw = gw_init(keys)
+        gw_ingest_init(gw, msgs, recorder)
+        assert set(gw.tau_cache) == {1, 3}
+        assert [e["reason"] for e in recorder.fold().protocol_errors] == ["init message is malformed"]
+        failed = [e for e in recorder.view_logs[GW_NAME] if e.meta == {"op": AEAD_DEC, "user": 2}]
+        assert [(e.tag, e.size_bytes) for e in failed] == [(ViewTag.OPAQUE_CIPHERTEXT, len(msgs[1].body))]
 
 
 class TestDecision:
@@ -244,11 +258,7 @@ class TestDecision:
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
         zeta = gw_compare(gw, [su_sense_report(sus[1], 4000, recorder)], recorder)
-        tag = bytes([zeta.body.tag[0] ^ 1]) + zeta.body.tag[1:]
-        forged = ProtocolMessage(
-            zeta.sender, zeta.receiver, zeta.phase, None,
-            AeadCiphertext(zeta.body.nonce, zeta.body.body, tag),
-        )
+        forged = dataclasses.replace(zeta, body=flip_tag_bit(zeta.body))
         with pytest.raises(RoundAborted):
             fc_decide(fc, forged, recorder)
         failed = [e for e in recorder.view_logs[FC_NAME] if e.meta.get("op") == AEAD_DEC]
@@ -319,7 +329,7 @@ class TestMembership:
         keys, fc, gw, sus, recorder, _ = setup_network(10, master_seed)
         handle_membership(fc, gw, [], [7], keys, recorder)
         assert 7 not in fc.live and 7 not in set(gw.tau_cache)
-        assert 7 not in keys.fc_user
+        assert 7 not in keys.gw_user and 7 not in keys.ope_user
         result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.live})
         assert result.outcome.lam == 5  # ceil(9/2) with symmetric profile
 

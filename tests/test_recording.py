@@ -6,10 +6,10 @@ import hashlib
 import io
 import json
 
+from conftest import flip_tag_bit
 from hypothesis import given, settings, strategies as st
 
 from lp3pss import sim as sim_module
-from lp3pss.crypto import AeadCiphertext
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -202,9 +202,7 @@ def test_dump_matches_reference_encoding_and_reloads_equal(monkeypatch):
     def tampered_report(su, rss_q, recorder):
         msg = honest_report(su, rss_q, recorder)
         if su.uid == 4 and recorder.round == 3:
-            body = msg.body
-            flipped = AeadCiphertext(body.nonce, body.body, bytes([body.tag[0] ^ 1]) + body.tag[1:])
-            msg = dataclasses.replace(msg, body=flipped)
+            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
         return msg
 
     monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)

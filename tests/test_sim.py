@@ -5,6 +5,7 @@ import io
 import json
 
 import pytest
+from conftest import flip_tag_bit
 
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
@@ -14,7 +15,6 @@ from lp3pss.costs import (
     analytical_cost,
     measured_round_bits_model,
 )
-from lp3pss.crypto import AeadCiphertext
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -152,9 +152,7 @@ class TestConformance:
         def tampered_report(su, rss_q, recorder):
             msg = honest_report(su, rss_q, recorder)
             if su.uid == 3 and recorder.round == 2:
-                body = msg.body
-                flipped = AeadCiphertext(body.nonce, body.body, bytes([body.tag[0] ^ 1]) + body.tag[1:])
-                msg = dataclasses.replace(msg, body=flipped)
+                msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
             return msg
 
         monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
@@ -165,37 +163,143 @@ class TestConformance:
         audit(result)
 
     def test_failed_decision_vector_aborts_only_its_round(self, monkeypatch):
+        # a flipped tag bit fails authentication; a vector one byte short is
+        # malformed and also one byte off the framing model
         honest_compare = sim_module.gw_compare
+        for tamper, reason, off_model in (
+            (flip_tag_bit, "decision vector failed authentication", []),
+            (lambda wire: wire[:-1], "decision vector is malformed", ["round 2"]),
+        ):
 
-        def tampered_compare(gw, reports, recorder):
-            msg = honest_compare(gw, reports, recorder)
-            if recorder.round == 2:
-                body = msg.body
-                flipped = AeadCiphertext(body.nonce, body.body, bytes([body.tag[0] ^ 1]) + body.tag[1:])
-                msg = dataclasses.replace(msg, body=flipped)
+            def tampered_compare(gw, reports, recorder, tamper=tamper):
+                msg = honest_compare(gw, reports, recorder)
+                if recorder.round == 2:
+                    msg = dataclasses.replace(msg, body=tamper(msg.body))
+                return msg
+
+            monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
+            result = small_run(rounds=4)
+            report = json.loads(result.report_json())
+            aborted = report["rounds"][1]
+            assert aborted["t"] == 2
+            assert (aborted["decision"], aborted["vote_sum"], aborted["lambda"]) == (None, None, None)
+            assert aborted["present"] == [] and aborted["bits"] == {}
+            assert aborted["n_live"] == 10
+            assert all(r["decision"] is not None for i, r in enumerate(report["rounds"]) if i != 1)
+            # reputation and weights untouched: the round's phi row repeats round 1's
+            phi = report["reputation"]["phi_trajectory"]
+            assert phi[1] == phi[0] and phi[2] != phi[1]
+            assert [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors] == [
+                (2, FC_NAME, reason)
+            ]
+            assert verify_computation_counts(result).ok
+            mismatches = verify_communication_counts(result).mismatches
+            assert [line.split(":")[0] for line in mismatches] == off_model
+            assert result.leakage.conforms
+            # Q_f and Q_m count the three decided rounds only
+            rates = estimate_error_rates(result.rounds)
+            assert sum(q.trials for q in (rates.q_f, rates.q_m) if q is not None) == 3
+
+    def test_truncated_report_is_malformed_and_skipped(self, monkeypatch):
+        honest_report = sim_module.su_sense_report
+
+        def truncated_report(su, rss_q, recorder):
+            msg = honest_report(su, rss_q, recorder)
+            if su.uid == 2 and recorder.round == 2:
+                msg = dataclasses.replace(msg, body=msg.body[:-1])
             return msg
 
-        monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
-        result = small_run(rounds=4)
-        report = json.loads(result.report_json())
-        aborted = report["rounds"][1]
-        assert aborted["t"] == 2
-        assert (aborted["decision"], aborted["vote_sum"], aborted["lambda"]) == (None, None, None)
-        assert aborted["present"] == [] and aborted["bits"] == {}
-        assert aborted["n_live"] == 10
-        assert all(r["decision"] is not None for i, r in enumerate(report["rounds"]) if i != 1)
-        # reputation and weights untouched: the round's phi row repeats round 1's
-        phi = report["reputation"]["phi_trajectory"]
-        assert phi[1] == phi[0] and phi[2] != phi[1]
-        assert [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors] == [
-            (2, FC_NAME, "decision vector failed authentication")
+        monkeypatch.setattr(sim_module, "su_sense_report", truncated_report)
+        result = small_run(n=5, rounds=3)
+        assert [(e["round"], e["entity"], e["reason"], e["user"]) for e in result.tally.protocol_errors] == [
+            (2, GW_NAME, "report is malformed", 2)
         ]
+        assert [r.result.present for r in result.rounds] == [(1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 2, 3, 4, 5)]
+        assert all(r.result.outcome is not None for r in result.rounds)
         assert verify_computation_counts(result).ok
-        assert verify_communication_counts(result).ok
+        # the delivered report is one byte short of the framing model, in round 2 only
+        mismatches = verify_communication_counts(result).mismatches
+        assert [line.split(":")[0] for line in mismatches] == ["round 2"]
         assert result.leakage.conforms
-        # Q_f and Q_m count the three decided rounds only
-        rates = estimate_error_rates(result.rounds)
-        assert sum(q.trials for q in (rates.q_f, rates.q_m) if q is not None) == 3
+
+    def test_message_sizes_are_body_lengths(self, monkeypatch):
+        # each message is logged as sent right after its encryption and as
+        # received right before its decryption, so the recorded sizes must
+        # equal the lengths of those bytes, one for one and in order
+        encrypted: list[bytes] = []
+        decrypted: list[bytes] = []
+        honest_encrypt = entities_module.aead_encrypt
+        honest_decrypt = entities_module.aead_decrypt
+
+        def encrypt(key, payload, assoc=b""):
+            wire = honest_encrypt(key, payload, assoc)
+            encrypted.append(wire)
+            return wire
+
+        def decrypt(key, wire, assoc=b""):
+            decrypted.append(wire)
+            return honest_decrypt(key, wire, assoc)
+
+        honest_report = sim_module.su_sense_report
+
+        def truncated_report(su, rss_q, recorder):
+            # sent whole, shortened on the link: received counts what arrived
+            msg = honest_report(su, rss_q, recorder)
+            if recorder.round == 3:
+                msg = dataclasses.replace(msg, body=msg.body[:-2])
+            return msg
+
+        monkeypatch.setattr(entities_module, "aead_encrypt", encrypt)
+        monkeypatch.setattr(entities_module, "aead_decrypt", decrypt)
+        monkeypatch.setattr(sim_module, "su_sense_report", truncated_report)
+        config = SimulationConfig(
+            SensingConfig(n=6, rounds=5, seed=4, report_loss_prob=0.2),
+            churn=ChurnConfig(mu=1.0, join_count=CountRange(0, 2), leave_count=CountRange(0, 1)),
+        )
+        result = run_simulation(config)
+        events = result.recorder.events
+        assert [e.size_bytes for e in events if e.direction == "sent"] == [len(w) for w in encrypted]
+        assert [e.size_bytes for e in events if e.direction == "received"] == [len(w) for w in decrypted]
+        # the run has joins, lost reports and malformed ones
+        assert any(r.beta for r in result.rounds)
+        assert any(len(r.delivered) < len(r.roster) for r in result.rounds)
+        assert {e["reason"] for e in result.tally.protocol_errors} == {"report is malformed"}
+
+    def test_tampered_join_init_message_is_recorded(self, monkeypatch):
+        # U6 joins in round 2 and its wrapped threshold arrives tampered: the
+        # gateway records the error and never caches U6, so from then on the
+        # gateway and the fusion center pack over different rosters, U6's
+        # reports come from an unknown user, and every later round aborts on
+        # the roster digest bound into the decision vector
+        honest_ingest = entities_module.gw_ingest_init
+
+        def tampered_ingest(gw, messages, recorder):
+            if recorder.round == 2:
+                messages = [dataclasses.replace(m, body=flip_tag_bit(m.body)) for m in messages]
+            honest_ingest(gw, messages, recorder)
+
+        monkeypatch.setattr(entities_module, "gw_ingest_init", tampered_ingest)
+        config = SimulationConfig(
+            SensingConfig(n=5, rounds=4, seed=3),
+            churn=ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(0, 0)),
+        )
+        result = run_simulation(config)
+        assert [r.joins for r in result.rounds] == [(), (6,), (7,), (8,)]
+        errors = [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors]
+        assert errors == [
+            (2, GW_NAME, "init message failed authentication"),
+            (2, GW_NAME, "report from unknown user"),
+            (2, FC_NAME, "decision vector failed authentication"),
+            (3, GW_NAME, "report from unknown user"),
+            (3, FC_NAME, "decision vector failed authentication"),
+            (4, GW_NAME, "report from unknown user"),
+            (4, FC_NAME, "decision vector failed authentication"),
+        ]
+        assert [r.result.outcome is None for r in result.rounds] == [False, True, True, True]
+        # U6's undecrypted reports show in both conformance checks, from round 2 on
+        for verdict in (verify_computation_counts(result), verify_communication_counts(result)):
+            assert {int(line.split()[1].rstrip(":")) for line in verdict.mismatches} == {2, 3, 4}
+        assert result.leakage.conforms
 
     def test_wrong_length_decision_vector_aborts_only_its_round(self, monkeypatch):
         # the gateway packs once a round; in round 2 it sends an authenticated
@@ -227,9 +331,7 @@ class TestConformance:
 
         def tampered_compare(gw, reports, recorder):
             msg = honest_compare(gw, reports, recorder)
-            body = msg.body
-            flipped = AeadCiphertext(body.nonce, body.body, bytes([body.tag[0] ^ 1]) + body.tag[1:])
-            return dataclasses.replace(msg, body=flipped)
+            return dataclasses.replace(msg, body=flip_tag_bit(msg.body))
 
         monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
         result = small_run(n=3, rounds=2)
