@@ -22,8 +22,10 @@ OPE ciphertexts serialize as fixed-width big-endian integers.
 
 from __future__ import annotations
 
+import functools
 import hmac
 import hashlib
+import struct
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
@@ -66,7 +68,8 @@ class OpeKey:
     mean number of range values left to each plaintext.
 
     The key owns the AES-ECB encryptor that ``ope_encrypt`` draws from,
-    built once here and freed with the key.
+    built once here and freed with the key, and refers to the packer of
+    its width's node labels, which all keys of that width share.
     """
 
     key_bytes: bytes
@@ -84,9 +87,10 @@ class OpeKey:
             raise ValueError("range_bits must be <= 63")
         ecb = Cipher(algorithms.AES(self.key_bytes), modes.ECB()).encryptor()
         object.__setattr__(self, "_ecb", ecb)
+        object.__setattr__(self, "_labels", _label_packer(self.domain_bits))
 
     def __reduce__(self):
-        # the encryptor cannot be copied or pickled; rebuild it from the key
+        # the encryptor cannot be copied or pickled; rebuild both from the key
         return (OpeKey, (self.key_bytes, self.domain_bits, self.range_bits))
 
     @property
@@ -111,6 +115,13 @@ class OpeCiphertext:
 _BLOCK_MASK = (1 << 128) - 1
 
 
+@functools.cache  # one entry per domain width, and OpeKey admits at most 55
+def _label_packer(domain_bits: int) -> struct.Struct:
+    """Packs the d + 1 node labels of a walk, each as one 16-byte
+    big-endian AES block: 8 zero bytes, then the label as a u64."""
+    return struct.Struct(">" + "8xQ" * (domain_bits + 1))
+
+
 def ope_encrypt(key: OpeKey, m: int) -> OpeCiphertext:
     """Encrypt integer ``m`` preserving strict order.
 
@@ -131,7 +142,7 @@ def ope_encrypt(key: OpeKey, m: int) -> OpeCiphertext:
     if not 0 <= m < 1 << d:
         raise ValueError(f"plaintext {m} outside OPE domain [0, {key.domain_size})")
     top = m | 1 << d
-    labels = b"".join([(top >> s).to_bytes(16, "big") for s in range(d, -1, -1)])
+    labels = key._labels.pack(*[top >> s for s in range(d, -1, -1)])  # type: ignore[attr-defined]
     draws = int.from_bytes(key._ecb.update(labels), "big")  # type: ignore[attr-defined]
     lo = 0
     size = 1 << key.range_bits

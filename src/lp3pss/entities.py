@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import Enum
 
 from lp3pss.crypto import (
     AeadKey,
@@ -72,14 +71,18 @@ class RoundAborted(ProtocolError):
     """The decision vector is malformed, failed authentication or has the wrong length; no decision."""
 
 
-class MsgPhase(str, Enum):
+class MsgPhase:
+    """The kinds of protocol message, each a plain string: a message's
+    ``phase``, its associated data and its events' ``meta`` all carry it
+    as is."""
+
     INIT_C = "INIT_C"
     REPORT = "REPORT"
     DECISION_VEC = "DECISION_VEC"
 
 
 def message_assoc(
-    phase: MsgPhase, subject: int | None, round_: int, roster: list[int] | None = None
+    phase: str, subject: int | None, round_: int, roster: list[int] | None = None
 ) -> bytes:
     """Associated data binding phase, subject and round against replay.
 
@@ -88,7 +91,7 @@ def message_assoc(
     roster it is packed over, so a vector packed over another roster
     fails authentication instead of crediting votes to the wrong users.
     """
-    assoc = f"{phase.value}|{subject}|{round_}".encode()
+    assoc = f"{phase}|{subject}|{round_}".encode()
     if roster is not None:
         assoc += b"|" + hashlib.sha256(",".join(map(str, roster)).encode()).digest()
     return assoc
@@ -108,7 +111,7 @@ class ProtocolMessage:
 
     sender: str
     receiver: str
-    phase: MsgPhase
+    phase: str  # a MsgPhase
     subject: int | None  # user the payload concerns; None for decision vectors
     body: bytes
 
@@ -127,6 +130,7 @@ class FcState:
 @dataclass
 class SuState:
     uid: int
+    name: str  # user_name(uid)
     ope_key: OpeKey
     gw_key: AeadKey
     range_bits: int
@@ -186,7 +190,7 @@ def unpack_decision_vector(roster: list[int], payload: bytes) -> dict[int, int]:
 
 
 def make_su_state(keys: KeyTable, uid: int) -> SuState:
-    return SuState(uid, keys.ope_user[uid], keys.gw_user[uid], keys.range_bits)
+    return SuState(uid, user_name(uid), keys.ope_user[uid], keys.gw_user[uid], keys.range_bits)
 
 
 def make_su_states(keys: KeyTable) -> dict[int, SuState]:
@@ -229,7 +233,7 @@ def _wrap_tau(fc: FcState, uid: int, recorder: Recorder) -> ProtocolMessage:
     body = aead_encrypt(fc.gw_key, inner.to_bytes(fc.range_bits), assoc)
     msg = ProtocolMessage(FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, body)
     recorder.crypto_op(FC_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": uid})
-    recorder.message_sent(FC_NAME, GW_NAME, len(body), {"phase": msg.phase.value, "subject": uid})
+    recorder.message_sent(FC_NAME, GW_NAME, len(body), {"phase": MsgPhase.INIT_C, "subject": uid})
     return msg
 
 
@@ -239,10 +243,10 @@ def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recor
     round) becomes a protocol error and leaves its user out of the cache."""
     for msg in messages:
         uid = msg.subject
-        if msg.phase is not MsgPhase.INIT_C or uid is None:
+        if msg.phase != MsgPhase.INIT_C or uid is None:
             raise ProtocolError(f"not an init message: {msg.phase}")
         size = len(msg.body)
-        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": msg.phase.value, "subject": uid})
+        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": MsgPhase.INIT_C, "subject": uid})
         try:
             payload = aead_decrypt(gw.fc_key, msg.body, message_assoc(MsgPhase.INIT_C, uid, recorder.round))
         except CryptoError as exc:
@@ -272,7 +276,7 @@ def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMess
     """
     if not 0 <= rss_q < su.ope_key.domain_size:
         raise ValueError(f"RSS {rss_q} outside OPE domain")
-    me = user_name(su.uid)
+    me = su.name
     recorder.observe(
         me, ViewTag.PLAINTEXT_VALUE, "local", {"kind": "rss", "user": su.uid, "value": rss_q}
     )
@@ -282,31 +286,38 @@ def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMess
     body = aead_encrypt(su.gw_key, inner.to_bytes(su.range_bits), assoc)
     msg = ProtocolMessage(me, GW_NAME, MsgPhase.REPORT, su.uid, body)
     recorder.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": su.uid})
-    recorder.message_sent(me, GW_NAME, len(body), {"phase": msg.phase.value, "subject": su.uid})
+    recorder.message_sent(me, GW_NAME, len(body), {"phase": MsgPhase.REPORT, "subject": su.uid})
     return msg
 
 
-def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) -> ProtocolMessage:
+def gw_compare(
+    gw: GwState, reports: list[ProtocolMessage], recorder: Recorder
+) -> tuple[ProtocolMessage, list[int]]:
     """Compare each report against the cached OPE threshold and pack votes.
 
     A report votes busy (bit 1) whenever its OPE value is not below the
     user's OPE threshold; equal plaintexts encrypt identically, so a
-    reading exactly at the threshold votes busy. Reports from unknown
-    users, malformed or failing authentication (a report replayed from
-    another round among them) are skipped and marked absent.
+    reading exactly at the threshold votes busy. A report from an
+    unknown user, or a second one from the same user, is refused before
+    delivery; one that is malformed or fails authentication (a report
+    replayed from another round among them) is delivered, then skipped.
+    Both leave the user absent. Returns the decision vector and the
+    subjects of the delivered reports, in order.
     """
     roster = sorted(gw.tau_cache)
     bits: dict[int, int] = {}
+    delivered: list[int] = []
     for msg in reports:
         uid = msg.subject
-        if msg.phase is not MsgPhase.REPORT or uid not in gw.tau_cache:
+        if msg.phase != MsgPhase.REPORT or uid not in gw.tau_cache:
             recorder.protocol_error(GW_NAME, "report from unknown user", {"user": uid})
             continue
         if uid in bits:
             recorder.protocol_error(GW_NAME, "duplicate report", {"user": uid})
             continue
         size = len(msg.body)
-        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": msg.phase.value, "subject": uid})
+        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": MsgPhase.REPORT, "subject": uid})
+        delivered.append(uid)
         try:
             payload = aead_decrypt(
                 gw.user_keys[uid], msg.body, message_assoc(MsgPhase.REPORT, uid, recorder.round)
@@ -336,8 +347,8 @@ def gw_compare(gw: GwState, reports: list[ProtocolMessage], recorder: Recorder) 
     body = aead_encrypt(gw.fc_key, pack_decision_vector(roster, bits), assoc)
     msg = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, body)
     recorder.crypto_op(GW_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body))
-    recorder.message_sent(GW_NAME, FC_NAME, len(body), {"phase": msg.phase.value})
-    return msg
+    recorder.message_sent(GW_NAME, FC_NAME, len(body), {"phase": MsgPhase.DECISION_VEC})
+    return msg, delivered
 
 
 def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundResult:
@@ -351,10 +362,10 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     opaque ciphertext, a protocol error is recorded and ``RoundAborted``
     raised.
     """
-    if msg.phase is not MsgPhase.DECISION_VEC:
+    if msg.phase != MsgPhase.DECISION_VEC:
         raise ProtocolError(f"not a decision vector: {msg.phase}")
     size = len(msg.body)
-    recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": msg.phase.value})
+    recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": MsgPhase.DECISION_VEC})
     roster = sorted(fc.live)
     assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round, roster)
     try:

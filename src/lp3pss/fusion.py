@@ -17,7 +17,7 @@ user count, so uniform credibility reproduces all-ones weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 CHANNEL_FREE = 0
@@ -126,9 +126,9 @@ def update_reputation(
         if bit is None:
             updated[uid] = record
         elif bit == decision:
-            updated[uid] = replace(record, rho=record.rho + 1)
+            updated[uid] = ReputationRecord(record.rho + 1, record.eta, record.weight)
         else:
-            updated[uid] = replace(record, eta=record.eta + 1)
+            updated[uid] = ReputationRecord(record.rho, record.eta + 1, record.weight)
     return updated
 
 

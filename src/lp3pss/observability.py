@@ -126,6 +126,11 @@ def require_complete(events: Iterable[ViewEvent]) -> None:
         raise ValueError("incomplete transcript: no decided round")
 
 
+# Tags whose rule reads only the event's entity, never its ``meta``: within
+# one stream, each (entity, tag) pair of these has one verdict for all its events.
+_META_FREE_TAGS = frozenset({ViewTag.OPE_ORDER_PAIR, ViewTag.PLAINTEXT_BIT})
+
+
 def check_leakage(events: Iterable[ViewEvent]) -> LeakageReport:
     """Verdict every entity's view against the permitted-knowledge rules.
 
@@ -135,8 +140,20 @@ def check_leakage(events: Iterable[ViewEvent]) -> LeakageReport:
     """
     verdicts: dict[str, str] = {}
     violations: list[Violation] = []
+    memo: dict[tuple[str, ViewTag], str | None] = {}
+    opaque = ViewTag.OPAQUE_CIPHERTEXT
     for event in events:
-        reason = _violation_reason(event)
+        tag = event.tag
+        if tag is opaque:
+            reason = None
+        elif tag in _META_FREE_TAGS:
+            key = (event.entity, tag)
+            if key in memo:
+                reason = memo[key]
+            else:
+                reason = memo[key] = _violation_reason(event)
+        else:
+            reason = _violation_reason(event)
         if reason is None:
             verdicts.setdefault(event.entity, CONFORMS)
         else:

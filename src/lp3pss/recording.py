@@ -4,11 +4,11 @@ Every observable event of a run is appended here, once, as a
 ``ViewEvent``: messages on each link (logged at both the sender and the
 receiver), every crypto operation at its performer, every plaintext an
 entity learns at a decryption boundary, and every protocol error at the
-entity that detected it. The stream is the recorder's only record and
-what the leakage checker reads: each event names the entity that could
-know it. ``Recorder.fold`` walks it once and returns the counts:
-operation counts, per-link traffic, bytes per round and phase, logical
-ciphertexts per sensing round and the protocol errors.
+entity that detected it. The stream is what the leakage checker reads:
+each event names the entity that could know it. The counts are kept in
+``Recorder.tally`` as the events are appended: operation counts,
+per-link traffic, bytes per round and phase, logical ciphertexts per
+sensing round and the protocol errors.
 
 Transcript files are JSON lines: one event per line, the stream
 stable-sorted by entity name, so each entity's events stay in the order
@@ -73,19 +73,21 @@ class ViewEvent:
 
 @dataclass
 class Tally:
-    """What ``Recorder.fold`` counts from one event stream.
+    """The counts of one event stream, kept by ``Recorder`` as it appends.
 
     ``size_bytes`` is the length of the framed AEAD bytes a message
     carries; addressing headers are not charged. One logical
     ciphertext is counted per message delivered in the sensing phase.
     """
 
-    ops: Counter[tuple[int, str, str, str]]  # (round, entity, phase, op)
-    messages: Counter[str]  # per link, "sender->receiver"
-    link_bytes: Counter[str]
-    phase_bytes: Counter[tuple[int, str]]  # (round, phase)
-    logical: Counter[int]  # per sensing round
-    protocol_errors: list[dict]  # {"round", "entity", "reason", ...} in event order
+    # (round, entity, phase, op)
+    ops: Counter[tuple[int, str, str, str]] = field(default_factory=Counter)
+    messages: Counter[str] = field(default_factory=Counter)  # per link, "sender->receiver"
+    link_bytes: Counter[str] = field(default_factory=Counter)
+    phase_bytes: Counter[tuple[int, str]] = field(default_factory=Counter)  # (round, phase)
+    logical: Counter[int] = field(default_factory=Counter)  # per sensing round
+    # {"round", "entity", "reason", ...} in event order
+    protocol_errors: list[dict] = field(default_factory=list)
 
     def op_totals(self) -> dict[str, dict[str, dict[str, int]]]:
         """entity -> phase -> op -> total over all rounds."""
@@ -105,21 +107,37 @@ class Tally:
         return dict(sorted(self.logical.items()))
 
 
-class Recorder:
-    """The ordered event stream of one run.
+_PHASES = (PHASE_INIT, PHASE_SENSING, PHASE_MEMBERSHIP)
+_DIRECTION = {OPE_ENC: "encrypt", AEAD_ENC: "encrypt", AEAD_DEC: "decrypt", COMPARE: "computed"}
+_OPAQUE = ViewTag.OPAQUE_CIPHERTEXT  # enum member lookups are slow on Python 3.11
 
-    It holds the events, the current round and the index at which each
-    phase began. The driver sets the round and phase; entities report
-    what they do through the entry points, each of which appends exactly
-    one event. Nothing is counted as events arrive: ``fold`` derives
-    every count from the stream, so a count cannot disagree with the
-    events it counts.
+
+class Recorder:
+    """The ordered event stream of one run and its counts.
+
+    It holds the events, the current round and phase, and the ``tally``.
+    The driver sets the round and phase; entities report what they do
+    through the entry points, each of which appends exactly one event
+    and adds that event's contribution to the tally:
+
+    * ``crypto_op`` counts one operation of its entity, round and phase;
+    * ``message_delivered`` counts the message and its bytes on its
+      link, in its round and phase, and one logical ciphertext in the
+      sensing phase; a ``message_sent`` is counted nowhere, since lost
+      messages are not traffic;
+    * ``protocol_error`` adds its row to the protocol errors;
+    * ``observe`` counts nothing.
+
+    The caller hands each entry point a fresh ``meta`` dict, or none:
+    the recorder takes it over as the event's ``meta``, adding ``op``,
+    ``link`` or ``reason`` in place, so the caller must not reuse it.
     """
 
     def __init__(self) -> None:
         self.events: list[ViewEvent] = []
         self.round = 0
-        self.phase_starts: list[tuple[int, str]] = [(0, PHASE_INIT)]
+        self.phase = PHASE_INIT
+        self.tally = Tally()
 
     # -- context ---------------------------------------------------------
 
@@ -128,9 +146,9 @@ class Recorder:
 
     def set_phase(self, phase: str) -> None:
         """Events from the next one on belong to ``phase``."""
-        if phase not in (PHASE_INIT, PHASE_SENSING, PHASE_MEMBERSHIP):
+        if phase not in _PHASES:
             raise ValueError(f"unknown phase {phase!r}")
-        self.phase_starts.append((len(self.events), phase))
+        self.phase = phase
 
     # -- event entry points ------------------------------------------------
 
@@ -142,30 +160,45 @@ class Recorder:
         size_bytes: int = 0,
         meta: dict | None = None,
     ) -> None:
-        direction = "decrypt" if op == AEAD_DEC else "encrypt"
-        if op == COMPARE:
-            direction = "computed"
-        full_meta = {"op": op, **(meta or {})}
-        self.events.append(ViewEvent(self.round, entity, direction, tag, size_bytes, full_meta))
+        """``op`` is one of ``OPE_ENC``, ``AEAD_ENC``, ``AEAD_DEC`` and ``COMPARE``."""
+        if meta is None:
+            meta = {"op": op}
+        else:
+            meta["op"] = op
+        round_ = self.round
+        self.events.append(ViewEvent(round_, entity, _DIRECTION[op], tag, size_bytes, meta))
+        ops = self.tally.ops
+        key = (round_, entity, self.phase, op)
+        ops[key] = ops.get(key, 0) + 1  # most keys are new: skip Counter.__missing__
 
     def message_sent(
         self, sender: str, receiver: str, size_bytes: int, meta: dict | None = None
     ) -> None:
-        full_meta = {"link": f"{sender}->{receiver}", **(meta or {})}
-        self.events.append(
-            ViewEvent(self.round, sender, "sent", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, full_meta)
-        )
+        link = f"{sender}->{receiver}"
+        if meta is None:
+            meta = {"link": link}
+        else:
+            meta["link"] = link
+        self.events.append(ViewEvent(self.round, sender, "sent", _OPAQUE, size_bytes, meta))
 
     def message_delivered(
         self, sender: str, receiver: str, size_bytes: int, meta: dict | None = None
     ) -> None:
         """Log the receiver's view; lost messages never get here, so only these are traffic."""
-        full_meta = {"link": f"{sender}->{receiver}", **(meta or {})}
-        self.events.append(
-            ViewEvent(
-                self.round, receiver, "received", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, full_meta
-            )
-        )
+        link = f"{sender}->{receiver}"
+        if meta is None:
+            meta = {"link": link}
+        else:
+            meta["link"] = link
+        round_ = self.round
+        phase = self.phase
+        self.events.append(ViewEvent(round_, receiver, "received", _OPAQUE, size_bytes, meta))
+        tally = self.tally
+        tally.messages[link] += 1
+        tally.link_bytes[link] += size_bytes
+        tally.phase_bytes[round_, phase] += size_bytes
+        if phase == PHASE_SENSING:
+            tally.logical[round_] += 1
 
     def observe(
         self,
@@ -174,13 +207,18 @@ class Recorder:
         direction: str = "computed",
         meta: dict | None = None,
     ) -> None:
-        self.events.append(ViewEvent(self.round, entity, direction, tag, 0, meta or {}))
+        if meta is None:
+            meta = {}
+        self.events.append(ViewEvent(self.round, entity, direction, tag, 0, meta))
 
     def protocol_error(self, entity: str, reason: str, meta: dict | None = None) -> None:
-        full_meta = {"reason": reason, **(meta or {})}
-        self.events.append(
-            ViewEvent(self.round, entity, "error", ViewTag.OPAQUE_CIPHERTEXT, 0, full_meta)
-        )
+        if meta is None:
+            meta = {"reason": reason}
+        else:
+            meta["reason"] = reason
+        round_ = self.round
+        self.events.append(ViewEvent(round_, entity, "error", _OPAQUE, 0, meta))
+        self.tally.protocol_errors.append({"round": round_, "entity": entity, **meta})
 
     # -- derived views -----------------------------------------------------
 
@@ -194,37 +232,6 @@ class Recorder:
         for event in self.events:
             logs.setdefault(event.entity, []).append(event)
         return logs
-
-    def fold(self) -> Tally:
-        """Count everything from one pass over the stream.
-
-        Operation counts come from events whose ``meta`` has ``"op"``;
-        traffic from ``"received"`` events; protocol errors from
-        ``"error"`` events, in order.
-        """
-        ops: Counter[tuple[int, str, str, str]] = Counter()
-        messages: Counter[str] = Counter()
-        link_bytes: Counter[str] = Counter()
-        phase_bytes: Counter[tuple[int, str]] = Counter()
-        logical: Counter[int] = Counter()
-        errors: list[dict] = []
-        events = self.events
-        ends = [start for start, _ in self.phase_starts[1:]] + [len(events)]
-        for (start, phase), end in zip(self.phase_starts, ends):
-            for e in events[start:end]:
-                op = e.meta.get("op")
-                if op is not None:
-                    ops[e.round, e.entity, phase, op] += 1
-                if e.direction == "received":
-                    link = e.meta["link"]
-                    messages[link] += 1
-                    link_bytes[link] += e.size_bytes
-                    phase_bytes[e.round, phase] += e.size_bytes
-                    if phase == PHASE_SENSING:
-                        logical[e.round] += 1
-                elif e.direction == "error":
-                    errors.append({"round": e.round, "entity": e.entity, **e.meta})
-        return Tally(ops, messages, link_bytes, phase_bytes, logical, errors)
 
     # -- transcript I/O ----------------------------------------------------
 

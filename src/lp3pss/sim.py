@@ -2,8 +2,8 @@
 
 A run executes initialization once, then a fixed number of sensing
 periods; membership churn is applied between periods. Everything an
-entity does or observes lands in the run's event stream, folded once at
-the end of the run, so the resulting report carries operation counts,
+entity does or observes lands in the run's event stream, counted as it
+is appended, so the resulting report carries operation counts,
 per-link traffic, reputation trajectories, empirical error rates, the
 protocol errors and the leakage verdict, and is a pure function of
 (config, seed): two runs with the same config produce byte-identical
@@ -53,7 +53,6 @@ from lp3pss.recording import (
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
     Recorder,
-    Tally,
     user_name,
 )
 from lp3pss.scenario import (
@@ -244,7 +243,7 @@ class RoundRecord:
     leaves: tuple[int, ...]
     roster: tuple[int, ...]
     reported_rss: dict[int, int]  # post-adversary values, keyed by user
-    delivered: tuple[int, ...]
+    delivered: tuple[int, ...]  # users whose report the gateway accepted for decryption
     result: RoundResult
     phi: dict[int, float]
 
@@ -261,11 +260,11 @@ class SimulationResult:
     rounds: list[RoundRecord]
     fc: FcState
     recorder: Recorder
-    tally: Tally
     leakage: LeakageReport
 
     def report_dict(self) -> dict:
         sensing = self.config.sensing
+        tally = self.recorder.tally
         rates = estimate_error_rates(self.rounds)
         rounds = [
             {
@@ -325,18 +324,16 @@ class SimulationResult:
                 ],
             },
             "error_rates": rates.to_dict(),
-            "op_counts": self.tally.op_totals(),
+            "op_counts": tally.op_totals(),
             "comm": {
-                "links": self.tally.link_totals(),
-                "logical_per_round": {
-                    str(t): c for t, c in self.tally.logical_per_round().items()
-                },
+                "links": tally.link_totals(),
+                "logical_per_round": {str(t): c for t, c in tally.logical_per_round().items()},
             },
             "leakage": {
                 "verdict": "conforms" if self.leakage.conforms else "violates",
                 "entities": dict(sorted(self.leakage.verdicts.items())),
             },
-            "protocol_errors": self.tally.protocol_errors,
+            "protocol_errors": tally.protocol_errors,
         }
 
     def report_json(self) -> str:
@@ -464,10 +461,10 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
             reported[uid] = value
             reports.append(su_sense_report(sus[uid], value, recorder))
         if sensing.report_loss_prob > 0.0:
-            delivered = [m for m in reports if rngs["loss"].random() >= sensing.report_loss_prob]
+            arrived = [m for m in reports if rngs["loss"].random() >= sensing.report_loss_prob]
         else:
-            delivered = reports
-        zeta = gw_compare(gw, delivered, recorder)
+            arrived = reports
+        zeta, delivered = gw_compare(gw, arrived, recorder)
         try:
             result = fc_decide(fc, zeta, recorder)
         except RoundAborted:
@@ -480,14 +477,14 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
                 leaves=tuple(leaves),
                 roster=tuple(roster),
                 reported_rss=reported,
-                delivered=tuple(sorted(m.subject for m in delivered)),  # type: ignore[arg-type]
+                delivered=tuple(sorted(delivered)),
                 result=result,
                 phi={uid: fc.records[uid].phi for uid in sorted(fc.records)},
             )
         )
 
     leakage = check_leakage(recorder.events)
-    return SimulationResult(config, model, tau, records, fc, recorder, recorder.fold(), leakage)
+    return SimulationResult(config, model, tau, records, fc, recorder, leakage)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +512,7 @@ def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
     thresholds cost the fusion center n (OPE + encryption) and the
     gateway n decryptions.
     """
-    ops = result.tally.ops
+    ops = result.recorder.tally.ops
     bad: list[str] = []
 
     def expect(actual: int, wanted: int, what: str) -> None:
@@ -550,7 +547,7 @@ def verify_communication_counts(result: SimulationResult) -> ConformanceVerdict:
     Logical ciphertexts per sensing round must equal delivered + 1; the
     sensing-phase bytes must equal the framing model exactly.
     """
-    tally = result.tally
+    tally = result.recorder.tally
     range_bits = result.config.crypto.range_bits
     bad: list[str] = []
     for r in result.rounds:

@@ -122,13 +122,13 @@ def test_c03_computation_count_conformance(n, beta):
 def test_c04_communication_conformance(n):
     config = SimulationConfig(SensingConfig(n=n, rounds=3, seed=n))
     result = run_simulation(config)
-    for t, count in result.tally.logical_per_round().items():
+    for t, count in result.recorder.tally.logical_per_round().items():
         assert count == n + 1, f"round {t}"
     verdict = verify_communication_counts(result)
     assert verdict.ok, verdict.mismatches[:5]
 
     range_bits = config.crypto.range_bits
-    measured = 8 * result.tally.phase_bytes[1, PHASE_SENSING]
+    measured = 8 * result.recorder.tally.phase_bytes[1, PHASE_SENSING]
     assert measured == measured_round_bits_model(n, range_bits)
     # analytical row with blck pinned to the measured report frame differs
     # from the measured bits only by the documented decision-vector delta

@@ -6,6 +6,7 @@ import pickle
 import tracemalloc
 
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings, strategies as st
 
 from lp3pss.crypto import (
@@ -30,6 +31,29 @@ KEY16 = bytes(range(16))
 
 def ope_key(raw: bytes = KEY16, domain_bits: int = 16, range_bits: int = 32) -> OpeKey:
     return OpeKey(raw, domain_bits, range_bits)
+
+
+def reference_ope_encrypt(key: OpeKey, m: int) -> int:
+    """The recursive split, with each node label encoded on its own as a
+    16-byte big-endian block, under an encryptor of the test's own."""
+    d = key.domain_bits
+    top = m | 1 << d
+    labels = b"".join([(top >> s).to_bytes(16, "big") for s in range(d, -1, -1)])
+    ecb = Cipher(algorithms.AES(key.key_bytes), modes.ECB()).encryptor()
+    draws = int.from_bytes(ecb.update(labels), "big")
+    mask = (1 << 128) - 1
+    lo, size, n, shift = 0, 1 << key.range_bits, 1 << d, 128 * d
+    while n > 1:
+        half = n >> 1
+        left = half + (draws >> shift & mask) % (size - n + 1)
+        if m & half:
+            lo += left
+            size -= left
+        else:
+            size = left
+        n = half
+        shift -= 128
+    return lo + (draws & mask) % size
 
 
 class TestOpe:
@@ -85,6 +109,16 @@ class TestOpe:
         values = [ope_encrypt(key, m).value for m in sorted({0, 1, top - 1, top})]
         assert values == sorted(set(values))
         assert 0 <= values[0] and values[-1] < 2 ** (d + 8)
+
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_at_every_width(self, data):
+        for d in range(1, 33):
+            for range_bits in (d + 8, 63):
+                key = ope_key(hashlib.sha256(b"%d|%d" % (d, range_bits)).digest()[:16], d, range_bits)
+                top = 2**d - 1
+                for m in (0, 1, top, data.draw(st.integers(0, top))):
+                    assert ope_encrypt(key, m).value == reference_ope_encrypt(key, m)
 
     def test_key_copies_encrypt_alike(self):
         key = ope_key()

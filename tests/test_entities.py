@@ -72,7 +72,7 @@ def run_round(fc, gw, sus, recorder, rss: dict[int, int], t: int = 1, drop: set[
         for uid in sorted(rss)
         if uid not in drop
     ]
-    zeta = gw_compare(gw, reports, recorder)
+    zeta, _ = gw_compare(gw, reports, recorder)
     return fc_decide(fc, zeta, recorder)
 
 
@@ -121,7 +121,7 @@ class TestSensing:
         recorder.set_phase(PHASE_SENSING)
         su_sense_report(sus[1], 100, recorder)
         name = user_name(1)
-        ops = recorder.fold().ops
+        ops = recorder.tally.ops
         assert ops[1, name, PHASE_SENSING, OPE_ENC] == 1
         assert ops[1, name, PHASE_SENSING, AEAD_ENC] == 1
 
@@ -180,10 +180,25 @@ class TestSensing:
             su_sense_report(sus[2], 4000, recorder),
             su_sense_report(stranger, 4000, recorder),
         ]
-        zeta = gw_compare(gw, reports, recorder)
+        zeta, delivered = gw_compare(gw, reports, recorder)
+        assert delivered == [1, 2]  # the stranger's report is refused before delivery
         result = fc_decide(fc, zeta, recorder)
         assert result.present == (1, 2)
-        assert any(e["reason"] == "report from unknown user" for e in recorder.fold().protocol_errors)
+        assert any(e["reason"] == "report from unknown user" for e in recorder.tally.protocol_errors)
+
+    def test_duplicate_report_refused_before_delivery(self, master_seed):
+        _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
+        recorder.start_round(1)
+        recorder.set_phase(PHASE_SENSING)
+        first = su_sense_report(sus[1], 4000, recorder)
+        reports = [first, su_sense_report(sus[2], 4000, recorder), first]
+        zeta, delivered = gw_compare(gw, reports, recorder)
+        assert delivered == [1, 2]
+        assert recorder.tally.messages["U1->GW"] == 1
+        assert recorder.tally.protocol_errors == [
+            {"round": 1, "entity": GW_NAME, "reason": "duplicate report", "user": 1}
+        ]
+        assert fc_decide(fc, zeta, recorder).present == (1, 2)
 
     def test_tampered_report_skipped(self, master_seed):
         _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
@@ -193,9 +208,11 @@ class TestSensing:
         recorder.start_round(2)
         good = su_sense_report(sus[1], 4000, recorder)
         # U2's round-1 report replayed in round 2
-        result = fc_decide(fc, gw_compare(gw, [good, stale], recorder), recorder)
+        zeta, delivered = gw_compare(gw, [good, stale], recorder)
+        assert delivered == [1, 2]  # delivered, then refused by its decryption
+        result = fc_decide(fc, zeta, recorder)
         assert result.present == (1,)
-        assert [e["reason"] for e in recorder.fold().protocol_errors] == ["report failed authentication"]
+        assert [e["reason"] for e in recorder.tally.protocol_errors] == ["report failed authentication"]
 
     def test_init_message_replayed_in_a_later_round_refused(self, master_seed):
         _, _, gw, _, recorder, msgs = setup_network(2, master_seed)
@@ -203,7 +220,7 @@ class TestSensing:
         recorder.start_round(3)
         gw_ingest_init(gw, msgs[:1], recorder)
         assert gw.tau_cache == cached
-        assert recorder.fold().protocol_errors == [
+        assert recorder.tally.protocol_errors == [
             {"round": 3, "entity": GW_NAME, "reason": "init message failed authentication", "user": 1}
         ]
 
@@ -215,7 +232,7 @@ class TestSensing:
         gw = gw_init(keys)
         gw_ingest_init(gw, msgs, recorder)
         assert set(gw.tau_cache) == {1, 3}
-        assert [e["reason"] for e in recorder.fold().protocol_errors] == ["init message is malformed"]
+        assert [e["reason"] for e in recorder.tally.protocol_errors] == ["init message is malformed"]
         failed = [e for e in recorder.view_logs[GW_NAME] if e.meta == {"op": AEAD_DEC, "user": 2}]
         assert [(e.tag, e.size_bytes) for e in failed] == [(ViewTag.OPAQUE_CIPHERTEXT, len(msgs[1].body))]
 
@@ -257,12 +274,12 @@ class TestDecision:
         _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
-        zeta = gw_compare(gw, [su_sense_report(sus[1], 4000, recorder)], recorder)
+        zeta, _ = gw_compare(gw, [su_sense_report(sus[1], 4000, recorder)], recorder)
         forged = dataclasses.replace(zeta, body=flip_tag_bit(zeta.body))
         with pytest.raises(RoundAborted):
             fc_decide(fc, forged, recorder)
         failed = [e for e in recorder.view_logs[FC_NAME] if e.meta.get("op") == AEAD_DEC]
-        assert len(failed) == recorder.fold().ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
+        assert len(failed) == recorder.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
         assert failed[0].tag is ViewTag.OPAQUE_CIPHERTEXT
         with pytest.raises(ValueError, match="no decided round"):
             require_complete(recorder.events)
@@ -271,7 +288,7 @@ class TestDecision:
         _, fc, gw, sus, recorder, _ = setup_network(3, master_seed)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
-        stale = gw_compare(gw, [su_sense_report(sus[u], 4000, recorder) for u in (1, 2, 3)], recorder)
+        stale, _ = gw_compare(gw, [su_sense_report(sus[u], 4000, recorder) for u in (1, 2, 3)], recorder)
         fc_decide(fc, stale, recorder)
         records_after_round_1 = dict(fc.records)
         recorder.start_round(2)
@@ -289,11 +306,11 @@ class TestDecision:
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
         reports = [su_sense_report(sus[u], rss, recorder) for u, rss in ((2, 4000), (3, 100), (4, 100))]
-        zeta = gw_compare(gw, reports, recorder)
+        zeta, _ = gw_compare(gw, reports, recorder)
         with pytest.raises(RoundAborted):
             fc_decide(fc, zeta, recorder)
         assert fc.records == records_before
-        assert [e["reason"] for e in recorder.fold().protocol_errors] == [
+        assert [e["reason"] for e in recorder.tally.protocol_errors] == [
             "decision vector failed authentication"
         ]
 
@@ -313,7 +330,7 @@ class TestMembership:
         recorder.set_phase(PHASE_MEMBERSHIP)
         new_states = handle_membership(fc, gw, [11, 12], [], keys, recorder)
         assert set(new_states) == {11, 12}
-        ops = recorder.fold().ops
+        ops = recorder.tally.ops
         assert ops[1, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC] == 2
         assert ops[1, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC] == 2
         assert ops[1, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC] == 2

@@ -15,7 +15,7 @@ from lp3pss.observability import (
     run_baseline,
     srlp_exposure,
 )
-from lp3pss.recording import FC_NAME, GW_NAME, ViewTag, user_name
+from lp3pss.recording import FC_NAME, GW_NAME, ViewEvent, ViewTag, user_name
 from lp3pss.scenario import ChurnConfig, CountRange
 from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
 
@@ -107,6 +107,29 @@ class TestCheckLeakage:
             (FC_NAME, 2), (user_name(3), 1), (user_name(3), 4)
         ]
         assert list(report.verdicts) == sorted(report.verdicts)
+
+
+    def test_verdicts_read_meta_where_the_rule_does(self):
+        # in one call, events of the same entity and tag get different
+        # verdicts when the rule reads meta, and repeat when it does not
+        def event(entity, tag, meta):
+            return ViewEvent(1, entity, "received", tag, 0, meta)
+
+        events = [
+            event(GW_NAME, ViewTag.KEY_MATERIAL, {"parties": [GW_NAME, user_name(1)]}),
+            event(GW_NAME, ViewTag.KEY_MATERIAL, {"parties": [FC_NAME, user_name(1)]}),
+            event(user_name(1), ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 1, "value": 5}),
+            event(user_name(1), ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 2, "value": 5}),
+            event(user_name(1), ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 1, "bit": 0}),
+            event(user_name(1), ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 2, "bit": 1}),
+            event(FC_NAME, ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 1, "bit": 0}),
+            event(FC_NAME, ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 2, "bit": 1}),
+        ]
+        report = check_leakage(events)
+        assert [(v.entity, v.event) for v in report.violations] == [
+            (GW_NAME, events[1]), (user_name(1), events[3]), (user_name(1), events[4]), (user_name(1), events[5])
+        ]
+        assert report.verdicts == {FC_NAME: "conforms", GW_NAME: "violates", user_name(1): "violates"}
 
 
 class TestSrlp:

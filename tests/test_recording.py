@@ -1,4 +1,4 @@
-"""The event stream: its fold, the transcript codec and pinned output hashes."""
+"""The event stream: its tally, the transcript codec and pinned output hashes."""
 
 import copy
 import dataclasses
@@ -9,6 +9,7 @@ import json
 from conftest import flip_tag_bit
 from hypothesis import given, settings, strategies as st
 
+from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
 from lp3pss.recording import (
     AEAD_DEC,
@@ -21,6 +22,7 @@ from lp3pss.recording import (
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
     Recorder,
+    Tally,
     ViewTag,
     load_transcript,
     user_name,
@@ -40,28 +42,102 @@ from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
 OPAQUE = ViewTag.OPAQUE_CIPHERTEXT
 
 
+def fold_event(tally: Tally, phase: str, e) -> None:
+    """The reference fold: add one event, appended in ``phase``, to ``tally``.
+
+    Operation counts come from events whose ``meta`` has ``"op"``; traffic
+    from ``"received"`` events; protocol errors from ``"error"`` events.
+    """
+    op = e.meta.get("op")
+    if op is not None:
+        tally.ops[e.round, e.entity, phase, op] += 1
+    if e.direction == "received":
+        link = e.meta["link"]
+        tally.messages[link] += 1
+        tally.link_bytes[link] += e.size_bytes
+        tally.phase_bytes[e.round, phase] += e.size_bytes
+        if phase == PHASE_SENSING:
+            tally.logical[e.round] += 1
+    elif e.direction == "error":
+        tally.protocol_errors.append({"round": e.round, "entity": e.entity, **e.meta})
+
+
+class PhasedRecorder(Recorder):
+    """A recorder that also notes the index of the event each phase began at."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.phase_starts = [(0, PHASE_INIT)]
+
+    def set_phase(self, phase: str) -> None:
+        super().set_phase(phase)
+        self.phase_starts.append((len(self.events), phase))
+
+    def reference_tally(self) -> Tally:
+        """The reference fold of the whole retained stream."""
+        tally = Tally()
+        ends = [start for start, _ in self.phase_starts[1:]] + [len(self.events)]
+        for (start, phase), end in zip(self.phase_starts, ends):
+            for e in self.events[start:end]:
+                fold_event(tally, phase, e)
+        return tally
+
+
 def test_each_entry_point_appends_one_event_and_nothing_else():
+    # nothing else: the tally grows by that event's share and no other state moves
     recorder = Recorder()
     recorder.start_round(3)
-    recorder.set_phase(PHASE_SENSING)
     calls = [
         lambda: recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40),
+        lambda: recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40, {"user": 1}),
+        lambda: recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": 1}),
+        lambda: recorder.crypto_op(user_name(1), OPE_ENC, OPAQUE),
         lambda: recorder.message_sent(FC_NAME, GW_NAME, 40),
+        lambda: recorder.message_sent(user_name(1), GW_NAME, 44, {"subject": 1}),
         lambda: recorder.message_delivered(FC_NAME, GW_NAME, 40),
+        lambda: recorder.message_delivered(user_name(1), GW_NAME, 44, {"subject": 1}),
         lambda: recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT),
+        lambda: recorder.observe(FC_NAME, ViewTag.PLAINTEXT_BIT, "observed", {"bit": 1}),
+        lambda: recorder.protocol_error(FC_NAME, "decision vector failed authentication"),
         lambda: recorder.protocol_error(GW_NAME, "duplicate report", {"user": 1}),
     ]
-    for count, call in enumerate(calls, start=1):
-        before = copy.deepcopy(recorder.__dict__)
-        call()
-        assert len(recorder.events) == count
-        assert recorder.events[:-1] == before.pop("events")
-        assert {k: v for k, v in recorder.__dict__.items() if k != "events"} == before
+    count = 0
+    for phase in (PHASE_MEMBERSHIP, PHASE_SENSING):
+        recorder.set_phase(phase)
+        for call in calls:
+            before = copy.deepcopy(recorder.__dict__)
+            call()
+            count += 1
+            assert len(recorder.events) == count
+            assert recorder.events[:-1] == before.pop("events")
+            expected = before.pop("tally")
+            fold_event(expected, phase, recorder.events[-1])
+            assert recorder.tally == expected
+            assert {k: v for k, v in recorder.__dict__.items() if k not in ("events", "tally")} == before
+    assert [e.direction for e in recorder.events[:4]] == ["encrypt", "decrypt", "computed", "encrypt"]
 
 
-def drive_by_hand() -> Recorder:
-    """Init, a membership change and a sensing round with faults at GW and FC."""
+def test_entry_points_take_over_the_meta_dict_they_are_given():
     recorder = Recorder()
+    calls = [
+        (lambda meta: recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, meta), {"op": AEAD_ENC}),
+        (lambda meta: recorder.message_sent(FC_NAME, GW_NAME, 40, meta), {"link": "FC->GW"}),
+        (lambda meta: recorder.message_delivered(FC_NAME, GW_NAME, 40, meta), {"link": "FC->GW"}),
+        (lambda meta: recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT, "computed", meta), {}),
+        (lambda meta: recorder.protocol_error(GW_NAME, "duplicate report", meta), {"reason": "duplicate report"}),
+    ]
+    for call, added in calls:
+        meta = {"user": 1}
+        call(meta)
+        assert recorder.events[-1].meta is meta
+        assert meta == {"user": 1, **added}
+    # the protocol-error row is a dict of its own
+    assert recorder.tally.protocol_errors[-1] is not recorder.events[-1].meta
+
+
+def drive_by_hand() -> PhasedRecorder:
+    """Init, a membership change and a sensing round with faults at GW and FC."""
+    recorder = PhasedRecorder()
     recorder.start_round(0)
     recorder.crypto_op(FC_NAME, OPE_ENC, OPAQUE, meta={"user": 1})
     recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, {"user": 1})
@@ -100,7 +176,9 @@ def drive_by_hand() -> Recorder:
 
 
 def test_fold_splits_op_counts_by_round_entity_and_phase():
-    tally = drive_by_hand().fold()
+    recorder = drive_by_hand()
+    tally = recorder.tally
+    assert tally == recorder.reference_tally()
     assert dict(tally.ops) == {
         (0, FC_NAME, PHASE_INIT, OPE_ENC): 1,
         (0, FC_NAME, PHASE_INIT, AEAD_ENC): 1,
@@ -125,7 +203,7 @@ def test_fold_splits_op_counts_by_round_entity_and_phase():
 
 
 def test_fold_counts_delivered_traffic_only():
-    tally = drive_by_hand().fold()
+    tally = drive_by_hand().tally
     assert tally.link_totals() == {
         "FC->GW": {"messages": 2, "bytes": 80},
         "GW->FC": {"messages": 1, "bytes": 34},
@@ -141,7 +219,7 @@ def test_fold_counts_delivered_traffic_only():
 
 
 def test_fold_lists_protocol_errors_in_event_order():
-    assert drive_by_hand().fold().protocol_errors == [
+    assert drive_by_hand().tally.protocol_errors == [
         {"round": 1, "entity": GW_NAME, "reason": "report failed authentication", "user": 2},
         {"round": 1, "entity": FC_NAME, "reason": "decision vector failed authentication"},
         {"round": 2, "entity": GW_NAME, "reason": "report from unknown user", "user": 9},
@@ -210,7 +288,7 @@ def test_dump_matches_reference_encoding_and_reloads_equal(monkeypatch):
     recorder = result.recorder
     # the run exercises what it is meant to: a protocol error with its failed
     # decryption, lost reports, membership changes and misbehaving users
-    tally = result.tally
+    tally = result.recorder.tally
     assert [(e["round"], e["reason"]) for e in tally.protocol_errors] == [
         (3, "report failed authentication")
     ]
@@ -220,6 +298,36 @@ def test_dump_matches_reference_encoding_and_reloads_equal(monkeypatch):
     assert any(phase == PHASE_MEMBERSHIP for phase in tally.op_totals()["FC"])
     assert {1, 2, 3} <= set(result.rounds[0].roster)
     assert_codec_conforms(recorder)
+
+
+def test_online_tally_equals_reference_fold_of_the_stream(monkeypatch):
+    # churn, lost reports, all three adversary kinds, one tampered report
+    # and one tampered join message, counted as they happen and folded after
+    honest_report = sim_module.su_sense_report
+    honest_ingest = entities_module.gw_ingest_init
+    tampered_joins = []
+
+    def tampered_report(su, rss_q, recorder):
+        msg = honest_report(su, rss_q, recorder)
+        if su.uid == 4 and recorder.round == 3:
+            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
+        return msg
+
+    def tampered_ingest(gw, messages, recorder):
+        if recorder.phase == PHASE_MEMBERSHIP and not tampered_joins:
+            tampered_joins.append(recorder.round)
+            messages = [dataclasses.replace(m, body=flip_tag_bit(m.body)) for m in messages]
+        honest_ingest(gw, messages, recorder)
+
+    monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+    monkeypatch.setattr(entities_module, "gw_ingest_init", tampered_ingest)
+    monkeypatch.setattr(sim_module, "Recorder", PhasedRecorder)
+    result = run_simulation(eventful_config())
+    recorder = result.recorder
+    reasons = {e["reason"] for e in recorder.tally.protocol_errors}
+    assert {"report failed authentication", "init message failed authentication"} <= reasons
+    assert tampered_joins and any(len(r.delivered) < len(r.roster) for r in result.rounds)
+    assert recorder.tally == recorder.reference_tally()
 
 
 # Strings JSON must escape: quotes, backslashes, control characters, non-ASCII.

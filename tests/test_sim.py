@@ -49,7 +49,13 @@ def small_run(**kwargs):
 class TestDriver:
     def test_single_round_has_n_plus_one_ciphertexts(self):
         result = small_run(rounds=1)
-        assert result.tally.logical_per_round() == {1: 11}
+        assert result.recorder.tally.logical_per_round() == {1: 11}
+
+    @pytest.mark.parametrize("n, rounds", [(1, 1), (3, 2), (12, 5)])
+    def test_honest_run_appends_5n_plus_9nR_plus_4R_events(self, n, rounds):
+        # init: 5 per user; each round: 9 per user, 4 for the decision vector
+        result = small_run(n=n, rounds=rounds)
+        assert len(result.recorder.events) == 5 * n + 9 * n * rounds + 4 * rounds
 
     def test_report_determinism(self):
         config = SimulationConfig(
@@ -100,7 +106,7 @@ class TestDriver:
 class TestConformance:
     def test_fc_counts_without_churn(self):
         result = small_run(n=50, rounds=3)
-        ops = result.tally.ops
+        ops = result.recorder.tally.ops
         for t in (1, 2, 3):
             assert ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
             assert ops[t, FC_NAME, PHASE_SENSING, AEAD_ENC] == 0
@@ -113,28 +119,28 @@ class TestConformance:
             churn=ChurnConfig(mu=1.0, join_count=CountRange(5, 5), leave_count=CountRange(0, 0)),
         )
         result = run_simulation(config)
-        ops = result.tally.ops
+        ops = result.recorder.tally.ops
         assert ops[2, FC_NAME, "membership", AEAD_ENC] == 5
         assert ops[2, FC_NAME, "membership", OPE_ENC] == 5
         assert verify_computation_counts(result).ok
 
     def test_gw_counts_scale_with_population(self):
         result = small_run(n=100, rounds=2)
-        ops = result.tally.ops
+        ops = result.recorder.tally.ops
         assert ops[1, GW_NAME, PHASE_SENSING, AEAD_DEC] == 100
         assert ops[1, GW_NAME, PHASE_SENSING, AEAD_ENC] == 1
 
     def test_traffic_matches_framing_model(self):
         result = small_run(n=25, rounds=4)
         assert verify_communication_counts(result).ok
-        measured = 8 * result.tally.phase_bytes[1, PHASE_SENSING]
+        measured = 8 * result.recorder.tally.phase_bytes[1, PHASE_SENSING]
         assert measured == measured_round_bits_model(25, 32)
 
     def test_counter_totals_match_transcript_events(self, monkeypatch):
         # audit: one logged event per counted crypto operation, in an honest
         # run and in one where a report fails authentication at the gateway
         def audit(result):
-            ops = result.tally.ops
+            ops = result.recorder.tally.ops
             for op in (OPE_ENC, AEAD_ENC, AEAD_DEC):
                 counted = sum(c for (_, _, _, o), c in ops.items() if o == op)
                 logged = sum(
@@ -157,7 +163,7 @@ class TestConformance:
 
         monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
         result = small_run(n=12, rounds=6)
-        assert [(e["round"], e["reason"]) for e in result.tally.protocol_errors] == [
+        assert [(e["round"], e["reason"]) for e in result.recorder.tally.protocol_errors] == [
             (2, "report failed authentication")
         ]
         audit(result)
@@ -172,10 +178,10 @@ class TestConformance:
         ):
 
             def tampered_compare(gw, reports, recorder, tamper=tamper):
-                msg = honest_compare(gw, reports, recorder)
+                msg, delivered = honest_compare(gw, reports, recorder)
                 if recorder.round == 2:
                     msg = dataclasses.replace(msg, body=tamper(msg.body))
-                return msg
+                return msg, delivered
 
             monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
             result = small_run(rounds=4)
@@ -189,7 +195,7 @@ class TestConformance:
             # reputation and weights untouched: the round's phi row repeats round 1's
             phi = report["reputation"]["phi_trajectory"]
             assert phi[1] == phi[0] and phi[2] != phi[1]
-            assert [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors] == [
+            assert [(e["round"], e["entity"], e["reason"]) for e in result.recorder.tally.protocol_errors] == [
                 (2, FC_NAME, reason)
             ]
             assert verify_computation_counts(result).ok
@@ -211,7 +217,7 @@ class TestConformance:
 
         monkeypatch.setattr(sim_module, "su_sense_report", truncated_report)
         result = small_run(n=5, rounds=3)
-        assert [(e["round"], e["entity"], e["reason"], e["user"]) for e in result.tally.protocol_errors] == [
+        assert [(e["round"], e["entity"], e["reason"], e["user"]) for e in result.recorder.tally.protocol_errors] == [
             (2, GW_NAME, "report is malformed", 2)
         ]
         assert [r.result.present for r in result.rounds] == [(1, 2, 3, 4, 5), (1, 3, 4, 5), (1, 2, 3, 4, 5)]
@@ -263,7 +269,7 @@ class TestConformance:
         # the run has joins, lost reports and malformed ones
         assert any(r.beta for r in result.rounds)
         assert any(len(r.delivered) < len(r.roster) for r in result.rounds)
-        assert {e["reason"] for e in result.tally.protocol_errors} == {"report is malformed"}
+        assert {e["reason"] for e in result.recorder.tally.protocol_errors} == {"report is malformed"}
 
     def test_tampered_join_init_message_is_recorded(self, monkeypatch):
         # U6 joins in round 2 and its wrapped threshold arrives tampered: the
@@ -285,7 +291,7 @@ class TestConformance:
         )
         result = run_simulation(config)
         assert [r.joins for r in result.rounds] == [(), (6,), (7,), (8,)]
-        errors = [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors]
+        errors = [(e["round"], e["entity"], e["reason"]) for e in result.recorder.tally.protocol_errors]
         assert errors == [
             (2, GW_NAME, "init message failed authentication"),
             (2, GW_NAME, "report from unknown user"),
@@ -296,9 +302,12 @@ class TestConformance:
             (4, FC_NAME, "decision vector failed authentication"),
         ]
         assert [r.result.outcome is None for r in result.rounds] == [False, True, True, True]
-        # U6's undecrypted reports show in both conformance checks, from round 2 on
-        for verdict in (verify_computation_counts(result), verify_communication_counts(result)):
-            assert {int(line.split()[1].rstrip(":")) for line in verdict.mismatches} == {2, 3, 4}
+        # U6's reports are refused before delivery, so the counts still conform
+        assert [r.delivered for r in result.rounds] == [
+            (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 7), (1, 2, 3, 4, 5, 7, 8)
+        ]
+        assert verify_computation_counts(result).ok
+        assert verify_communication_counts(result).ok
         assert result.leakage.conforms
 
     def test_wrong_length_decision_vector_aborts_only_its_round(self, monkeypatch):
@@ -316,7 +325,7 @@ class TestConformance:
         result = small_run(n=3, rounds=3)
         report = json.loads(result.report_json())
         assert [r["decision"] is None for r in report["rounds"]] == [False, True, False]
-        assert [(e["round"], e["entity"], e["reason"]) for e in result.tally.protocol_errors] == [
+        assert [(e["round"], e["entity"], e["reason"]) for e in result.recorder.tally.protocol_errors] == [
             (2, FC_NAME, "decision vector has the wrong length")
         ]
         assert verify_computation_counts(result).ok
@@ -330,8 +339,8 @@ class TestConformance:
         honest_compare = sim_module.gw_compare
 
         def tampered_compare(gw, reports, recorder):
-            msg = honest_compare(gw, reports, recorder)
-            return dataclasses.replace(msg, body=flip_tag_bit(msg.body))
+            msg, delivered = honest_compare(gw, reports, recorder)
+            return dataclasses.replace(msg, body=flip_tag_bit(msg.body)), delivered
 
         monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
         result = small_run(n=3, rounds=2)
@@ -339,13 +348,13 @@ class TestConformance:
         assert [r["decision"] for r in report["rounds"]] == [None, None]
         assert report["error_rates"] == {"q_f": None, "q_m": None}
         assert report["leakage"]["verdict"] == "conforms"
-        assert [e["reason"] for e in result.tally.protocol_errors] == [
+        assert [e["reason"] for e in result.recorder.tally.protocol_errors] == [
             "decision vector failed authentication"
         ] * 2
 
     def test_mismatch_is_reported_not_hidden(self):
         result = small_run(rounds=1)
-        result.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] += 1  # inject a bogus count
+        result.recorder.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] += 1  # inject a bogus count
         verdict = verify_computation_counts(result)
         assert not verdict.ok
         assert any("FC aead_dec" in line for line in verdict.mismatches)
@@ -362,7 +371,7 @@ class TestConformance:
         model = analytical_cost(
             COST_LP3PSS, len(record.roster), AnalyticalCostParams(beta=float(beta))
         ).computation
-        ops = result.tally.ops
+        ops = result.recorder.tally.ops
         t = record.t
         assert ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC] == model["FC"]["D"]
         assert ops[t, FC_NAME, "membership", AEAD_ENC] == model["FC"]["E"]
