@@ -160,23 +160,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    model, tau = SimulationConfig(SensingConfig(n=args.n, rounds=1, seed=args.seed)).resolve_channel()
     failures = []
     if args.scheme == BASELINE:
+        model, _ = SimulationConfig(SensingConfig(n=args.n, rounds=1, seed=args.seed)).resolve_channel()
         target = 1 + args.seed % args.n
-        baseline, true_rss = obs.build_dlp_scenario(args.n, target, args.seed, model, tau)
-        exposed = obs.srlp_exposure(baseline.recorder.events, BASELINE)
+        events, rosters, true_rss = obs.build_dlp_scenario(args.n, target, args.seed, model)
+        exposed = obs.srlp_exposure(events)
         print(f"SRLP: exposed users at the fusion center: {sorted(exposed)}")
         if exposed != set(range(1, args.n + 1)):
             failures.append("SRLP should expose every reporter in the baseline")
-        dlp = obs.dlp_attack_oracle(baseline.round_view(1), baseline.round_view(2), target)
+        views = [obs.agg_view_from_logs(events, t, roster) for t, roster in enumerate(rosters, start=1)]
+        dlp = obs.dlp_attack_oracle(views[0], views[1], target)
         print(f"DLP: target U{target} leaves; recovered RSS = {dlp.recovered} (true {true_rss})")
         if dlp.recovered != true_rss:
             failures.append("DLP should recover the exact RSS from the aggregate delta")
     else:
         config = SimulationConfig(SensingConfig(n=args.n, rounds=2, seed=args.seed))
         result = run_simulation(config)
-        exposed = obs.srlp_exposure(result.recorder.events, LP3PSS)
+        exposed = obs.srlp_exposure(result.recorder.events)
         print(f"SRLP: exposed users: {sorted(exposed)}")
         if exposed:
             failures.append("no user's RSS may appear in a foreign view")
@@ -232,7 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{entity}: {report.verdicts[entity]}")
     for violation in report.violations:
         print(f"VIOLATION at {violation.entity} (round {violation.event.round}): "
-              f"{violation.reason} [{violation.event.tag.value} {violation.event.meta}]")
+              f"{violation.reason} [{violation.event.tag} {violation.event.meta}]")
     return 0 if report.conforms else 1
 
 

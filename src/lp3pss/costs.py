@@ -12,7 +12,7 @@ hash, Mul_u / Exp_u / Inv_u modular multiplication / exponentiation /
 inversion over modulus u, PMul_Q an elliptic point multiplication of
 order Q.
 
-Default parameter sizes follow the usual 80-bit-security choices:
+The group sizes are fixed at the usual 80-bit-security choices:
 |p| = |N| = 1024, |Q| = 192; the OPE ciphertext is capped at 128 bits.
 """
 
@@ -28,6 +28,12 @@ PDAFT = "pdaft"
 
 SCHEMES = (LP3PSS, LPOS, PPSS, PDAFT)
 
+# |p|, |N|, |Q| and the OPE ciphertext cap, in bits
+P_BITS = 1024
+N_MODULUS_BITS = 1024
+Q_BITS = 192
+EPS_OPE_BITS = 128
+
 
 @dataclass(frozen=True)
 class AnalyticalCostParams:
@@ -39,10 +45,6 @@ class AnalyticalCostParams:
     change rate and ``beta`` the average join count per period.
     """
 
-    p_bits: int = 1024
-    n_modulus_bits: int = 1024
-    q_bits: int = 192
-    eps_ope_bits: int = 128
     blck_bits: int = 256
     gamma: int = 10
     y: int = 3
@@ -50,7 +52,7 @@ class AnalyticalCostParams:
     beta: float = 5.0
 
     def __post_init__(self) -> None:
-        for name in ("p_bits", "n_modulus_bits", "q_bits", "eps_ope_bits", "blck_bits", "gamma", "y"):
+        for name in ("blck_bits", "gamma", "y"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.mu <= 1.0:
@@ -79,14 +81,14 @@ def _lp3pss(n: int, p: AnalyticalCostParams) -> CostReport:
 def _lpos(n: int, p: AnalyticalCostParams) -> CostReport:
     log_n = math.log2(n)
     comp = {
-        "FC": {"Mul_p": 0.5 * (2 + log_n) * p.gamma * p.p_bits},
+        "FC": {"Mul_p": 0.5 * (2 + log_n) * p.gamma * P_BITS},
         "SU": {
-            "Mul_p": 2 * p.gamma * p.p_bits + 2 * p.gamma,
+            "Mul_p": 2 * p.gamma * P_BITS + 2 * p.gamma,
             "OPE_E": 1.0,
             "PMul_Q": 2 * p.mu * log_n,
         },
     }
-    comm = 2 * p.gamma * p.p_bits * (2 + log_n) + n * p.eps_ope_bits + p.mu * p.q_bits * log_n
+    comm = 2 * p.gamma * P_BITS * (2 + log_n) + n * EPS_OPE_BITS + p.mu * Q_BITS * log_n
     return CostReport(LPOS, n, comp, comm)
 
 
@@ -95,7 +97,7 @@ def _ppss(n: int, p: AnalyticalCostParams) -> CostReport:
         "FC": {"H": 1.0, "Mul_p": float(n + 2), "Exp_p": 2.0 ** (p.gamma - 1) * n + 2},
         "SU": {"H": 1.0, "Exp_p": 2.0, "Mul_p": 1.0},
     }
-    comm = p.p_bits * n + p.beta * p.mu * p.p_bits * n
+    comm = P_BITS * n + p.beta * p.mu * P_BITS * n
     return CostReport(PPSS, n, comp, comm)
 
 
@@ -105,7 +107,7 @@ def _pdaft(n: int, p: AnalyticalCostParams) -> CostReport:
         "SU": {"Exp_N2": 2.0, "Mul_N2": 1.0},
         "GW": {"Mul_N2": float(n)},
     }
-    return CostReport(PDAFT, n, comp, p.n_modulus_bits * (2 * (n + 1) + p.beta))
+    return CostReport(PDAFT, n, comp, N_MODULUS_BITS * (2 * (n + 1) + p.beta))
 
 
 _EVALUATORS = {LP3PSS: _lp3pss, LPOS: _lpos, PPSS: _ppss, PDAFT: _pdaft}

@@ -258,7 +258,10 @@ class KeyTable:
     between the fusion center and each user.
 
     The OPE subkey is expanded from the FC<->user pair secret. The master
-    seed is retained so joining users can be keyed later.
+    seed is retained so joining users can be keyed later. Keys are a pure
+    function of (seed, id), and a fresh key restarts its nonce counter, so
+    keying an id twice would reuse AES-GCM nonces: ``issued`` holds every id
+    ever keyed, and no id leaves it.
     """
 
     master_seed: bytes
@@ -267,6 +270,7 @@ class KeyTable:
     fc_gw: AeadKey = field(init=False)
     gw_user: dict[int, AeadKey] = field(default_factory=dict)
     ope_user: dict[int, OpeKey] = field(default_factory=dict)
+    issued: set[int] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         if len(self.master_seed) != 32:
@@ -276,8 +280,9 @@ class KeyTable:
     def add_user(self, uid: int) -> None:
         if not isinstance(uid, int) or uid < 0:
             raise ValueError(f"user id must be a non-negative int, got {uid!r}")
-        if uid in self.gw_user:
-            raise ValueError(f"user {uid} already keyed")
+        if uid in self.issued:
+            raise ValueError(f"user {uid} already issued keys")
+        self.issued.add(uid)
         fc_secret = _kdf(self.master_seed, f"pair|{pair_label(FC, uid)}")
         self.gw_user[uid] = pair_channel_key(self.master_seed, GW, uid)
         self.ope_user[uid] = OpeKey(
@@ -285,6 +290,7 @@ class KeyTable:
         )
 
     def remove_user(self, uid: int) -> None:
+        """Forget the user's keys; its id stays issued."""
         if uid not in self.gw_user:
             raise ValueError(f"user {uid} not keyed")
         del self.gw_user[uid]

@@ -415,14 +415,18 @@ def handle_membership(
 ) -> dict[int, SuState]:
     """Apply joins and leaves and rekey the joiners.
 
-    Joins and leaves may arrive in the same period. No stored state of
+    Joins and leaves may arrive in the same period. A joiner's id must
+    never have been keyed, since re-keying a departed id would reuse its
+    nonces; every check runs before any state changes. No stored state of
     any remaining user changes. Returns states for the joining users.
     """
     if set(joins) & set(leaves):
         raise ProtocolError("a user cannot both join and leave in one period")
+    if len(set(joins)) != len(joins) or len(set(leaves)) != len(leaves):
+        raise ProtocolError("a user id is repeated in one membership change")
     for uid in joins:
-        if uid in fc.live:
-            raise ProtocolError(f"user {uid} already live")
+        if uid in keys.issued:
+            raise ProtocolError(f"user {uid} already issued keys")
     for uid in leaves:
         if uid not in fc.live:
             raise ProtocolError(f"user {uid} not live")

@@ -15,17 +15,19 @@ learn:
 a run's own stream needs no such check, so a run whose every round was
 aborted still gets a verdict.
 
-The module also hosts a deliberately naive soft-fusion baseline (users
-send their RSS readings to the fusion center, which averages them against
-the threshold). The baseline exists as an attack target: the SRLP oracle
-shows every reporter's RSS exposed at the fusion center, and the DLP
-oracle recovers a joining/leaving user's RSS from the change in the
-aggregate, neither of which is possible against the voting protocol.
+The module also hosts a deliberately naive soft-fusion baseline: users
+send their RSS readings to the fusion center, which sums them; it decides
+nothing and serves only as an attack target. Both oracles read only
+event streams, the baseline's as the voting protocol's: the SRLP oracle
+finds every reporter's RSS exposed at the fusion center, and the DLP
+oracle, given the attacker's view of two rounds from
+``agg_view_from_logs``, recovers a joining/leaving user's RSS from the
+change in the aggregate. Neither is possible against the voting protocol.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -76,32 +78,32 @@ def _uid_of(entity: str) -> int | None:
 def _violation_reason(event: ViewEvent) -> str | None:
     """Why this event is not allowed in its entity's view, or None."""
     tag = event.tag
-    if tag is ViewTag.OPAQUE_CIPHERTEXT:
+    if tag == ViewTag.OPAQUE_CIPHERTEXT:
         return None
     entity = event.entity
     meta = event.meta
-    if tag is ViewTag.KEY_MATERIAL:
+    if tag == ViewTag.KEY_MATERIAL:
         parties = meta.get("parties", [])
         if entity not in parties:
             return "key material of a pair the entity does not belong to"
         return None
-    if meta.get("kind") == "tau" and tag is ViewTag.PLAINTEXT_VALUE:
+    if meta.get("kind") == "tau" and tag == ViewTag.PLAINTEXT_VALUE:
         return "detection threshold in plaintext"
     uid = _uid_of(entity)
     if uid is not None:
-        if tag is ViewTag.PLAINTEXT_VALUE:
+        if tag == ViewTag.PLAINTEXT_VALUE:
             if meta.get("kind") == "rss" and meta.get("user") == uid:
                 return None
             return "plaintext value that is not the user's own RSS"
-        return f"{tag.value} in a user view"
+        return f"{tag} in a user view"
     if entity == FC_NAME:
-        if tag is ViewTag.PLAINTEXT_BIT:
+        if tag == ViewTag.PLAINTEXT_BIT:
             return None
-        return f"{tag.value} in the fusion center view"
+        return f"{tag} in the fusion center view"
     if entity == GW_NAME:
         if tag in (ViewTag.OPE_ORDER_PAIR, ViewTag.PLAINTEXT_BIT):
             return None
-        return f"{tag.value} in the gateway view"
+        return f"{tag} in the gateway view"
     return f"unknown entity {entity!r}"
 
 
@@ -116,7 +118,7 @@ def require_complete(events: Iterable[ViewEvent]) -> None:
         decided = decided or (
             event.entity == FC_NAME
             and event.meta.get("op") == AEAD_DEC
-            and event.tag is not ViewTag.OPAQUE_CIPHERTEXT
+            and event.tag != ViewTag.OPAQUE_CIPHERTEXT
         )
     if FC_NAME not in entities or GW_NAME not in entities:
         raise ValueError("incomplete transcript: missing fusion center or gateway log")
@@ -140,11 +142,11 @@ def check_leakage(events: Iterable[ViewEvent]) -> LeakageReport:
     """
     verdicts: dict[str, str] = {}
     violations: list[Violation] = []
-    memo: dict[tuple[str, ViewTag], str | None] = {}
+    memo: dict[tuple[str, str], str | None] = {}
     opaque = ViewTag.OPAQUE_CIPHERTEXT
     for event in events:
         tag = event.tag
-        if tag is opaque:
+        if tag == opaque:
             reason = None
         elif tag in _META_FREE_TAGS:
             key = (event.entity, tag)
@@ -163,17 +165,15 @@ def check_leakage(events: Iterable[ViewEvent]) -> LeakageReport:
     return LeakageReport(dict(sorted(verdicts.items())), tuple(violations))
 
 
-def srlp_exposure(events: Iterable[ViewEvent], scheme: str) -> set[int]:
+def srlp_exposure(events: Iterable[ViewEvent]) -> set[int]:
     """Users whose RSS plaintext appears in some other entity's view.
 
     The baseline exposes every reporter to the fusion center; the voting
     protocol exposes nobody.
     """
-    if scheme not in (BASELINE, LP3PSS):
-        raise ValueError(f"unknown scheme {scheme!r}")
     exposed: set[int] = set()
     for event in events:
-        if event.tag is ViewTag.PLAINTEXT_VALUE and event.meta.get("kind") == "rss":
+        if event.tag == ViewTag.PLAINTEXT_VALUE and event.meta.get("kind") == "rss":
             uid = event.meta.get("user")
             if uid is not None and uid != _uid_of(event.entity):
                 exposed.add(uid)
@@ -230,7 +230,7 @@ def agg_view_from_logs(events: Iterable[ViewEvent], round_: int, roster: set[int
     for event in events:
         if (
             event.round == round_
-            and event.tag is ViewTag.PLAINTEXT_VALUE
+            and event.tag == ViewTag.PLAINTEXT_VALUE
             and event.meta.get("kind") == "rss_sum"
         ):
             rss_sum = event.meta["value"]
@@ -238,47 +238,21 @@ def agg_view_from_logs(events: Iterable[ViewEvent], round_: int, roster: set[int
 
 
 # ---------------------------------------------------------------------------
-# naive aggregation baseline (attack target and error-rate comparator)
+# naive aggregation baseline (attack target)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BaselineRound:
-    round: int
-    roster: tuple[int, ...]
-    rss_sum: int
-    decision: int
-
-
-@dataclass
-class BaselineResult:
-    """Transcript of the naive soft-fusion scheme: users send their RSS
-    to the fusion center over the authenticated channel; the fusion
-    center averages the plaintexts against the threshold."""
-
-    rounds: list[BaselineRound] = field(default_factory=list)
-    recorder: Recorder = field(default_factory=Recorder)
-
-    def round_view(self, round_: int) -> AggView:
-        row = next(r for r in self.rounds if r.round == round_)
-        return AggView(frozenset(row.roster), row.rss_sum)
-
-
-def run_baseline(
-    tau: int,
-    rounds: list[tuple[set[int], dict[int, int]]],
-    master_seed: bytes,
-) -> BaselineResult:
+def run_baseline(rounds: list[tuple[set[int], dict[int, int]]], master_seed: bytes) -> Recorder:
     """Run the aggregation baseline over explicit per-round reports.
 
     ``rounds`` lists (roster, reported RSS per user) pairs; the caller
-    controls churn by varying the roster. The fusion center decides busy
-    when the average reported RSS is at least the threshold.
+    controls churn by varying the roster. Each user sends its RSS to the
+    fusion center over the authenticated channel; the fusion center sums
+    the plaintexts. Returns the recorder holding the run's event stream.
     """
     all_users = sorted({uid for roster, _ in rounds for uid in roster})
     channel = {uid: pair_channel_key(master_seed, FC_NAME, uid) for uid in all_users}
-    result = BaselineResult()
-    rec = result.recorder
+    rec = Recorder()
     rec.set_phase("sensing")
     for t, (roster, reports) in enumerate(rounds, start=1):
         rec.start_round(t)
@@ -301,10 +275,8 @@ def run_baseline(
                 {"kind": "rss", "user": uid, "value": value},
             )
             total += value
-        decision = 1 if roster and total / len(roster) >= tau else 0
         rec.observe(FC_NAME, ViewTag.PLAINTEXT_VALUE, "computed", {"kind": "rss_sum", "value": total})
-        result.rounds.append(BaselineRound(t, tuple(sorted(roster)), total, decision))
-    return result
+    return rec
 
 
 def build_dlp_scenario(
@@ -312,14 +284,14 @@ def build_dlp_scenario(
     target: int,
     seed: int,
     model: ChannelModel,
-    tau: int,
     leave: bool = True,
-) -> tuple[BaselineResult, int]:
+) -> tuple[list[ViewEvent], tuple[set[int], set[int]], int]:
     """Frozen two-round churn scenario against the baseline.
 
     Every non-target RSS is held constant across the membership boundary,
     so the aggregate difference equals the target's reading exactly.
-    Returns the baseline transcript and the target's true RSS.
+    Returns the baseline's event stream, the roster of each of its two
+    rounds, and the target's true RSS.
     """
     if not 1 <= target <= n:
         raise ValueError("target must be one of the n users")
@@ -327,9 +299,9 @@ def build_dlp_scenario(
     rss = {uid: int(rng.integers(0, model.quant.domain_max + 1)) for uid in range(1, n + 1)}
     full = set(range(1, n + 1))
     without = full - {target}
-    rosters = [(full, rss), (without, rss)] if leave else [(without, rss), (full, rss)]
-    result = run_baseline(tau, rosters, master_seed=seed.to_bytes(32, "big"))
-    return result, rss[target]
+    rosters = (full, without) if leave else (without, full)
+    recorder = run_baseline([(roster, rss) for roster in rosters], master_seed=seed.to_bytes(32, "big"))
+    return recorder.events, rosters, rss[target]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +312,7 @@ def build_dlp_scenario(
 def inject_event(
     events: Iterable[ViewEvent],
     entity: str,
-    tag: ViewTag,
+    tag: str,
     meta: dict,
     round_: int = 1,
 ) -> list[ViewEvent]:

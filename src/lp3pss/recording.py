@@ -7,8 +7,8 @@ entity learns at a decryption boundary, and every protocol error at the
 entity that detected it. The stream is what the leakage checker reads:
 each event names the entity that could know it. The counts are kept in
 ``Recorder.tally`` as the events are appended: operation counts,
-per-link traffic, bytes per round and phase, logical ciphertexts per
-sensing round and the protocol errors.
+per-link traffic, bytes and logical ciphertexts per sensing round and
+the protocol errors.
 
 Transcript files are JSON lines: one event per line, the stream
 stable-sorted by entity name, so each entity's events stay in the order
@@ -21,7 +21,7 @@ of the event, followed by a newline. The reader skips blank lines and
 rejects, naming the line, any line that is not exactly one JSON object
 with all six fields typed as the writer writes them: ``round`` and
 ``size_bytes`` integers (not booleans), ``entity`` and ``direction``
-strings, ``meta`` an object and ``tag`` the value of a ``ViewTag``.
+strings, ``meta`` an object and ``tag`` one of the ``ViewTag`` strings.
 Other fields are ignored.
 """
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
 from operator import attrgetter
 from typing import IO, Iterable
 
@@ -51,8 +50,11 @@ def user_name(uid: int) -> str:
     return f"U{uid}"
 
 
-class ViewTag(str, Enum):
-    """What kind of information an event exposes to its observer."""
+class ViewTag:
+    """What kind of information an event exposes to its observer, each a
+    plain string: an event's ``tag`` and its transcript field carry it as
+    is. Compare tags with ``==``: a loaded tag is an equal string, not the
+    same object."""
 
     OPAQUE_CIPHERTEXT = "OPAQUE_CIPHERTEXT"
     OPE_ORDER_PAIR = "OPE_ORDER_PAIR"
@@ -66,7 +68,7 @@ class ViewEvent:
     round: int
     entity: str
     direction: str  # sent | received | encrypt | decrypt | computed | local | error
-    tag: ViewTag
+    tag: str  # a ViewTag
     size_bytes: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -84,7 +86,7 @@ class Tally:
     ops: Counter[tuple[int, str, str, str]] = field(default_factory=Counter)
     messages: Counter[str] = field(default_factory=Counter)  # per link, "sender->receiver"
     link_bytes: Counter[str] = field(default_factory=Counter)
-    phase_bytes: Counter[tuple[int, str]] = field(default_factory=Counter)  # (round, phase)
+    sensing_bytes: Counter[int] = field(default_factory=Counter)  # per sensing round
     logical: Counter[int] = field(default_factory=Counter)  # per sensing round
     # {"round", "entity", "reason", ...} in event order
     protocol_errors: list[dict] = field(default_factory=list)
@@ -109,7 +111,6 @@ class Tally:
 
 _PHASES = (PHASE_INIT, PHASE_SENSING, PHASE_MEMBERSHIP)
 _DIRECTION = {OPE_ENC: "encrypt", AEAD_ENC: "encrypt", AEAD_DEC: "decrypt", COMPARE: "computed"}
-_OPAQUE = ViewTag.OPAQUE_CIPHERTEXT  # enum member lookups are slow on Python 3.11
 
 
 class Recorder:
@@ -122,9 +123,9 @@ class Recorder:
 
     * ``crypto_op`` counts one operation of its entity, round and phase;
     * ``message_delivered`` counts the message and its bytes on its
-      link, in its round and phase, and one logical ciphertext in the
-      sensing phase; a ``message_sent`` is counted nowhere, since lost
-      messages are not traffic;
+      link and, in the sensing phase, its bytes and one logical
+      ciphertext in its round; a ``message_sent`` is counted nowhere,
+      since lost messages are not traffic;
     * ``protocol_error`` adds its row to the protocol errors;
     * ``observe`` counts nothing.
 
@@ -156,7 +157,7 @@ class Recorder:
         self,
         entity: str,
         op: str,
-        tag: ViewTag,
+        tag: str,
         size_bytes: int = 0,
         meta: dict | None = None,
     ) -> None:
@@ -179,7 +180,7 @@ class Recorder:
             meta = {"link": link}
         else:
             meta["link"] = link
-        self.events.append(ViewEvent(self.round, sender, "sent", _OPAQUE, size_bytes, meta))
+        self.events.append(ViewEvent(self.round, sender, "sent", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, meta))
 
     def message_delivered(
         self, sender: str, receiver: str, size_bytes: int, meta: dict | None = None
@@ -191,19 +192,18 @@ class Recorder:
         else:
             meta["link"] = link
         round_ = self.round
-        phase = self.phase
-        self.events.append(ViewEvent(round_, receiver, "received", _OPAQUE, size_bytes, meta))
+        self.events.append(ViewEvent(round_, receiver, "received", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, meta))
         tally = self.tally
         tally.messages[link] += 1
         tally.link_bytes[link] += size_bytes
-        tally.phase_bytes[round_, phase] += size_bytes
-        if phase == PHASE_SENSING:
+        if self.phase == PHASE_SENSING:
+            tally.sensing_bytes[round_] += size_bytes
             tally.logical[round_] += 1
 
     def observe(
         self,
         entity: str,
-        tag: ViewTag,
+        tag: str,
         direction: str = "computed",
         meta: dict | None = None,
     ) -> None:
@@ -217,7 +217,7 @@ class Recorder:
         else:
             meta["reason"] = reason
         round_ = self.round
-        self.events.append(ViewEvent(round_, entity, "error", _OPAQUE, 0, meta))
+        self.events.append(ViewEvent(round_, entity, "error", ViewTag.OPAQUE_CIPHERTEXT, 0, meta))
         self.tally.protocol_errors.append({"round": round_, "entity": entity, **meta})
 
     # -- derived views -----------------------------------------------------
@@ -248,7 +248,7 @@ class Recorder:
                     encode_meta(e.meta),
                     e.round,
                     e.size_bytes,
-                    _TAG_JSON[e.tag],
+                    strings[e.tag],
                 )
                 for e in events[start:start + _CHUNK_EVENTS]
             ]))
@@ -263,8 +263,18 @@ _LINE = '{"direction":%s,"entity":%s,"meta":%s,"round":%d,"size_bytes":%d,"tag":
 # Lines joined per write; bounds the writer's buffer, not the transcript.
 _CHUNK_EVENTS = 1024
 _META_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-_TAG_JSON = {tag: json.dumps(tag.value) for tag in ViewTag}
-_TAG_BY_VALUE = {tag.value: tag for tag in ViewTag}
+# Each tag to its constant: a loaded event shares the one string object
+# rather than keeping the decoder's copy (about 1.3 MiB on 18 850 events).
+_TAGS = {
+    tag: tag
+    for tag in (
+        ViewTag.OPAQUE_CIPHERTEXT,
+        ViewTag.OPE_ORDER_PAIR,
+        ViewTag.PLAINTEXT_BIT,
+        ViewTag.PLAINTEXT_VALUE,
+        ViewTag.KEY_MATERIAL,
+    )
+}
 _scan_once = json.JSONDecoder().scan_once
 _FIELD_TYPES = (
     ("round", int),
@@ -320,7 +330,7 @@ def _parse_event(line: str) -> ViewEvent:
                 record["round"],
                 record["entity"],
                 record["direction"],
-                _TAG_BY_VALUE[record["tag"]],
+                _TAGS[record["tag"]],
                 record["size_bytes"],
                 record["meta"],
             )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 from lp3pss import costs
@@ -174,13 +174,12 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     if "sensing" not in raw:
         raise ConfigError("sensing: section is required")
 
-    def build(cls, section: Any, path: str, **extra):
+    def build(cls, section: Any, path: str):
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: expected an object")
-        names = set(cls.__dataclass_fields__)
-        _require_keys(section, names - set(extra), path)
+        _require_keys(section, set(cls.__dataclass_fields__), path)
         try:
-            return cls(**{**section, **extra})
+            return cls(**section)
         except ConfigError:
             raise
         except TypeError as exc:
@@ -263,7 +262,8 @@ class SimulationResult:
     leakage: LeakageReport
 
     def report_dict(self) -> dict:
-        sensing = self.config.sensing
+        config = self.config
+        churn = config.churn
         tally = self.recorder.tally
         rates = estimate_error_rates(self.rounds)
         rounds = [
@@ -282,36 +282,16 @@ class SimulationResult:
         ]
         return {
             "config": {
-                "sensing": {
-                    "n": sensing.n,
-                    "rounds": sensing.rounds,
-                    "seed": sensing.seed,
-                    "p_f": sensing.p_f,
-                    "p_m": sensing.p_m,
-                    "tau": self.tau,
-                    "busy_prob": sensing.busy_prob,
-                    "report_loss_prob": sensing.report_loss_prob,
-                },
-                "channel": {
-                    "mu0": self.model.mu0,
-                    "mu1": self.model.mu1,
-                    "sigma": self.model.sigma,
-                    "min_dbm": self.model.quant.min_dbm,
-                    "step_dbm": self.model.quant.step_dbm,
-                },
+                # tau and sigma as resolved, which may be calibrated
+                "sensing": {**asdict(config.sensing), "tau": self.tau},
+                "channel": {**asdict(config.channel), "sigma": self.model.sigma},
                 "churn": {
-                    "mu": self.config.churn.mu,
-                    "join": [self.config.churn.join_count.lo, self.config.churn.join_count.hi],
-                    "leave": [self.config.churn.leave_count.lo, self.config.churn.leave_count.hi],
+                    "mu": churn.mu,
+                    "join": [churn.join_count.lo, churn.join_count.hi],
+                    "leave": [churn.leave_count.lo, churn.leave_count.hi],
                 },
-                "adversary": {
-                    str(u): {"kind": b.kind, "flip_prob": b.flip_prob, "stuck_bit": b.stuck_bit}
-                    for u, b in sorted(self.config.adversary.behaviors.items())
-                },
-                "crypto": {
-                    "domain_bits": self.config.crypto.domain_bits,
-                    "range_bits": self.config.crypto.range_bits,
-                },
+                "adversary": {str(u): asdict(b) for u, b in sorted(config.adversary.behaviors.items())},
+                "crypto": asdict(config.crypto),
             },
             "rounds": rounds,
             "reputation": {
@@ -433,7 +413,6 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     gw = gw_init(keys)
     gw_ingest_init(gw, init_msgs, recorder)
     sus = make_su_states(keys)
-    used_ids = set(keys.user_ids())
 
     records: list[RoundRecord] = []
     for t in range(1, sensing.rounds + 1):
@@ -442,13 +421,12 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         leaves: list[int] = []
         if t > 1:
             recorder.set_phase(PHASE_MEMBERSHIP)
-            joins, leaves = churn_step(config.churn, rngs["churn"], t, set(fc.live), used_ids)
+            joins, leaves = churn_step(config.churn, rngs["churn"], t, set(fc.live), keys.issued)
             if joins or leaves:
                 new_sus = handle_membership(fc, gw, joins, leaves, keys, recorder)
                 for uid in leaves:
                     del sus[uid]
                 sus.update(new_sus)
-                used_ids.update(joins)
 
         recorder.set_phase(PHASE_SENSING)
         truth = PU_PRESENT if rngs["truth"].random() < sensing.busy_prob else 0
@@ -555,7 +533,7 @@ def verify_communication_counts(result: SimulationResult) -> ConformanceVerdict:
         logical = tally.logical[r.t]
         if logical != delivered + 1:
             bad.append(f"round {r.t}: {logical} logical ciphertexts, expected {delivered + 1}")
-        measured = 8 * tally.phase_bytes[r.t, PHASE_SENSING]
+        measured = 8 * tally.sensing_bytes[r.t]
         expected = delivered * costs.report_wire_bits(range_bits) + costs.decision_vector_wire_bits(
             len(r.roster)
         )

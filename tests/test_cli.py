@@ -146,6 +146,7 @@ def test_verify_malformed_transcript(tmp_path, capsys):
         json.dumps({**good, "size_bytes": "z"}),
         json.dumps({**good, "round": True}),
         json.dumps({**good, "tag": "SECRET"}),
+        json.dumps({**good, "tag": [good["tag"]]}),
         json.dumps({k: v for k, v in good.items() if k != "meta"}),
         json.dumps(good) + " {}",
         "[" * 100_000,

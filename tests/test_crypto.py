@@ -258,14 +258,17 @@ class TestKeyTable:
         with pytest.raises(ValueError):
             table.remove_user(1)
 
-    def test_rejoining_user_gets_same_derived_key(self, master_seed):
-        # derivation is a pure function of (seed, id); resurrection is the
-        # driver's concern, which never re-issues ids
-        table = derive_pairwise_keys(master_seed, [FC, GW, 1])
-        before = (table.gw_user[1].key_bytes, table.ope_user[1].key_bytes)
+    def test_departed_user_id_is_never_keyed_again(self, master_seed):
+        # derivation is a pure function of (seed, id) and a fresh key starts
+        # its nonce counter at 0, so re-keying an id would reuse its nonces
+        table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2])
         table.remove_user(1)
-        table.add_user(1)
-        assert (table.gw_user[1].key_bytes, table.ope_user[1].key_bytes) == before
+        assert table.issued == {1, 2}
+        with pytest.raises(ValueError, match="already issued"):
+            table.add_user(1)
+        with pytest.raises(ValueError, match="already issued"):
+            table.add_user(2)
+        assert table.user_ids() == [2] and 1 not in table.ope_user
 
     def test_derived_key_bytes_are_pinned(self, master_seed):
         # the FC<->GW, GW<->user and OPE keys and the baseline's FC<->user

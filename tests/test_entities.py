@@ -280,7 +280,7 @@ class TestDecision:
             fc_decide(fc, forged, recorder)
         failed = [e for e in recorder.view_logs[FC_NAME] if e.meta.get("op") == AEAD_DEC]
         assert len(failed) == recorder.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
-        assert failed[0].tag is ViewTag.OPAQUE_CIPHERTEXT
+        assert failed[0].tag == ViewTag.OPAQUE_CIPHERTEXT
         with pytest.raises(ValueError, match="no decided round"):
             require_complete(recorder.events)
 
@@ -365,6 +365,26 @@ class TestMembership:
         keys, fc, gw, _, recorder, _ = setup_network(3, master_seed)
         with pytest.raises(ProtocolError):
             handle_membership(fc, gw, [2], [], keys, recorder)
+
+    @pytest.mark.parametrize(
+        "joins, leaves, reason",
+        [
+            ([5, 3], [1], "user 3 already issued keys"),  # U3 left before
+            ([5, 5], [], "repeated"),
+            ([], [2, 2], "repeated"),
+        ],
+        ids=["rejoin", "repeated-join", "repeated-leave"],
+    )
+    def test_refused_change_leaves_every_state_alone(self, master_seed, joins, leaves, reason):
+        keys, fc, gw, _, recorder, _ = setup_network(4, master_seed)
+        handle_membership(fc, gw, [], [3], keys, recorder)
+        snapshot = copy.deepcopy((fc, gw, keys))
+        events_before = len(recorder.events)
+        with pytest.raises(ProtocolError, match=reason):
+            handle_membership(fc, gw, joins, leaves, keys, recorder)
+        assert (fc, gw, keys) == snapshot
+        assert keys.issued == {1, 2, 3, 4}
+        assert len(recorder.events) == events_before
 
     def test_leave_of_unknown_id_rejected(self, master_seed):
         keys, fc, gw, _, recorder, _ = setup_network(3, master_seed)

@@ -3,8 +3,6 @@
 import pytest
 
 from lp3pss.observability import (
-    BASELINE,
-    LP3PSS,
     agg_view_from_logs,
     AggView,
     build_dlp_scenario,
@@ -132,50 +130,55 @@ class TestCheckLeakage:
         assert report.verdicts == {FC_NAME: "conforms", GW_NAME: "violates", user_name(1): "violates"}
 
 
+def baseline_views(events, rosters):
+    """The attacker's view of each round of a baseline run, from its stream."""
+    return [agg_view_from_logs(events, t, roster) for t, roster in enumerate(rosters, start=1)]
+
+
 class TestSrlp:
     def test_baseline_exposes_every_reporter(self):
-        result = run_baseline(3000, [({1, 2, 3, 4, 5}, {u: 2500 for u in range(1, 6)})], bytes(32))
-        assert srlp_exposure(result.recorder.events, BASELINE) == {1, 2, 3, 4, 5}
+        recorder = run_baseline([({1, 2, 3, 4, 5}, {u: 2500 for u in range(1, 6)})], bytes(32))
+        assert srlp_exposure(recorder.events) == {1, 2, 3, 4, 5}
 
     def test_protocol_exposes_nobody(self):
-        assert srlp_exposure(honest_events(n=5), LP3PSS) == set()
+        assert srlp_exposure(honest_events(n=5)) == set()
 
     def test_detector_sees_injected_exposure(self):
         events = inject_event(
             honest_events(n=5), GW_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss", "user": 4, "value": 1}
         )
-        assert srlp_exposure(events, LP3PSS) == {4}
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError):
-            srlp_exposure(honest_events(n=3), "both")
+        assert srlp_exposure(events) == {4}
 
 
 class TestDlp:
     def test_recovers_exact_rss_of_leaver(self):
-        model, tau = SimulationConfig(SensingConfig(n=6, rounds=1, seed=0)).resolve_channel()
-        baseline, true_rss = build_dlp_scenario(6, target=4, seed=13, model=model, tau=tau)
-        outcome = dlp_attack_oracle(baseline.round_view(1), baseline.round_view(2), 4)
+        model, _ = SimulationConfig(SensingConfig(n=6, rounds=1, seed=0)).resolve_channel()
+        events, rosters, true_rss = build_dlp_scenario(6, target=4, seed=13, model=model)
+        assert rosters == ({1, 2, 3, 4, 5, 6}, {1, 2, 3, 5, 6})
+        outcome = dlp_attack_oracle(*baseline_views(events, rosters), 4)
         assert outcome.recovered == true_rss
 
     def test_recovers_exact_rss_of_joiner(self):
-        model, tau = SimulationConfig(SensingConfig(n=6, rounds=1, seed=0)).resolve_channel()
-        baseline, true_rss = build_dlp_scenario(6, target=2, seed=8, model=model, tau=tau, leave=False)
-        outcome = dlp_attack_oracle(baseline.round_view(1), baseline.round_view(2), 2)
+        model, _ = SimulationConfig(SensingConfig(n=6, rounds=1, seed=0)).resolve_channel()
+        events, rosters, true_rss = build_dlp_scenario(6, target=2, seed=8, model=model, leave=False)
+        assert rosters == ({1, 3, 4, 5, 6}, {1, 2, 3, 4, 5, 6})
+        outcome = dlp_attack_oracle(*baseline_views(events, rosters), 2)
         assert outcome.recovered == true_rss
 
     def test_two_simultaneous_leavers_underdetermined(self):
         rss = {1: 100, 2: 200, 3: 300, 4: 400}
-        result = run_baseline(250, [({1, 2, 3, 4}, rss), ({1, 2}, rss)], bytes(32))
-        outcome = dlp_attack_oracle(result.round_view(1), result.round_view(2), 3)
+        rosters = ({1, 2, 3, 4}, {1, 2})
+        events = run_baseline([(roster, rss) for roster in rosters], bytes(32)).events
+        outcome = dlp_attack_oracle(*baseline_views(events, rosters), 3)
         assert outcome.recovered is None
         assert outcome.aggregate_delta == 300 + 400  # only the pair sum
 
     def test_target_not_in_roster_diff_rejected(self):
         rss = {1: 10, 2: 20, 3: 30}
-        result = run_baseline(15, [({1, 2, 3}, rss), ({1, 2}, rss)], bytes(32))
+        rosters = ({1, 2, 3}, {1, 2})
+        events = run_baseline([(roster, rss) for roster in rosters], bytes(32)).events
         with pytest.raises(ValueError):
-            dlp_attack_oracle(result.round_view(1), result.round_view(2), target=1)
+            dlp_attack_oracle(*baseline_views(events, rosters), target=1)
 
     def test_voting_protocol_yields_bottom(self):
         config = SimulationConfig(SensingConfig(n=6, rounds=2, seed=3))
@@ -190,19 +193,32 @@ class TestDlp:
 
 
 class TestBaseline:
-    def test_average_rule(self):
-        rounds = [({1, 2}, {1: 100, 2: 200})]
-        assert run_baseline(150, rounds, bytes(32)).rounds[0].decision == 1
-        assert run_baseline(151, rounds, bytes(32)).rounds[0].decision == 0
-
     def test_transcript_records_sums_and_roster(self):
-        result = run_baseline(50, [({1, 2, 3}, {1: 10, 2: 20, 3: 30})], bytes(32))
-        row = result.rounds[0]
-        assert row.rss_sum == 60 and row.roster == (1, 2, 3)
+        events = run_baseline([({1, 2, 3}, {1: 10, 2: 20, 3: 30})], bytes(32)).events
+        sums = [
+            (e.round, e.entity, e.tag, e.meta)
+            for e in events
+            if e.meta.get("kind") == "rss_sum"
+        ]
+        assert sums == [(1, FC_NAME, ViewTag.PLAINTEXT_VALUE, {"kind": "rss_sum", "value": 60})]
+        assert {e.entity for e in events} == {FC_NAME, user_name(1), user_name(2), user_name(3)}
 
-    def test_round_view_exposes_aggregate(self):
-        result = run_baseline(50, [({1, 2}, {1: 10, 2: 20})], bytes(32))
-        assert result.round_view(1) == AggView(frozenset({1, 2}), 30)
+    def test_agg_view_exposes_aggregate(self):
+        events = run_baseline([({1, 2}, {1: 10, 2: 20})], bytes(32)).events
+        assert agg_view_from_logs(events, 1, {1, 2}) == AggView(frozenset({1, 2}), 30)
+
+    def test_attack_needs_the_fusion_centers_own_aggregate(self):
+        # the DLP view reads the rss_sum the fusion center computed, and
+        # nothing else of the run: without that one event there is no attack
+        model, _ = SimulationConfig(SensingConfig(n=5, rounds=1, seed=0)).resolve_channel()
+        events, rosters, true_rss = build_dlp_scenario(5, target=3, seed=21, model=model)
+        sums = [e for e in events if e.meta.get("kind") == "rss_sum"]
+        assert [(e.round, e.entity) for e in sums] == [(1, FC_NAME), (2, FC_NAME)]
+        assert sums[0].meta["value"] - sums[1].meta["value"] == true_rss
+        assert dlp_attack_oracle(*baseline_views(events, rosters), 3).recovered == true_rss
+        without_sums = [e for e in events if e.meta.get("kind") != "rss_sum"]
+        outcome = dlp_attack_oracle(*baseline_views(without_sums, rosters), 3)
+        assert outcome.recovered is None
 
 
 class TestCompleteness:

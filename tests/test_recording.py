@@ -55,8 +55,8 @@ def fold_event(tally: Tally, phase: str, e) -> None:
         link = e.meta["link"]
         tally.messages[link] += 1
         tally.link_bytes[link] += e.size_bytes
-        tally.phase_bytes[e.round, phase] += e.size_bytes
         if phase == PHASE_SENSING:
+            tally.sensing_bytes[e.round] += e.size_bytes
             tally.logical[e.round] += 1
     elif e.direction == "error":
         tally.protocol_errors.append({"round": e.round, "entity": e.entity, **e.meta})
@@ -210,11 +210,7 @@ def test_fold_counts_delivered_traffic_only():
         "U1->GW": {"messages": 1, "bytes": 44},
         "U2->GW": {"messages": 1, "bytes": 44},
     }
-    assert dict(tally.phase_bytes) == {
-        (0, PHASE_INIT): 40,
-        (1, PHASE_MEMBERSHIP): 40,
-        (1, PHASE_SENSING): 44 + 44 + 34,
-    }
+    assert dict(tally.sensing_bytes) == {1: 44 + 44 + 34}
     assert tally.logical_per_round() == {1: 3}
 
 
@@ -236,7 +232,7 @@ def reference_transcript(recorder: Recorder) -> list[str]:
                 "round": e.round,
                 "entity": e.entity,
                 "direction": e.direction,
-                "tag": e.tag.value,
+                "tag": e.tag,
                 "size_bytes": e.size_bytes,
                 "meta": e.meta,
             }
@@ -352,7 +348,13 @@ meta_values = st.recursive(
         st.tuples(
             awkward_text,
             awkward_text,
-            st.sampled_from(list(ViewTag)),
+            st.sampled_from([
+                ViewTag.OPAQUE_CIPHERTEXT,
+                ViewTag.OPE_ORDER_PAIR,
+                ViewTag.PLAINTEXT_BIT,
+                ViewTag.PLAINTEXT_VALUE,
+                ViewTag.KEY_MATERIAL,
+            ]),
             st.integers(min_value=-(2**70), max_value=2**70),
             st.integers(min_value=0, max_value=2**40),
             st.dictionaries(awkward_text, meta_values, max_size=4),

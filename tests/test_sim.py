@@ -133,7 +133,7 @@ class TestConformance:
     def test_traffic_matches_framing_model(self):
         result = small_run(n=25, rounds=4)
         assert verify_communication_counts(result).ok
-        measured = 8 * result.recorder.tally.phase_bytes[1, PHASE_SENSING]
+        measured = 8 * result.recorder.tally.sensing_bytes[1]
         assert measured == measured_round_bits_model(25, 32)
 
     def test_counter_totals_match_transcript_events(self, monkeypatch):
