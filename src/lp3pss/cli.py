@@ -175,17 +175,20 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         if dlp.recovered != true_rss:
             failures.append("DLP should recover the exact RSS from the aggregate delta")
     else:
-        config = SimulationConfig(SensingConfig(n=args.n, rounds=2, seed=args.seed))
+        # round 2 makes one real membership change: a leave, or a join
+        # when the only user may not leave
+        one, none = CountRange(1, 1), CountRange(0, 0)
+        joins, leaves = (none, one) if args.n > 1 else (one, none)
+        churn = ChurnConfig(mu=1.0, join_count=joins, leave_count=leaves)
+        config = SimulationConfig(SensingConfig(n=args.n, rounds=2, seed=args.seed), churn=churn)
         result = run_simulation(config)
         exposed = obs.srlp_exposure(result.recorder.events)
         print(f"SRLP: exposed users: {sorted(exposed)}")
         if exposed:
             failures.append("no user's RSS may appear in a foreign view")
-        target = sorted(result.fc.live)[0]
-        views = [
-            obs.agg_view_from_logs(result.recorder.events, t, set(result.fc.live) - ({target} if t == 2 else set()))
-            for t in (1, 2)
-        ]
+        changed = result.rounds[1]
+        target = (changed.leaves or changed.joins)[0]
+        views = [obs.agg_view_from_logs(result.recorder.events, r.t, set(r.roster)) for r in result.rounds]
         dlp = obs.dlp_attack_oracle(views[0], views[1], target)
         print(f"DLP: recovered = {dlp.recovered} ({dlp.reason})")
         if dlp.recovered is not None:

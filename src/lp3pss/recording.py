@@ -93,10 +93,13 @@ class Tally:
 
     def op_totals(self) -> dict[str, dict[str, dict[str, int]]]:
         """entity -> phase -> op -> total over all rounds."""
+        totals: dict[tuple[str, str, str], int] = {}
+        for (_, entity, phase, op), c in self.ops.items():
+            key = (entity, phase, op)
+            totals[key] = totals.get(key, 0) + c
         out: dict[str, dict[str, dict[str, int]]] = {}
-        for (_, entity, phase, op), c in sorted(self.ops.items()):
-            bucket = out.setdefault(entity, {}).setdefault(phase, {})
-            bucket[op] = bucket.get(op, 0) + c
+        for (entity, phase, op), c in sorted(totals.items()):
+            out.setdefault(entity, {}).setdefault(phase, {})[op] = c
         return out
 
     def link_totals(self) -> dict[str, dict[str, int]]:
@@ -194,11 +197,14 @@ class Recorder:
         round_ = self.round
         self.events.append(ViewEvent(round_, receiver, "received", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, meta))
         tally = self.tally
-        tally.messages[link] += 1
-        tally.link_bytes[link] += size_bytes
+        # dict.get, not Counter's +=: a missing key costs Counter a Python call
+        messages, link_bytes = tally.messages, tally.link_bytes
+        messages[link] = messages.get(link, 0) + 1
+        link_bytes[link] = link_bytes.get(link, 0) + size_bytes
         if self.phase == PHASE_SENSING:
-            tally.sensing_bytes[round_] += size_bytes
-            tally.logical[round_] += 1
+            sensing_bytes, logical = tally.sensing_bytes, tally.logical
+            sensing_bytes[round_] = sensing_bytes.get(round_, 0) + size_bytes
+            logical[round_] = logical.get(round_, 0) + 1
 
     def observe(
         self,
@@ -351,7 +357,10 @@ def _parse_event(line: str) -> ViewEvent:
 def load_transcript(lines: Iterable[str]) -> list[ViewEvent]:
     """The events of a JSONL transcript, in file order.
 
-    Raises ``ValueError`` naming the first malformed line.
+    Raises ``ValueError`` naming the first malformed line. The result is
+    a list, read in full before returning, and stays so: callers such as
+    ``perfbench/worker.py`` check it after closing the file. A streaming
+    reader belongs in a function of its own.
     """
     events: list[ViewEvent] = []
     for lineno, line in enumerate(lines, start=1):

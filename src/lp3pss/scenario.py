@@ -181,6 +181,9 @@ class Behavior:
             raise ValueError("stuck_bit must be 0 or 1")
 
 
+_HONEST = Behavior()  # frozen: every unlisted user shares it
+
+
 @dataclass(frozen=True)
 class AdversaryProfile:
     """Map of user id to behavior; unlisted users are honest."""
@@ -188,7 +191,7 @@ class AdversaryProfile:
     behaviors: dict[int, Behavior] = field(default_factory=dict)
 
     def behavior_of(self, uid: int) -> Behavior:
-        return self.behaviors.get(uid, Behavior())
+        return self.behaviors.get(uid, _HONEST)
 
 
 def _reflect(rss_q: int, model: ChannelModel) -> int:

@@ -228,12 +228,14 @@ def test_c08_reputation_robustness_over_seeds():
 
 def test_c09_attack_oracles_randomized():
     rng = np.random.default_rng(909)
+    # the voting protocol's round 2 runs one real leave through handle_membership
+    one_leave = ChurnConfig(mu=1.0, join_count=CountRange(0, 0), leave_count=CountRange(1, 1))
     for case in range(50):
         n = int(rng.integers(3, 13))
         target = int(rng.integers(1, n + 1))
         seed = int(rng.integers(0, 2**31))
         leave = bool(rng.integers(0, 2))
-        config = SimulationConfig(SensingConfig(n=n, rounds=2, seed=seed))
+        config = SimulationConfig(SensingConfig(n=n, rounds=2, seed=seed), churn=one_leave)
         model, _ = config.resolve_channel()
 
         events, rosters, true_rss = build_dlp_scenario(n, target, seed, model, leave=leave)
@@ -245,12 +247,12 @@ def test_c09_attack_oracles_randomized():
         result = run_simulation(config)
         events = result.recorder.events
         assert srlp_exposure(events) == set(), f"case {case}"
-        roster = set(result.fc.live)
-        views = (
-            agg_view_from_logs(events, 1, roster),
-            agg_view_from_logs(events, 2, roster - {target if target in roster else min(roster)}),
-        )
-        protected = dlp_attack_oracle(views[0], views[1], target if target in roster else min(roster))
+        changed = result.rounds[1]
+        assert not changed.joins and len(changed.leaves) == 1, f"case {case}"
+        leaver = changed.leaves[0]
+        assert leaver in result.rounds[0].roster and leaver not in changed.roster, f"case {case}"
+        views = [agg_view_from_logs(events, r.t, set(r.roster)) for r in result.rounds]
+        protected = dlp_attack_oracle(*views, leaver)
         assert protected.recovered is None, f"case {case}"
     report_pass("C9 attack oracles", "50 scenarios: baseline broken, protocol safe")
 

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from lp3pss import cli
 from lp3pss.cli import main
+from lp3pss.sim import run_simulation
 
 
 def test_simulate_writes_report_and_transcript(tmp_path):
@@ -89,6 +91,27 @@ def test_attack_subcommand_both_schemes(capsys):
     assert main(["attack", "--scheme", "lp3pss", "--n", "6", "--seed", "2"]) == 0
     out = capsys.readouterr().out
     assert "recovered" in out
+
+
+@pytest.mark.parametrize(("n", "joins", "leaves"), [(6, 0, 1), (1, 1, 0)])
+def test_attack_on_lp3pss_runs_one_real_membership_change(monkeypatch, capsys, n, joins, leaves):
+    # the DLP check must see a stream in which somebody left (or joined)
+    runs = []
+
+    def recording_run(config):
+        runs.append(run_simulation(config))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "run_simulation", recording_run)
+    assert main(["attack", "--scheme", "lp3pss", "--n", str(n), "--seed", "2"]) == 0
+    (result,) = runs
+    first, second = result.rounds
+    assert (len(second.joins), len(second.leaves)) == (joins, leaves)
+    assert set(first.roster) ^ set(second.roster) == {*second.joins, *second.leaves}
+    assert capsys.readouterr().out == (
+        "SRLP: exposed users: []\n"
+        "DLP: recovered = None (no RSS aggregate in any entity view)\n"
+    )
 
 
 def test_costs_csv_layout(tmp_path):

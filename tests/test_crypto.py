@@ -200,6 +200,26 @@ class TestAead:
         assert wire[4 : 4 + NONCE_LEN] == (1).to_bytes(NONCE_LEN, "big")
         assert aead_decrypt(key, wire, b"") == b"payload"
 
+    def test_wire_bytes_are_pinned(self):
+        # two consecutive calls under one key: nonces 0 and 1
+        key = AeadKey(KEY16, "GW|1")
+        wires = [aead_encrypt(key, b"vote bit", b"round 1").hex() for _ in range(2)]
+        assert wires == [
+            "00000024" "000000000000000000000000" "3fb9f336b9f9cff8" "bcfc8b0fd04bec46d5b47705d6cd968b",
+            "00000024" "000000000000000000000001" "ccbadb06ed8ba35a" "2405fc2f9bf29564ee3605f14069b8a4",
+        ]
+
+    def test_key_copies_continue_its_nonces(self):
+        key = AeadKey(KEY16, "GW|1")
+        wire = aead_encrypt(key, b"sent before the copy", b"ctx")
+        twins = [copy.deepcopy(key), pickle.loads(pickle.dumps(key))]
+        following = aead_encrypt(key, b"next", b"")
+        assert following[4 : 4 + NONCE_LEN] == (1).to_bytes(NONCE_LEN, "big")
+        for twin in twins:
+            assert twin == key and twin.label == key.label
+            assert aead_decrypt(twin, wire, b"ctx") == b"sent before the copy"
+            assert aead_encrypt(twin, b"next", b"") == following
+
     @given(st.binary(min_size=1, max_size=200), st.binary(max_size=32))
     @settings(max_examples=50)
     def test_roundtrip_property(self, payload, assoc):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
+from lp3pss.observability import check_leakage
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -369,6 +370,20 @@ def test_awkward_strings_round_trip(events):
         recorder.observe(entity, tag, direction, meta)
         recorder.events[-1].size_bytes = size_bytes
     assert_codec_conforms(recorder)
+
+
+def test_loaded_events_outlive_the_file(tmp_path):
+    # readers check the events after closing the transcript, as the benchmark
+    # does: a lazy reader would fail there on the closed file
+    result = run_simulation(eventful_config())
+    path = tmp_path / "run.jsonl"
+    with open(path, "w") as fh:
+        result.recorder.dump_transcript(fh)
+    with open(path) as fh:
+        events = load_transcript(fh)
+    assert type(events) is list
+    assert check_leakage(events).verdicts == result.leakage.verdicts
+    assert events == sorted(result.recorder.events, key=lambda e: e.entity)
 
 
 # Pinned output of one small run with churn, adversaries and lost reports.
