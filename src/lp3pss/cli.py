@@ -28,13 +28,14 @@ from pathlib import Path
 from lp3pss import costs as costs_mod
 from lp3pss import observability as obs
 from lp3pss.observability import BASELINE, LP3PSS
-from lp3pss.recording import load_transcript
+from lp3pss.recording import iter_transcript
 from lp3pss.scenario import ChurnConfig, CountRange
 from lp3pss.sim import (
     ConfigError,
     SensingConfig,
     SimulationConfig,
     config_from_dict,
+    estimate_error_rates,
     run_simulation,
     verify_communication_counts,
     verify_computation_counts,
@@ -128,7 +129,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if transcript_path:
         with open(transcript_path, "w") as fh:
             result.recorder.dump_transcript(fh)
-    rates = result.report_dict()["error_rates"]
+    rates = estimate_error_rates(result.rounds).to_dict()
     print(f"wrote {out_path} ({len(result.rounds)} rounds, n ends at {len(result.fc.live)})")
     print(f"leakage: {'conforms' if result.leakage.conforms else 'VIOLATES'}; error rates: {rates}")
     return 0 if result.leakage.conforms else 1
@@ -217,9 +218,13 @@ def _cmd_costs(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # One pass over the file, keeping per-entity state and the violations
+    # only. Nothing is printed before the pass ends, so a malformed or
+    # incomplete file prints no verdicts, wherever its fault lies.
+    completeness = obs.Completeness()
     try:
         with open(args.transcript) as fh:
-            events = load_transcript(fh)
+            report = obs.check_leakage(completeness.watch(iter_transcript(fh)))
     except OSError as exc:
         print(f"cannot read transcript: {exc}", file=sys.stderr)
         return 2
@@ -227,11 +232,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"malformed transcript: {exc}", file=sys.stderr)
         return 2
     try:
-        obs.require_complete(events)
+        completeness.require()
     except ValueError as exc:
         print(f"cannot check transcript: {exc}", file=sys.stderr)
         return 2
-    report = obs.check_leakage(events)
     for entity in sorted(report.verdicts):
         print(f"{entity}: {report.verdicts[entity]}")
     for violation in report.violations:

@@ -11,9 +11,10 @@ learn:
 * nobody's view may contain the detection threshold, another user's RSS
   plaintext, or key material of a pair it does not belong to.
 
-``lp3pss verify`` first calls ``require_complete`` on a transcript file;
-a run's own stream needs no such check, so a run whose every round was
-aborted still gets a verdict.
+``lp3pss verify`` also requires a transcript file to be complete
+(``require_complete``), noting what that takes in the same pass
+(``Completeness``); a run's own stream needs no such check, so a run
+whose every round was aborted still gets a verdict.
 
 The module also hosts a deliberately naive soft-fusion baseline: users
 send their RSS readings to the fusion center, which sums them; it decides
@@ -28,7 +29,7 @@ change in the aggregate. Neither is possible against the voting protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -107,25 +108,50 @@ def _violation_reason(event: ViewEvent) -> str | None:
     return f"unknown entity {entity!r}"
 
 
+class Completeness:
+    """What ``require_complete`` checks, noted while a stream passes by.
+
+    ``watch`` yields the events it is given, so that another reader, such
+    as ``check_leakage``, consumes them in the same pass; it keeps only
+    the set of entities and whether a round was decided. ``require`` then
+    raises as ``require_complete`` does.
+    """
+
+    def __init__(self) -> None:
+        self.entities: set[str] = set()
+        self.decided = False
+
+    def watch(self, events: Iterable[ViewEvent]) -> Iterator[ViewEvent]:
+        entities = self.entities
+        for event in events:
+            entities.add(event.entity)
+            if (
+                not self.decided
+                and event.entity == FC_NAME
+                and event.meta.get("op") == AEAD_DEC
+                and event.tag != ViewTag.OPAQUE_CIPHERTEXT
+            ):
+                self.decided = True
+            yield event
+
+    def require(self) -> None:
+        entities = self.entities
+        if FC_NAME not in entities or GW_NAME not in entities:
+            raise ValueError("incomplete transcript: missing fusion center or gateway log")
+        if not any(_uid_of(entity) is not None for entity in entities):
+            raise ValueError("incomplete transcript: no user logs")
+        if not self.decided:
+            raise ValueError("incomplete transcript: no decided round")
+
+
 def require_complete(events: Iterable[ViewEvent]) -> None:
     """Raise ``ValueError`` unless the stream holds events of the fusion
     center, the gateway and a user, and a decided round: a fusion-center
     decryption that yielded the vote bits (a failed one is opaque)."""
-    entities: set[str] = set()
-    decided = False
-    for event in events:
-        entities.add(event.entity)
-        decided = decided or (
-            event.entity == FC_NAME
-            and event.meta.get("op") == AEAD_DEC
-            and event.tag != ViewTag.OPAQUE_CIPHERTEXT
-        )
-    if FC_NAME not in entities or GW_NAME not in entities:
-        raise ValueError("incomplete transcript: missing fusion center or gateway log")
-    if not any(_uid_of(entity) is not None for entity in entities):
-        raise ValueError("incomplete transcript: no user logs")
-    if not decided:
-        raise ValueError("incomplete transcript: no decided round")
+    completeness = Completeness()
+    for _ in completeness.watch(events):
+        pass
+    completeness.require()
 
 
 # Tags whose rule reads only the event's entity, never its ``meta``: within
@@ -139,28 +165,44 @@ def check_leakage(events: Iterable[ViewEvent]) -> LeakageReport:
     One pass over the stream. Verdicts are keyed in sorted entity order;
     violations are grouped by entity in that order, each entity's in the
     order its events happened.
+
+    Verdicts are memoised where the rule reads little: per (entity, tag)
+    for the tags of ``_META_FREE_TAGS``, and per (entity, tag, ``kind``,
+    ``user``) for ``PLAINTEXT_VALUE``, whose rule reads nothing else of
+    ``meta``. Keys compare as the rule does, with ``==``; an event whose
+    ``kind`` or ``user`` cannot be hashed is judged on its own.
     """
     verdicts: dict[str, str] = {}
     violations: list[Violation] = []
-    memo: dict[tuple[str, str], str | None] = {}
+    memo: dict[tuple, str | None] = {}
     opaque = ViewTag.OPAQUE_CIPHERTEXT
+    value = ViewTag.PLAINTEXT_VALUE
     for event in events:
+        entity = event.entity
+        if entity not in verdicts:
+            verdicts[entity] = CONFORMS
         tag = event.tag
         if tag == opaque:
-            reason = None
+            continue
+        if tag == value:
+            meta = event.meta
+            key = (entity, tag, meta.get("kind"), meta.get("user"))
         elif tag in _META_FREE_TAGS:
-            key = (event.entity, tag)
-            if key in memo:
-                reason = memo[key]
-            else:
-                reason = memo[key] = _violation_reason(event)
+            key = (entity, tag)
         else:
+            key = None
+        if key is None:
             reason = _violation_reason(event)
-        if reason is None:
-            verdicts.setdefault(event.entity, CONFORMS)
         else:
-            verdicts[event.entity] = VIOLATES
-            violations.append(Violation(event.entity, event, reason))
+            try:
+                reason = memo[key]
+            except KeyError:
+                reason = memo[key] = _violation_reason(event)
+            except TypeError:  # an unhashable kind or user
+                reason = _violation_reason(event)
+        if reason is not None:
+            verdicts[entity] = VIOLATES
+            violations.append(Violation(entity, event, reason))
     violations.sort(key=lambda v: v.entity)  # stable
     return LeakageReport(dict(sorted(verdicts.items())), tuple(violations))
 

@@ -17,12 +17,16 @@ they happened. A line is the compact, sorted-key, ASCII-only JSON object
     {"direction":...,"entity":...,"meta":...,"round":...,"size_bytes":...,"tag":...}
 
 that is, ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
-of the event, followed by a newline. The reader skips blank lines and
-rejects, naming the line, any line that is not exactly one JSON object
-with all six fields typed as the writer writes them: ``round`` and
-``size_bytes`` integers (not booleans), ``entity`` and ``direction``
-strings, ``meta`` an object and ``tag`` one of the ``ViewTag`` strings.
-Other fields are ignored.
+of the event, followed by a newline. That call defines the format. The
+writer does not make it per event: it fills line templates cached per
+key tuple of ``meta`` and leaves any value those do not fit to the JSON
+encoder (``_TranscriptWriter``), and writes the same bytes. The reader
+(``iter_transcript``, or ``load_transcript`` for a list) skips blank
+lines and rejects, naming the line, any line that is not exactly one
+JSON object with all six fields typed as the writer writes them:
+``round`` and ``size_bytes`` integers (not booleans), ``entity`` and
+``direction`` strings, ``meta`` an object and ``tag`` one of the
+``ViewTag`` strings. Other fields are ignored.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import IO, Iterable
+from itertools import chain
+from operator import attrgetter, itemgetter
+from sys import intern
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 PHASE_INIT = "init"
 PHASE_SENSING = "sensing"
@@ -243,21 +249,10 @@ class Recorder:
 
     def dump_transcript(self, fh: IO[str]) -> int:
         """Write every event as one JSONL line (format in the module docstring)."""
-        strings = _JsonStrings()
-        encode_meta = _META_ENCODER.encode
+        writer = _TranscriptWriter()
         events = sorted(self.events, key=attrgetter("entity"))  # stable: each entity's in order
         for start in range(0, len(events), _CHUNK_EVENTS):
-            fh.write("".join([
-                _LINE % (
-                    strings[e.direction],
-                    strings[e.entity],
-                    encode_meta(e.meta),
-                    e.round,
-                    e.size_bytes,
-                    strings[e.tag],
-                )
-                for e in events[start:start + _CHUNK_EVENTS]
-            ]))
+            fh.write(writer.lines(events[start:start + _CHUNK_EVENTS]))
         return len(events)
 
 
@@ -266,8 +261,15 @@ class Recorder:
 # One line, keys in sorted order: what json.dumps(record, sort_keys=True,
 # separators=(",", ":")) writes for an event with int round and size_bytes.
 _LINE = '{"direction":%s,"entity":%s,"meta":%s,"round":%d,"size_bytes":%d,"tag":%s}\n'
-# Lines joined per write; bounds the writer's buffer, not the transcript.
+# The same line with the meta object's fields written in between, and every
+# value a %s to fill with its JSON text.
+_LINE_HEAD = '{"direction":%s,"entity":%s,"meta":{'
+_LINE_TAIL = '},"round":%s,"size_bytes":%s,"tag":%s}\n'
+# Events written per write, and per % when they fit the templates; bounds
+# the writer's buffers, not the transcript.
 _CHUNK_EVENTS = 1024
+# Bound on the writer's cache of value texts.
+_VALUE_TEXTS = 1024
 _META_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 # Each tag to its constant: a loaded event shares the one string object
 # rather than keeping the decoder's copy (about 1.3 MiB on 18 850 events).
@@ -301,12 +303,130 @@ _JSON_TYPE_NAMES = {
 }
 
 
-class _JsonStrings(dict):
-    """JSON text of each value looked up, encoded once per distinct value."""
+class _JsonValues(dict):
+    """JSON text of each exact ``int`` or ``str`` looked up, made once per value.
 
-    def __missing__(self, value: str) -> str:
-        text = self[value] = json.dumps(value)
+    Look up nothing else: an int key also matches an equal bool or float,
+    whose JSON text differs. Most ints (OPE ciphertexts, readings) appear
+    once, so the texts are dropped whenever ``_VALUE_TEXTS`` are held.
+    """
+
+    def __missing__(self, value: int | str) -> str:
+        if len(self) >= _VALUE_TEXTS:
+            self.clear()
+        text = self[value] = int.__repr__(value) if type(value) is int else json.dumps(value)
         return text
+
+
+try:
+    from operator import call as _call
+except ImportError:  # Python 3.10
+
+    def _call(function, arg):
+        return function(arg)
+
+
+_META = attrgetter("meta")
+_HEAD = attrgetter("direction", "entity")
+_TAIL = attrgetter("round", "size_bytes", "tag")
+_DICT = frozenset({dict})
+_PLAIN = frozenset({int, str})
+# What a template's getter returns for a meta it does not fit: no line
+# takes a None, so the events holding it go to the encoder.
+_MISFIT = (None,)
+
+
+def _line_template(meta: dict) -> tuple[str, Callable[[dict], Sequence]] | None:
+    """The template for lines whose ``meta`` has this one's keys in this order.
+
+    That is the line with the keys written in sorted order and a ``%s``
+    for each value, where a list in ``meta`` stands for a list of its
+    length with a ``%s`` per item, and a getter of the values (list items
+    spliced in) in that order. None when a key is not an exact ``str``.
+    """
+    if not all(type(key) is str for key in meta):
+        return None
+    order = sorted(meta)
+    lengths = [len(meta[key]) if type(meta[key]) is list else None for key in order]
+    fields = ",".join(
+        json.dumps(key).replace("%", "%%") + ":" + ("%s" if n is None else "[%s]" % ",".join(["%s"] * n))
+        for key, n in zip(order, lengths)
+    )
+    line = _LINE_HEAD + fields + _LINE_TAIL
+    # itemgetter returns a bare value for one key: wrap fewer than two
+    get = itemgetter(*order) if len(order) > 1 else lambda d: tuple(map(d.__getitem__, order))
+    if all(n is None for n in lengths):
+        return line, get
+
+    def spliced(meta: dict) -> Sequence:
+        values: list = []
+        for value, n in zip(get(meta), lengths):
+            if n is None:
+                values.append(value)
+            elif type(value) is list and len(value) == n:
+                values += value
+            else:
+                return _MISFIT
+        return values
+
+    return line, spliced
+
+
+class _TranscriptWriter:
+    """The lines of one dump, most of them filled from cached templates.
+
+    Each key tuple of a ``meta`` dict, in insertion order, gets one line
+    template (``_line_template``) from the first dict that has it. A run of
+    events is written by one ``%`` of their templates joined, when every
+    ``meta`` is an exact ``dict``, every value to write (the event's fields
+    and its meta values) is an exact ``int`` or ``str``, and every list has
+    its template's length. Otherwise the run is split in halves, and an
+    event that still does not fit is written with ``_META_ENCODER``: its
+    ``meta`` is not an exact ``dict``, has a key that is not an exact
+    ``str``, or holds a bool, float, None, dict, subclass or nested list.
+    Either way each line is what ``_LINE`` gives.
+    """
+
+    def __init__(self) -> None:
+        self.value_text = _JsonValues().__getitem__
+        self.templates: dict[tuple, tuple | None] = {}
+
+    def lines(self, events: list[ViewEvent]) -> str:
+        """The lines of ``events``, in order, joined."""
+        text = self._from_templates(events)
+        if text is not None:
+            return text
+        if len(events) > 1:
+            half = len(events) // 2
+            return self.lines(events[:half]) + self.lines(events[half:])
+        (e,) = events
+        encode = _META_ENCODER.encode
+        return _LINE % (encode(e.direction), encode(e.entity), encode(e.meta), e.round, e.size_bytes, encode(e.tag))
+
+    def _from_templates(self, events: list[ViewEvent]) -> str | None:
+        """The lines of ``events`` filled from templates, or None when one does not fit."""
+        metas = list(map(_META, events))
+        if not _DICT.issuperset(map(type, metas)):
+            return None
+        shapes = list(map(tuple, metas))
+        templates = self.templates
+        found = list(map(templates.get, shapes))
+        if None in found:
+            for shape, meta in zip(shapes, metas):
+                if shape not in templates:
+                    templates[shape] = _line_template(meta)
+            found = list(map(templates.get, shapes))
+            if None in found:
+                return None
+        lines, getters = zip(*found)
+        # every line's values in its template's order: direction, entity,
+        # the meta values, round, size_bytes and tag
+        values = list(chain.from_iterable(chain.from_iterable(
+            zip(map(_HEAD, events), map(_call, getters, metas), map(_TAIL, events))
+        )))
+        if not _PLAIN.issuperset(map(type, values)):
+            return None
+        return "".join(lines) % tuple(map(self.value_text, values))
 
 
 def _shape_error(record: object) -> str:
@@ -323,7 +443,12 @@ def _shape_error(record: object) -> str:
 
 
 def _parse_event(line: str) -> ViewEvent:
-    """The event on one stripped, non-empty transcript line."""
+    """The event on one stripped, non-empty transcript line.
+
+    Its entity and direction are interned: events share one string object
+    per name rather than each keeping the decoder's copy (about 2 MiB on
+    18 850 events), as they share the tag constants.
+    """
     try:
         record, end = _scan_once(line, 0)
     except StopIteration as exc:
@@ -332,43 +457,51 @@ def _parse_event(line: str) -> ViewEvent:
         raise json.JSONDecodeError("Extra data", line, end)
     if type(record) is dict:
         try:
-            event = ViewEvent(
-                record["round"],
-                record["entity"],
-                record["direction"],
-                _TAGS[record["tag"]],
-                record["size_bytes"],
-                record["meta"],
-            )
+            round_ = record["round"]
+            entity = record["entity"]
+            direction = record["direction"]
+            tag = _TAGS[record["tag"]]
+            size_bytes = record["size_bytes"]
+            meta = record["meta"]
         except (KeyError, TypeError):  # a field missing, or an unknown or unhashable tag
             pass
         else:
             if (
-                type(event.round) is int
-                and type(event.size_bytes) is int
-                and type(event.entity) is str
-                and type(event.direction) is str
-                and type(event.meta) is dict
+                type(round_) is int
+                and type(size_bytes) is int
+                and type(entity) is str
+                and type(direction) is str
+                and type(meta) is dict
             ):
-                return event
+                return ViewEvent(round_, intern(entity), intern(direction), tag, size_bytes, meta)
     raise ValueError(_shape_error(record))
 
 
-def load_transcript(lines: Iterable[str]) -> list[ViewEvent]:
-    """The events of a JSONL transcript, in file order.
+def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
+    """The events of a JSONL transcript, in file order, one line at a time.
 
-    Raises ``ValueError`` naming the first malformed line. The result is
-    a list, read in full before returning, and stays so: callers such as
-    ``perfbench/worker.py`` check it after closing the file. A streaming
-    reader belongs in a function of its own.
+    Raises ``ValueError`` naming the first malformed line when it reaches
+    that line, after yielding the events before it. Memory holds one line
+    and its event, so a caller that keeps no events reads a file of any
+    length in bounded memory; the lines must stay readable until the
+    generator is done.
     """
-    events: list[ViewEvent] = []
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            events.append(_parse_event(line))
+            event = _parse_event(line)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"transcript line {lineno} is malformed: {exc}") from exc
-    return events
+        yield event
+
+
+def load_transcript(lines: Iterable[str]) -> list[ViewEvent]:
+    """The events of a JSONL transcript, in file order: ``iter_transcript`` read in full.
+
+    Raises ``ValueError`` naming the first malformed line. The result is
+    a list, read in full before returning, and stays so: callers such as
+    ``perfbench/worker.py`` check it after closing the file.
+    """
+    return list(iter_transcript(lines))

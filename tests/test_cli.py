@@ -2,12 +2,14 @@
 
 import csv
 import json
+import tracemalloc
 
 import pytest
 
 from lp3pss import cli
 from lp3pss.cli import main
-from lp3pss.sim import run_simulation
+from lp3pss.scenario import ChurnConfig
+from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
 
 
 def test_simulate_writes_report_and_transcript(tmp_path):
@@ -22,6 +24,22 @@ def test_simulate_writes_report_and_transcript(tmp_path):
     assert len(doc["rounds"]) == 4
     assert doc["leakage"]["verdict"] == "conforms"
     assert transcript.read_text().count("\n") > 0
+
+
+def test_simulate_prints_the_reports_error_rates(tmp_path, capsys):
+    assert main(["simulate", "--n", "6", "--rounds", "4", "--seed", "42", "--churn-mu", "0.5",
+                 "--loss-prob", "0.1", "--out", str(tmp_path / "r.json")]) == 0
+    second = capsys.readouterr().out.splitlines()[1]
+    config = SimulationConfig(
+        SensingConfig(n=6, rounds=4, seed=42, report_loss_prob=0.1), churn=ChurnConfig(mu=0.5)
+    )
+    rates = run_simulation(config).report_dict()["error_rates"]
+    assert second == f"leakage: conforms; error rates: {rates}"
+    assert second == (
+        "leakage: conforms; error rates: {'q_f': {'estimate': 0.0, 'ci95': "
+        "[5.551115123125783e-17, 0.5614970317550454], 'trials': 3}, 'q_m': "
+        "{'estimate': 0.0, 'ci95': [0.0, 0.7934506856227626], 'trials': 1}}"
+    )
 
 
 def test_simulate_is_byte_deterministic(tmp_path):
@@ -208,3 +226,58 @@ def test_verify_rejects_incomplete_transcript(tmp_path, capsys, keep, reason):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"cannot check transcript: incomplete transcript: {reason}\n"
+
+
+LEAKED_RSS = json.dumps(
+    {"round": 1, "entity": "FC", "direction": "received", "tag": "PLAINTEXT_VALUE",
+     "size_bytes": 0, "meta": {"kind": "rss", "user": 2, "value": 1234}}
+)
+
+
+def simulated_transcript(tmp_path, n=4, rounds=2):
+    transcript = tmp_path / f"t{n}x{rounds}.jsonl"
+    assert main(["simulate", "--n", str(n), "--rounds", str(rounds), "--seed", "7",
+                 "--out", str(tmp_path / "r.json"), "--transcript", str(transcript)]) == 0
+    return transcript
+
+
+def test_verify_prints_nothing_when_a_violation_precedes_a_malformed_line(tmp_path, capsys):
+    lines = simulated_transcript(tmp_path).read_text().splitlines(keepends=True)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(LEAKED_RSS + "\n" + "".join(lines) + "{not json\n")
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"malformed transcript: transcript line {len(lines) + 2} is malformed: "
+    )
+
+
+def test_verify_prints_no_verdicts_for_a_violating_incomplete_transcript(tmp_path, capsys):
+    lines = simulated_transcript(tmp_path).read_text().splitlines(keepends=True)
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text("".join(line for line in lines if json.loads(line)["entity"] != "GW")
+                       + LEAKED_RSS + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(partial)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cannot check transcript: incomplete transcript: missing fusion center or gateway log\n"
+    )
+
+
+def test_verify_memory_does_not_grow_with_the_transcript(tmp_path, capsys):
+    short, long = (simulated_transcript(tmp_path, n=10, rounds=rounds) for rounds in (20, 200))
+    assert main(["verify", "--transcript", str(short)]) == 0  # warm every lazy cache
+    peaks = []
+    for transcript in (short, long):
+        tracemalloc.start()
+        try:
+            assert main(["verify", "--transcript", str(transcript)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= 1.25 * peaks[0], peaks

@@ -1,17 +1,23 @@
 """Leakage verdicts, injected-violation mutants, and attack oracles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lp3pss.observability import (
+    _violation_reason,
     agg_view_from_logs,
     AggView,
     build_dlp_scenario,
     check_leakage,
+    CONFORMS,
     dlp_attack_oracle,
     inject_event,
+    LeakageReport,
     require_complete,
     run_baseline,
     srlp_exposure,
+    VIOLATES,
+    Violation,
 )
 from lp3pss.recording import FC_NAME, GW_NAME, ViewEvent, ViewTag, user_name
 from lp3pss.scenario import ChurnConfig, CountRange
@@ -128,6 +134,54 @@ class TestCheckLeakage:
             (GW_NAME, events[1]), (user_name(1), events[3]), (user_name(1), events[4]), (user_name(1), events[5])
         ]
         assert report.verdicts == {FC_NAME: "conforms", GW_NAME: "violates", user_name(1): "violates"}
+
+
+def reference_leakage(events) -> LeakageReport:
+    """``check_leakage`` without memos: ``_violation_reason`` on every event."""
+    verdicts, violations = {}, []
+    for event in events:
+        reason = _violation_reason(event)
+        if reason is None:
+            verdicts.setdefault(event.entity, CONFORMS)
+        else:
+            verdicts[event.entity] = VIOLATES
+            violations.append(Violation(event.entity, event, reason))
+    violations.sort(key=lambda v: v.entity)
+    return LeakageReport(dict(sorted(verdicts.items())), tuple(violations))
+
+
+_MISSING = object()
+
+
+@st.composite
+def leakage_events(draw):
+    entity = draw(st.sampled_from([FC_NAME, GW_NAME, "U1", "U2", "U3", "RELAY"]))
+    tag = draw(st.sampled_from([
+        ViewTag.OPAQUE_CIPHERTEXT,
+        ViewTag.OPE_ORDER_PAIR,
+        ViewTag.PLAINTEXT_BIT,
+        ViewTag.PLAINTEXT_VALUE,
+        ViewTag.KEY_MATERIAL,
+    ]))
+    meta = {"value": draw(st.integers(0, 9))}
+    for key, values in (
+        ("kind", ["rss", "tau", "rss_sum", "vote", _MISSING]),
+        ("user", [1, 2, True, 1.0, [1], _MISSING]),
+    ):
+        value = draw(st.sampled_from(values))
+        if value is not _MISSING:
+            meta[key] = value
+    if tag == ViewTag.KEY_MATERIAL:
+        meta["parties"] = draw(st.sampled_from([[FC_NAME, GW_NAME], [entity, GW_NAME]]))
+    return ViewEvent(draw(st.integers(0, 3)), entity, "received", tag, 0, meta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(events=st.lists(leakage_events(), max_size=40))
+def test_memoised_verdicts_equal_a_verdict_per_event(events):
+    # equal kinds and users (1, True and 1.0) share a memo entry, as they
+    # compare equal in the rule; an unhashable user ([1]) is judged alone
+    assert check_leakage(events) == reference_leakage(events)
 
 
 def baseline_views(events, rosters):

@@ -2,11 +2,13 @@
 
 import copy
 import dataclasses
+import enum
 import hashlib
 import io
 import json
 
 from conftest import flip_tag_bit
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
@@ -372,6 +374,89 @@ def test_awkward_strings_round_trip(events):
     assert_codec_conforms(recorder)
 
 
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
+# Values the writer's templates must leave to the encoder, or write as the
+# encoder would: every type json.dumps accepts in a meta, and strings that
+# mean something to % or to JSON.
+ODD_VALUES = [
+    True,
+    False,
+    Level.HIGH,
+    7.0,
+    -0.0,
+    1.5,
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    None,
+    [],
+    [1],
+    [1, 2, 3],
+    [True, 2],
+    [1.0, 2],
+    ["a", 2],
+    [[1], 2],
+    {"b": 1, "a": [2, None]},
+    "100%",
+    "%(x)s",
+    "%s%d",
+    'say "hi"\\',
+    "caf\u00e9 \u2713 \U0001f600",
+    "7",
+    2**70,
+    -3,
+]
+
+
+def test_templates_write_what_json_dumps_writes_whatever_the_value_types():
+    # every event shares its key tuple with plain ones written before and
+    # after it, so each odd value meets a template made for ints and strs
+    recorder = Recorder()
+    for value in ODD_VALUES:
+        for meta in (
+            {"user": 7, "op": OPE_ENC},
+            {"user": value, "op": OPE_ENC},
+            {"user": 0, "op": value},
+            {"user": 1, "pair": [4, 5], "op": COMPARE},
+            {"user": 1, "pair": value, "op": COMPARE},
+            {"kind": "rss", "user": 2, "value": value},
+            {"kind": value, "user": 2, "value": 9},
+        ):
+            recorder.observe(GW_NAME, OPAQUE, "computed", meta)
+    # keys that mean something to %
+    for meta in ({"100%": 1, "%(x)s": "%s"}, {"%d": 2, "%": "%%"}):
+        recorder.observe(GW_NAME, OPAQUE, "computed", meta)
+    # a long run, with odd values deep inside a template-filled stretch
+    for i in range(3000):
+        meta = {"user": i, "op": "%" if i % 2 else "op"}
+        if i in (1500, 2047, 2048):
+            meta["user"] = float(i)
+        recorder.observe(user_name(1), OPAQUE, "computed", meta)
+    assert dump(recorder).splitlines(keepends=True) == reference_transcript(recorder)
+
+
+@pytest.mark.parametrize("key", [1, True, None, 2.5], ids=["int", "bool", "none", "float"])
+def test_templates_leave_keys_that_are_not_strings_to_the_encoder(key):
+    recorder = Recorder()
+    for meta in ({"user": 1}, {key: 1}, {key: "a"}, {"user": 2}):
+        recorder.observe(FC_NAME, OPAQUE, "computed", meta)
+    assert dump(recorder).splitlines(keepends=True) == reference_transcript(recorder)
+
+
+def test_keys_mixing_strings_and_ints_raise_the_encoders_type_error():
+    recorder = Recorder()
+    recorder.observe(FC_NAME, OPAQUE, "computed", {"user": 1, "op": OPE_ENC})
+    recorder.observe(FC_NAME, OPAQUE, "computed", {"user": 1, 2: OPE_ENC})
+    with pytest.raises(TypeError) as expected:
+        reference_transcript(recorder)
+    with pytest.raises(TypeError) as raised:
+        dump(recorder)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_loaded_events_outlive_the_file(tmp_path):
     # readers check the events after closing the transcript, as the benchmark
     # does: a lazy reader would fail there on the closed file
@@ -384,6 +469,14 @@ def test_loaded_events_outlive_the_file(tmp_path):
     assert type(events) is list
     assert check_leakage(events).verdicts == result.leakage.verdicts
     assert events == sorted(result.recorder.events, key=lambda e: e.entity)
+
+
+def test_loaded_events_share_one_string_per_name():
+    result = run_simulation(eventful_config())
+    events = load_transcript(io.StringIO(dump(result.recorder)))
+    for field in ("entity", "direction", "tag"):
+        names = [getattr(e, field) for e in events]
+        assert len({id(name) for name in names}) == len(set(names)), field
 
 
 # Pinned output of one small run with churn, adversaries and lost reports.
