@@ -10,7 +10,6 @@ from lp3pss.crypto import (
     AuthenticationFailure,
     KeyTable,
     MalformedCiphertext,
-    OpeCiphertext,
     OpeKey,
     aead_decrypt,
     aead_encrypt,

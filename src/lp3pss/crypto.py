@@ -17,7 +17,7 @@ An authenticated ciphertext exists only as its framed wire bytes,
 ``u32 total_len (big endian) || nonce (12B) || ciphertext || tag (16B)``:
 ``aead_encrypt`` returns them and ``aead_decrypt`` parses them, so a
 message's traffic is the length of the bytes it carries.
-OPE ciphertexts serialize as fixed-width big-endian integers.
+An OPE ciphertext is a plain ``int``, sent as ``ceil(range_bits / 8)`` big-endian bytes.
 
 Each key builds its cipher context once, when it is made: an ``OpeKey``
 its AES-ECB encryptor, an ``AeadKey`` its ``AESGCM``. Encryption and
@@ -108,20 +108,6 @@ class OpeKey:
         return 1 << self.domain_bits
 
 
-@dataclass(frozen=True, order=True)
-class OpeCiphertext:
-    """Opaque comparable OPE ciphertext; compares by integer value."""
-
-    value: int
-
-    def to_bytes(self, range_bits: int = 32) -> bytes:
-        return self.value.to_bytes((range_bits + 7) // 8, "big")
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "OpeCiphertext":
-        return cls(int.from_bytes(data, "big"))
-
-
 _BLOCK_MASK = (1 << 128) - 1
 
 
@@ -132,7 +118,7 @@ def _label_packer(domain_bits: int) -> struct.Struct:
     return struct.Struct(">" + "8xQ" * (domain_bits + 1))
 
 
-def ope_encrypt(key: OpeKey, m: int) -> OpeCiphertext:
+def ope_encrypt(key: OpeKey, m: int) -> int:
     """Encrypt integer ``m`` preserving strict order.
 
     Walks the binary tree over the domain from the root to the leaf of
@@ -168,7 +154,7 @@ def ope_encrypt(key: OpeKey, m: int) -> OpeCiphertext:
             size = left
         n = half
         shift -= 128
-    return OpeCiphertext(lo + (draws & _BLOCK_MASK) % size)
+    return lo + (draws & _BLOCK_MASK) % size
 
 
 # ---------------------------------------------------------------------------

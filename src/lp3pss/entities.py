@@ -22,6 +22,9 @@ One sensing period works like this:
 The fusion center never sees an OPE encryption of any RSS; the gateway
 never sees the threshold in plaintext nor any OPE key; users never see
 the threshold or the voting threshold in any form.
+
+``seal`` and ``unseal`` are the one place where a message is bound to its
+phase, subject and round, framed with AES-GCM, and logged.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from lp3pss.crypto import (
     CryptoError,
     KeyTable,
     MalformedCiphertext,
-    OpeCiphertext,
     OpeKey,
     aead_decrypt,
     aead_encrypt,
@@ -67,8 +69,12 @@ class ProtocolError(Exception):
     """Protocol-level failure (bad membership change, unknown sender, ...)."""
 
 
+class MessageRefused(ProtocolError):
+    """``unseal`` refused a message and recorded why; the reason is the text."""
+
+
 class RoundAborted(ProtocolError):
-    """The decision vector is malformed, failed authentication or has the wrong length; no decision."""
+    """The decision vector was refused (see ``MessageRefused``); no decision."""
 
 
 class MsgPhase:
@@ -79,6 +85,16 @@ class MsgPhase:
     INIT_C = "INIT_C"
     REPORT = "REPORT"
     DECISION_VEC = "DECISION_VEC"
+    BASELINE_REPORT = "BASELINE_REPORT"  # observability.run_baseline's report
+
+
+# what a protocol error calls a refused message of each phase
+_NOUN = {
+    MsgPhase.INIT_C: "init message",
+    MsgPhase.REPORT: "report",
+    MsgPhase.DECISION_VEC: "decision vector",
+    MsgPhase.BASELINE_REPORT: "baseline report",
+}
 
 
 def message_assoc(
@@ -86,9 +102,9 @@ def message_assoc(
 ) -> bytes:
     """Associated data binding phase, subject and round against replay.
 
-    Sender and receiver each build it from their own state, never from
-    the message. A decision vector also binds a digest of the sorted
-    roster it is packed over, so a vector packed over another roster
+    Sender and receiver each take the round and roster from their own
+    state, never from the message. A decision vector binds a digest of the
+    sorted roster it is packed over, so one packed over another roster
     fails authentication instead of crediting votes to the wrong users.
     """
     assoc = f"{phase}|{subject}|{round_}".encode()
@@ -97,23 +113,77 @@ def message_assoc(
     return assoc
 
 
-def _failure_reason(what: str, exc: CryptoError) -> str:
-    if isinstance(exc, MalformedCiphertext):
-        return f"{what} is malformed"
-    return f"{what} failed authentication"
-
-
 @dataclass(frozen=True)
 class ProtocolMessage:
     """One message on a link. ``body`` is the framed AEAD ciphertext exactly
     as it travels (see ``crypto.aead_encrypt``); its length is the traffic
-    the recorder counts for the message."""
+    the recorder counts for the message. The protocol makes one only with
+    ``seal`` and opens one only with ``unseal``."""
 
     sender: str
     receiver: str
     phase: str  # a MsgPhase
     subject: int | None  # user the payload concerns; None for decision vectors
     body: bytes
+
+
+# fresh event meta of a message, and of a crypto op on it (the recorder takes each over)
+def _message_meta(phase: str, subject: int | None) -> dict:
+    return {"phase": phase} if subject is None else {"phase": phase, "subject": subject}
+
+
+def _user_meta(subject: int | None) -> dict | None:
+    return None if subject is None else {"user": subject}
+
+
+def seal(
+    key: AeadKey,
+    sender: str,
+    receiver: str,
+    phase: str,
+    subject: int | None,
+    payload: bytes,
+    recorder: Recorder,
+    roster: list[int] | None = None,
+) -> ProtocolMessage:
+    """Encrypt ``payload`` bound to its phase, subject, the current round
+    and ``roster``; log the sender's encryption and the message as sent."""
+    body = aead_encrypt(key, payload, message_assoc(phase, subject, recorder.round, roster))
+    size = len(body)
+    recorder.crypto_op(sender, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, size, _user_meta(subject))
+    recorder.message_sent(sender, receiver, size, _message_meta(phase, subject))
+    return ProtocolMessage(sender, receiver, phase, subject, body)
+
+
+def unseal(
+    key: AeadKey,
+    msg: ProtocolMessage,
+    recorder: Recorder,
+    roster: list[int] | None = None,
+    length: int | None = None,
+) -> bytes:
+    """Log ``msg`` as received and return its payload; the caller has
+    checked its phase and subject and logs what the payload taught it.
+
+    A body that is malformed or fails authentication, or a payload whose
+    length is not ``length`` (when given), is refused: the decryption is
+    logged as opaque, a protocol error recorded and ``MessageRefused`` raised.
+    """
+    phase, subject, receiver = msg.phase, msg.subject, msg.receiver
+    size = len(msg.body)
+    recorder.message_delivered(msg.sender, receiver, size, _message_meta(phase, subject))
+    try:
+        payload = aead_decrypt(key, msg.body, message_assoc(phase, subject, recorder.round, roster))
+    except CryptoError as exc:
+        problem = "is malformed" if isinstance(exc, MalformedCiphertext) else "failed authentication"
+    else:
+        if length is None or len(payload) == length:
+            return payload
+        problem = "has the wrong length"
+    reason = f"{_NOUN[phase]} {problem}"
+    recorder.crypto_op(receiver, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size, _user_meta(subject))
+    recorder.protocol_error(receiver, reason, _user_meta(subject))
+    raise MessageRefused(reason)
 
 
 @dataclass
@@ -124,7 +194,6 @@ class FcState:
     ope_keys: dict[int, OpeKey]
     records: dict[int, ReputationRecord]
     live: set[int]
-    range_bits: int
 
 
 @dataclass
@@ -133,14 +202,13 @@ class SuState:
     name: str  # user_name(uid)
     ope_key: OpeKey
     gw_key: AeadKey
-    range_bits: int
 
 
 @dataclass
 class GwState:
     fc_key: AeadKey
     user_keys: dict[int, AeadKey]
-    tau_cache: dict[int, OpeCiphertext] = field(default_factory=dict)  # keyed by live user
+    tau_cache: dict[int, int] = field(default_factory=dict)  # OPE threshold per live user
 
 
 @dataclass(frozen=True)
@@ -190,7 +258,7 @@ def unpack_decision_vector(roster: list[int], payload: bytes) -> dict[int, int]:
 
 
 def make_su_state(keys: KeyTable, uid: int) -> SuState:
-    return SuState(uid, user_name(uid), keys.ope_user[uid], keys.gw_user[uid], keys.range_bits)
+    return SuState(uid, user_name(uid), keys.ope_user[uid], keys.gw_user[uid])
 
 
 def make_su_states(keys: KeyTable) -> dict[int, SuState]:
@@ -220,21 +288,16 @@ def fc_init(
         ope_keys=dict(keys.ope_user),
         records={uid: ReputationRecord() for uid in users},
         live=set(users),
-        range_bits=keys.range_bits,
     )
     messages = [_wrap_tau(fc, uid, recorder) for uid in users]
     return fc, messages
 
 
 def _wrap_tau(fc: FcState, uid: int, recorder: Recorder) -> ProtocolMessage:
-    inner = ope_encrypt(fc.ope_keys[uid], fc.tau)
+    key = fc.ope_keys[uid]
+    inner = ope_encrypt(key, fc.tau).to_bytes((key.range_bits + 7) // 8, "big")
     recorder.crypto_op(FC_NAME, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, meta={"user": uid})
-    assoc = message_assoc(MsgPhase.INIT_C, uid, recorder.round)
-    body = aead_encrypt(fc.gw_key, inner.to_bytes(fc.range_bits), assoc)
-    msg = ProtocolMessage(FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, body)
-    recorder.crypto_op(FC_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": uid})
-    recorder.message_sent(FC_NAME, GW_NAME, len(body), {"phase": MsgPhase.INIT_C, "subject": uid})
-    return msg
+    return seal(fc.gw_key, FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, inner, recorder)
 
 
 def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recorder) -> None:
@@ -245,22 +308,12 @@ def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recor
         uid = msg.subject
         if msg.phase != MsgPhase.INIT_C or uid is None:
             raise ProtocolError(f"not an init message: {msg.phase}")
-        size = len(msg.body)
-        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": MsgPhase.INIT_C, "subject": uid})
         try:
-            payload = aead_decrypt(gw.fc_key, msg.body, message_assoc(MsgPhase.INIT_C, uid, recorder.round))
-        except CryptoError as exc:
-            recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size, {"user": uid})
-            recorder.protocol_error(GW_NAME, _failure_reason("init message", exc), {"user": uid})
+            tau_ope = int.from_bytes(unseal(gw.fc_key, msg, recorder), "big")
+        except MessageRefused:
             continue
-        tau_ope = OpeCiphertext.from_bytes(payload)
-        recorder.crypto_op(
-            GW_NAME,
-            AEAD_DEC,
-            ViewTag.OPE_ORDER_PAIR,
-            size,
-            {"kind": "tau_ope", "user": uid, "value": tau_ope.value},
-        )
+        meta = {"kind": "tau_ope", "user": uid, "value": tau_ope}
+        recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, len(msg.body), meta)
         gw.tau_cache[uid] = tau_ope
 
 
@@ -280,14 +333,9 @@ def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMess
     recorder.observe(
         me, ViewTag.PLAINTEXT_VALUE, "local", {"kind": "rss", "user": su.uid, "value": rss_q}
     )
-    inner = ope_encrypt(su.ope_key, rss_q)
+    inner = ope_encrypt(su.ope_key, rss_q).to_bytes((su.ope_key.range_bits + 7) // 8, "big")
     recorder.crypto_op(me, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, meta={"user": su.uid})
-    assoc = message_assoc(MsgPhase.REPORT, su.uid, recorder.round)
-    body = aead_encrypt(su.gw_key, inner.to_bytes(su.range_bits), assoc)
-    msg = ProtocolMessage(me, GW_NAME, MsgPhase.REPORT, su.uid, body)
-    recorder.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": su.uid})
-    recorder.message_sent(me, GW_NAME, len(body), {"phase": MsgPhase.REPORT, "subject": su.uid})
-    return msg
+    return seal(su.gw_key, me, GW_NAME, MsgPhase.REPORT, su.uid, inner, recorder)
 
 
 def gw_compare(
@@ -315,39 +363,21 @@ def gw_compare(
         if uid in bits:
             recorder.protocol_error(GW_NAME, "duplicate report", {"user": uid})
             continue
-        size = len(msg.body)
-        recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": MsgPhase.REPORT, "subject": uid})
         delivered.append(uid)
         try:
-            payload = aead_decrypt(
-                gw.user_keys[uid], msg.body, message_assoc(MsgPhase.REPORT, uid, recorder.round)
-            )
-        except CryptoError as exc:
-            recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size, {"user": uid})
-            recorder.protocol_error(GW_NAME, _failure_reason("report", exc), {"user": uid})
+            rss_ope = int.from_bytes(unseal(gw.user_keys[uid], msg, recorder), "big")
+        except MessageRefused:
             continue
-        rss_ope = OpeCiphertext.from_bytes(payload)
-        recorder.crypto_op(
-            GW_NAME,
-            AEAD_DEC,
-            ViewTag.OPE_ORDER_PAIR,
-            size,
-            {"kind": "rss_ope", "user": uid, "value": rss_ope.value},
-        )
-        bit = 0 if rss_ope < gw.tau_cache[uid] else 1
+        meta = {"kind": "rss_ope", "user": uid, "value": rss_ope}
+        recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, len(msg.body), meta)
+        tau_ope = gw.tau_cache[uid]
+        bit = 0 if rss_ope < tau_ope else 1
         bits[uid] = bit
-        recorder.crypto_op(
-            GW_NAME,
-            COMPARE,
-            ViewTag.OPE_ORDER_PAIR,
-            meta={"user": uid, "pair": [rss_ope.value, gw.tau_cache[uid].value]},
-        )
+        pair = [rss_ope, tau_ope]
+        recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": uid, "pair": pair})
         recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT, "computed", {"kind": "vote", "user": uid, "bit": bit})
-    assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round, roster)
-    body = aead_encrypt(gw.fc_key, pack_decision_vector(roster, bits), assoc)
-    msg = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, body)
-    recorder.crypto_op(GW_NAME, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body))
-    recorder.message_sent(GW_NAME, FC_NAME, len(body), {"phase": MsgPhase.DECISION_VEC})
+    vector = pack_decision_vector(roster, bits)
+    msg = seal(gw.fc_key, GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, vector, recorder, roster)
     return msg, delivered
 
 
@@ -358,27 +388,18 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     untouched, and the voting threshold is recomputed over the number of
     users actually present this round. A vector that is malformed, fails
     authentication (tampered, replayed, or packed over another roster) or
-    has the wrong length yields no votes: the decryption is logged as an
-    opaque ciphertext, a protocol error is recorded and ``RoundAborted``
-    raised.
+    has the wrong length is refused by ``unseal`` and yields no votes:
+    ``RoundAborted`` is raised with the recorded reason.
     """
     if msg.phase != MsgPhase.DECISION_VEC:
         raise ProtocolError(f"not a decision vector: {msg.phase}")
-    size = len(msg.body)
-    recorder.message_delivered(msg.sender, msg.receiver, size, {"phase": MsgPhase.DECISION_VEC})
     roster = sorted(fc.live)
-    assoc = message_assoc(MsgPhase.DECISION_VEC, None, recorder.round, roster)
     try:
-        bits = unpack_decision_vector(roster, aead_decrypt(fc.gw_key, msg.body, assoc))
-    except (CryptoError, ProtocolError) as exc:
-        if isinstance(exc, CryptoError):
-            reason = _failure_reason("decision vector", exc)
-        else:
-            reason = "decision vector has the wrong length"
-        recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size)
-        recorder.protocol_error(FC_NAME, reason)
-        raise RoundAborted(reason) from exc
-    recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, size, {"kind": "vote_vector"})
+        payload = unseal(fc.gw_key, msg, recorder, roster, 2 * ((len(roster) + 7) // 8))
+    except MessageRefused as exc:
+        raise RoundAborted(str(exc)) from exc
+    bits = unpack_decision_vector(roster, payload)
+    recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, len(msg.body), {"kind": "vote_vector"})
     present = tuple(sorted(bits))
     for uid in present:
         recorder.observe(
@@ -444,8 +465,7 @@ def handle_membership(
         fc.ope_keys[uid] = keys.ope_user[uid]
         fc.records[uid] = ReputationRecord()
         gw.user_keys[uid] = keys.gw_user[uid]
-        msg = _wrap_tau(fc, uid, recorder)
-        gw_ingest_init(gw, [msg], recorder)
+        gw_ingest_init(gw, [_wrap_tau(fc, uid, recorder)], recorder)
         new_states[uid] = make_su_state(keys, uid)
     if not fc.live:
         raise ProtocolError("membership change emptied the network")

@@ -33,10 +33,10 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from lp3pss.crypto import aead_decrypt, aead_encrypt, pair_channel_key
+from lp3pss.crypto import pair_channel_key
+from lp3pss.entities import MsgPhase, seal, unseal
 from lp3pss.recording import (
     AEAD_DEC,
-    AEAD_ENC,
     FC_NAME,
     GW_NAME,
     Recorder,
@@ -71,8 +71,9 @@ class LeakageReport:
 
 
 def _uid_of(entity: str) -> int | None:
-    if entity.startswith("U") and entity[1:].isdigit():
-        return int(entity[1:])
+    """The user an entity names, if spelled as ``user_name`` writes it (not ``U03``)."""
+    if entity[:1] == "U" and entity[1:].isdecimal() and user_name(uid := int(entity[1:])) == entity:
+        return uid
     return None
 
 
@@ -85,7 +86,7 @@ def _violation_reason(event: ViewEvent) -> str | None:
     meta = event.meta
     if tag == ViewTag.KEY_MATERIAL:
         parties = meta.get("parties", [])
-        if entity not in parties:
+        if not isinstance(parties, list) or entity not in parties:
             return "key material of a pair the entity does not belong to"
         return None
     if meta.get("kind") == "tau" and tag == ViewTag.PLAINTEXT_VALUE:
@@ -303,19 +304,10 @@ def run_baseline(rounds: list[tuple[set[int], dict[int, int]]], master_seed: byt
             rss = reports[uid]
             me = user_name(uid)
             rec.observe(me, ViewTag.PLAINTEXT_VALUE, "local", {"kind": "rss", "user": uid, "value": rss})
-            body = aead_encrypt(channel[uid], rss.to_bytes(4, "big"), b"BASELINE_REPORT")
-            rec.crypto_op(me, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, len(body), {"user": uid})
-            rec.message_sent(me, FC_NAME, len(body), {"phase": "BASELINE_REPORT", "subject": uid})
-            rec.message_delivered(me, FC_NAME, len(body), {"phase": "BASELINE_REPORT", "subject": uid})
-            plain = aead_decrypt(channel[uid], body, b"BASELINE_REPORT")
-            value = int.from_bytes(plain, "big")
-            rec.crypto_op(
-                FC_NAME,
-                AEAD_DEC,
-                ViewTag.PLAINTEXT_VALUE,
-                len(body),
-                {"kind": "rss", "user": uid, "value": value},
-            )
+            msg = seal(channel[uid], me, FC_NAME, MsgPhase.BASELINE_REPORT, uid, rss.to_bytes(4, "big"), rec)
+            value = int.from_bytes(unseal(channel[uid], msg, rec), "big")
+            meta = {"kind": "rss", "user": uid, "value": value}
+            rec.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_VALUE, len(msg.body), meta)
             total += value
         rec.observe(FC_NAME, ViewTag.PLAINTEXT_VALUE, "computed", {"kind": "rss_sum", "value": total})
     return rec

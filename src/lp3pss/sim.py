@@ -139,18 +139,23 @@ class SimulationConfig:
 
     def resolve_channel(self) -> tuple[ChannelModel, int]:
         """Concrete channel model and threshold, calibrating as needed."""
-        quant = Quantization(self.channel.min_dbm, self.channel.step_dbm, self.crypto.domain_bits)
-        if self.channel.sigma is None:
-            model, tau_cal = calibrate_channel(
-                self.sensing.p_f, self.sensing.p_m, self.channel.mu0, self.channel.mu1, quant
-            )
-        else:
-            model = ChannelModel(self.channel.mu0, self.channel.mu1, self.channel.sigma, quant)
-            tau_cal = round(model.midpoint)
-        tau = self.sensing.tau if self.sensing.tau is not None else tau_cal
-        for name, value in (("channel.mu0", self.channel.mu0), ("channel.mu1", self.channel.mu1)):
+        channel = self.channel
+        quant = Quantization(channel.min_dbm, channel.step_dbm, self.crypto.domain_bits)
+        for name, value in (("channel.mu0", channel.mu0), ("channel.mu1", channel.mu1)):
             if not 0 <= value <= quant.domain_max:
                 raise ConfigError(f"{name}: {value} outside the {quant.domain_bits}-bit grid")
+        profile = self.sensing.profile  # unusable rates fail here, naming sensing.p_f/p_m
+        try:
+            if channel.sigma is None:
+                model, tau_cal = calibrate_channel(
+                    profile.p_f, profile.p_m, channel.mu0, channel.mu1, quant
+                )
+            else:
+                model = ChannelModel(channel.mu0, channel.mu1, channel.sigma, quant)
+                tau_cal = round(model.midpoint)
+        except ValueError as exc:
+            raise ConfigError(f"channel: {exc}") from exc
+        tau = self.sensing.tau if self.sensing.tau is not None else tau_cal
         if not 0 <= tau <= quant.domain_max:
             raise ConfigError(f"sensing.tau: {tau} outside the {quant.domain_bits}-bit grid")
         return model, tau
@@ -160,6 +165,23 @@ def _require_keys(section: dict, allowed: set[str], path: str) -> None:
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown field")
+
+
+def _check_type(path: str, value: Any, kind: str) -> None:
+    """Reject a JSON value that does not fit a field annotated ``kind``
+    (``int``, ``float`` or ``str``, maybe ``| None``; other kinds pass):
+    a bool or a float is no int, a string no number, and a number must
+    be finite."""
+    if value is None and kind.endswith("| None"):
+        return
+    base = kind.split(" |")[0]
+    got = repr(value) if type(value) is float else type(value).__name__
+    if base == "int" and type(value) is not int:
+        raise ConfigError(f"{path}: expected an integer, got {got}")
+    if base == "float" and not (type(value) in (int, float) and math.isfinite(value)):
+        raise ConfigError(f"{path}: expected a finite number, got {got}")
+    if base == "str" and type(value) is not str:
+        raise ConfigError(f"{path}: expected a string, got {got}")
 
 
 def config_from_dict(raw: dict) -> SimulationConfig:
@@ -177,12 +199,15 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     def build(cls, section: Any, path: str):
         if not isinstance(section, dict):
             raise ConfigError(f"{path}: expected an object")
-        _require_keys(section, set(cls.__dataclass_fields__), path)
+        fields = cls.__dataclass_fields__
+        _require_keys(section, set(fields), path)
+        for name, value in section.items():
+            _check_type(f"{path}.{name}", value, fields[name].type)
         try:
             return cls(**section)
         except ConfigError:
             raise
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
     sensing = build(SensingConfig, raw["sensing"], "sensing")
@@ -198,11 +223,9 @@ def config_from_dict(raw: dict) -> SimulationConfig:
             bounds = churn_raw.pop(key)
             if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2):
                 raise ConfigError(f"churn.{key}: expected [lo, hi]")
-            churn_raw[f"{key}_count"] = CountRange(*bounds)
-    try:
-        churn = ChurnConfig(**churn_raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"churn: {exc}") from exc
+            lo_hi = dict(zip(("lo", "hi"), bounds))
+            churn_raw[f"{key}_count"] = build(CountRange, lo_hi, f"churn.{key}")
+    churn = build(ChurnConfig, churn_raw, "churn")
 
     adversary_raw = raw.get("adversary", {})
     if not isinstance(adversary_raw, dict):
@@ -216,11 +239,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
             raise ConfigError(f"{path}: user id must be an integer") from exc
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError(f"{path}: expected an object with a 'kind' field")
-        _require_keys(spec, {"kind", "flip_prob", "stuck_bit"}, path)
-        try:
-            behaviors[uid] = Behavior(**spec)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        behaviors[uid] = build(Behavior, spec, path)
 
     return SimulationConfig(sensing, channel, churn, AdversaryProfile(behaviors), crypto_params)
 
@@ -472,11 +491,11 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
 
 @dataclass
 class ConformanceVerdict:
-    ok: bool
     mismatches: list[str]
 
-    def __bool__(self) -> bool:
-        return self.ok
+    @property
+    def ok(self) -> bool:
+        return not self.mismatches
 
 
 def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
@@ -517,7 +536,7 @@ def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
             for op in (OPE_ENC, AEAD_ENC):
                 if (actual := ops[t, su, PHASE_SENSING, op]) != 1:
                     bad.append(f"round {t} {su} {op}: measured {actual}, expected 1")
-    return ConformanceVerdict(not bad, bad)
+    return ConformanceVerdict(bad)
 
 
 def verify_communication_counts(result: SimulationResult) -> ConformanceVerdict:
@@ -540,4 +559,4 @@ def verify_communication_counts(result: SimulationResult) -> ConformanceVerdict:
         )
         if measured != expected:
             bad.append(f"round {r.t}: {measured} sensing bits, framing model expects {expected}")
-    return ConformanceVerdict(not bad, bad)
+    return ConformanceVerdict(bad)

@@ -93,6 +93,36 @@ def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"sensing": {"p_f": "0.1"}}, "sensing.p_f"),
+        ({"sensing": {"p_f": float("nan")}}, "sensing.p_f"),
+        ({"sensing": {"n": 2.5}}, "sensing.n"),
+        ({"sensing": {"n": True}}, "sensing.n"),
+        ({"sensing": {"tau": 1.5}}, "sensing.tau"),
+        ({"channel": {"mu0": "a"}}, "channel.mu0"),
+        ({"channel": {"sigma": -1}}, "channel: sigma"),
+        ({"channel": {"sigma": float("nan")}}, "channel.sigma"),
+        ({"channel": {"mu0": 5000, "mu1": 4000}}, "channel: need mu0 < mu1"),
+        ({"channel": {"mu0": 5000, "mu1": 4000, "sigma": 100}}, "channel: need mu0 < mu1"),
+        ({"sensing": {"p_f": 0.5, "p_m": 0.5}}, "sensing.p_f"),
+        ({"churn": {"join": [1, "a"]}}, "churn.join"),
+        ({"churn": {"leave": [2, 1]}}, "churn.leave"),
+        ({"adversary": {"1": {"kind": "stuck-at", "stuck_bit": True}}}, "adversary.1.stuck_bit"),
+    ],
+)
+def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, field):
+    doc = {**doc, "sensing": {"n": 3, "rounds": 2, **doc.get("sensing", {})}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(cfg_path), "--seed", "1",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: ") and field in err
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["simulate", "--n", "5", "--out", "x.json"]) == 2  # no --seed
     assert main(["frobnicate"]) == 2
@@ -165,6 +195,24 @@ def test_verify_clean_and_tampered_transcripts(tmp_path, capsys):
     assert main(["verify", "--transcript", str(tampered)]) == 1
     out = capsys.readouterr().out
     assert "VIOLATION at FC" in out
+
+
+@pytest.mark.parametrize("parties", [5, "U1 and FC", {"U1": 0}])
+def test_verify_flags_key_material_whose_parties_are_not_a_list(tmp_path, capsys, parties):
+    transcript = tmp_path / "t.jsonl"
+    assert main(["simulate", "--n", "3", "--rounds", "2", "--seed", "7",
+                 "--out", str(tmp_path / "r.json"), "--transcript", str(transcript)]) == 0
+    key_line = json.dumps(
+        {"round": 1, "entity": "U1", "direction": "received", "tag": "KEY_MATERIAL",
+         "size_bytes": 0, "meta": {"parties": parties}}
+    )
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text(transcript.read_text() + key_line + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    assert "VIOLATION at U1" in captured.out and "key material" in captured.out
+    assert captured.err == ""
 
 
 def test_verify_malformed_transcript(tmp_path, capsys):

@@ -73,6 +73,30 @@ class TestCheckLeakage:
         )
         assert check_leakage(events).verdicts[user_name(4)] == "violates"
 
+    @pytest.mark.parametrize("parties", [5, "U1 and FC", {user_name(1): 0}, None])
+    def test_key_material_parties_must_be_a_list(self, parties):
+        # a string would hold U1 by substring and a dict by key; neither is a pair
+        def verdict(parties):
+            event = ViewEvent(1, user_name(1), "received", ViewTag.KEY_MATERIAL, 0, {"parties": parties})
+            return check_leakage([event]).verdicts[user_name(1)]
+
+        assert verdict([user_name(1), FC_NAME]) == CONFORMS
+        assert verdict(parties) == VIOLATES
+
+    def test_only_the_canonical_user_name_is_a_user(self):
+        # user 3's own RSS conforms at U3 only; other spellings of 3 name nobody
+        reasons = {}
+        for entity in ("U3", "U03", "U\u0663", "U\u00b2"):
+            meta = {"kind": "rss", "user": 3, "value": 7}
+            report = check_leakage([ViewEvent(1, entity, "local", ViewTag.PLAINTEXT_VALUE, 0, meta)])
+            reasons[entity] = [v.reason for v in report.violations]
+        assert reasons == {
+            "U3": [],
+            "U03": ["unknown entity 'U03'"],
+            "U\u0663": ["unknown entity 'U\u0663'"],
+            "U\u00b2": ["unknown entity 'U\u00b2'"],
+        }
+
     def test_vote_bit_at_user_violates(self):
         events = inject_event(
             honest_events(), user_name(2), ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 5, "bit": 1}
@@ -247,6 +271,44 @@ class TestDlp:
 
 
 class TestBaseline:
+    def test_event_stream_is_pinned(self):
+        # each report's events at both ends, with their sizes and meta, are
+        # pinned; its ciphertext bytes are not
+        rounds = [({1, 2, 3}, {1: 10, 2: 20, 3: 30}), ({1, 3}, {1: 11, 3: 33})]
+        recorder = run_baseline(rounds, bytes(32))
+        stream = [(e.round, e.entity, e.direction, e.tag, e.size_bytes, e.meta) for e in recorder.events]
+        expected = [
+            (1, "U1", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 1, "value": 10}),
+            (1, "U1", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 1, "op": "aead_enc"}),
+            (1, "U1", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
+            (1, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
+            (1, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 1, "value": 10, "op": "aead_dec"}),
+            (1, "U2", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 2, "value": 20}),
+            (1, "U2", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 2, "op": "aead_enc"}),
+            (1, "U2", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 2, "link": "U2->FC"}),
+            (1, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 2, "link": "U2->FC"}),
+            (1, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 2, "value": 20, "op": "aead_dec"}),
+            (1, "U3", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 3, "value": 30}),
+            (1, "U3", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 3, "op": "aead_enc"}),
+            (1, "U3", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
+            (1, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
+            (1, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 3, "value": 30, "op": "aead_dec"}),
+            (1, "FC", "computed", "PLAINTEXT_VALUE", 0, {"kind": "rss_sum", "value": 60}),
+            (2, "U1", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 1, "value": 11}),
+            (2, "U1", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 1, "op": "aead_enc"}),
+            (2, "U1", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
+            (2, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
+            (2, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 1, "value": 11, "op": "aead_dec"}),
+            (2, "U3", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 3, "value": 33}),
+            (2, "U3", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 3, "op": "aead_enc"}),
+            (2, "U3", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
+            (2, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
+            (2, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 3, "value": 33, "op": "aead_dec"}),
+            (2, "FC", "computed", "PLAINTEXT_VALUE", 0, {"kind": "rss_sum", "value": 44}),
+        ]
+        assert stream == expected
+        assert recorder.tally.protocol_errors == []
+
     def test_transcript_records_sums_and_roster(self):
         events = run_baseline([({1, 2, 3}, {1: 10, 2: 20, 3: 30})], bytes(32)).events
         sums = [
