@@ -7,9 +7,10 @@ Usage: python scripts/reputation_demo.py [--n 10] [--rounds 100] [--seed 11]
 """
 
 import argparse
+import json
 
 from lp3pss.scenario import ALWAYS_FLIP, AdversaryProfile, Behavior
-from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
+from lp3pss.sim import SensingConfig, SimulationConfig, estimate_error_rates, run_simulation
 
 
 def demo(n: int, rounds: int, seed: int) -> None:
@@ -19,18 +20,21 @@ def demo(n: int, rounds: int, seed: int) -> None:
         adversary=AdversaryProfile({adversary_id: Behavior(ALWAYS_FLIP)}),
     )
     result = run_simulation(config)
+    # the report is the one record of each round's credibilities, keyed by str(uid)
+    trajectory = json.loads(result.report_json())["reputation"]["phi_trajectory"]
+    adversary = str(adversary_id)
     print(f"n={n}, rounds={rounds}, U{adversary_id} always flips its report\n")
     print(f"{'t':>4}  {'phi(adversary)':>14}  {'min phi(honest)':>15}")
-    step = max(1, rounds // 10)
-    for record in result.rounds[::step]:
-        honest = [p for uid, p in record.phi.items() if uid != adversary_id]
-        print(f"{record.t:>4}  {record.phi[adversary_id]:>14.3f}  {min(honest):>15.3f}")
+    for t in range(1, rounds + 1, max(1, rounds // 10)):
+        phi = trajectory[t - 1]
+        honest = [p for uid, p in phi.items() if uid != adversary]
+        print(f"{t:>4}  {phi[adversary]:>14.3f}  {min(honest):>15.3f}")
     print("\nfinal records:")
     for uid, rec in sorted(result.fc.records.items()):
         role = "adversary" if uid == adversary_id else "honest"
         print(f"  U{uid:<3} rho={rec.rho:<4} eta={rec.eta:<4} phi={rec.phi:.3f} "
               f"weight={rec.weight:.3f}  ({role})")
-    rates = result.report_dict()["error_rates"]
+    rates = estimate_error_rates(result.rounds).to_dict()
     print(f"\nfused error rates: {rates}")
 
 

@@ -71,10 +71,18 @@ class LeakageReport:
 
 
 def _uid_of(entity: str) -> int | None:
-    """The user an entity names, if spelled as ``user_name`` writes it (not ``U03``)."""
-    if entity[:1] == "U" and entity[1:].isdecimal() and user_name(uid := int(entity[1:])) == entity:
-        return uid
-    return None
+    """The user an entity names, if spelled as ``user_name`` writes it (not ``U03``).
+
+    A number past the interpreter's limit on integer digits names nobody:
+    ``int`` refuses to read it, and ``user_name`` could not have written it.
+    """
+    if entity[:1] != "U" or not entity[1:].isdecimal():
+        return None
+    try:
+        uid = int(entity[1:])
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        return None
+    return uid if user_name(uid) == entity else None
 
 
 def _violation_reason(event: ViewEvent) -> str | None:

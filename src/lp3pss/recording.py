@@ -8,7 +8,8 @@ entity that detected it. The stream is what the leakage checker reads:
 each event names the entity that could know it. The counts are kept in
 ``Recorder.tally`` as the events are appended: operation counts,
 per-link traffic, bytes and logical ciphertexts per sensing round and
-the protocol errors.
+the protocol errors. Operation counts are kept per round until the
+round is folded into run totals (``Tally.fold_ops``).
 
 Transcript files are JSON lines: one event per line, the stream
 stable-sorted by entity name, so each entity's events stay in the order
@@ -86,10 +87,18 @@ class Tally:
     ``size_bytes`` is the length of the framed AEAD bytes a message
     carries; addressing headers are not charged. One logical
     ciphertext is counted per message delivered in the sensing phase.
+
+    ``ops`` counts operations per round. ``fold_ops`` adds them into
+    ``folded_ops``, the totals per (entity, phase, op), and empties
+    ``ops``; the simulation driver calls it as each round ends, so in a
+    run ``ops`` holds the current round only. ``op_totals`` reads both.
+    A recorder driven by hand, which never folds, keeps every round's.
     """
 
     # (round, entity, phase, op)
     ops: Counter[tuple[int, str, str, str]] = field(default_factory=Counter)
+    # (entity, phase, op), over the rounds folded so far
+    folded_ops: Counter[tuple[str, str, str]] = field(default_factory=Counter)
     messages: Counter[str] = field(default_factory=Counter)  # per link, "sender->receiver"
     link_bytes: Counter[str] = field(default_factory=Counter)
     sensing_bytes: Counter[int] = field(default_factory=Counter)  # per sensing round
@@ -97,12 +106,15 @@ class Tally:
     # {"round", "entity", "reason", ...} in event order
     protocol_errors: list[dict] = field(default_factory=list)
 
+    def fold_ops(self) -> None:
+        """Add ``ops`` into ``folded_ops`` and empty it."""
+        _add_ops(self.folded_ops, self.ops)
+        self.ops.clear()
+
     def op_totals(self) -> dict[str, dict[str, dict[str, int]]]:
-        """entity -> phase -> op -> total over all rounds."""
-        totals: dict[tuple[str, str, str], int] = {}
-        for (_, entity, phase, op), c in self.ops.items():
-            key = (entity, phase, op)
-            totals[key] = totals.get(key, 0) + c
+        """entity -> phase -> op -> total over all rounds, folded or not."""
+        totals = dict(self.folded_ops)
+        _add_ops(totals, self.ops)
         out: dict[str, dict[str, dict[str, int]]] = {}
         for (entity, phase, op), c in sorted(totals.items()):
             out.setdefault(entity, {}).setdefault(phase, {})[op] = c
@@ -116,6 +128,13 @@ class Tally:
 
     def logical_per_round(self) -> dict[int, int]:
         return dict(sorted(self.logical.items()))
+
+
+def _add_ops(totals: dict[tuple[str, str, str], int], ops: Counter[tuple[int, str, str, str]]) -> None:
+    """Add per-round operation counts into totals per (entity, phase, op)."""
+    for (_, entity, phase, op), c in ops.items():
+        key = (entity, phase, op)
+        totals[key] = totals.get(key, 0) + c
 
 
 _PHASES = (PHASE_INIT, PHASE_SENSING, PHASE_MEMBERSHIP)
@@ -141,6 +160,10 @@ class Recorder:
     The caller hands each entry point a fresh ``meta`` dict, or none:
     the recorder takes it over as the event's ``meta``, adding ``op``,
     ``link`` or ``reason`` in place, so the caller must not reuse it.
+
+    The recorder never folds the tally's per-round operation counts
+    itself: the simulation driver does at each round's end (see
+    ``Tally``), so a recorder driven by hand keeps them all.
     """
 
     def __init__(self) -> None:

@@ -9,6 +9,14 @@ protocol errors and the leakage verdict, and is a pure function of
 (config, seed): two runs with the same config produce byte-identical
 reports and transcripts.
 
+Each round folds when it ends (``RunFold.end_round``): the driver checks
+the round's operation counts and traffic against the analytical model,
+encodes the round's ``rounds`` and ``phi_trajectory`` rows of the report
+as JSON text, and adds the round's operation counts into the run totals,
+dropping the round's own. So neither the per-round counts nor the report
+rows are held as objects after their round, and ``report_json`` writes
+the document around the encoded rows.
+
 A round whose decision vector the fusion center cannot use (it is
 malformed, fails authentication, was packed over another roster or has
 the wrong length) is aborted, not fatal: it is recorded with no outcome
@@ -22,8 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass
-from typing import Any
+from json import encoder as json_encoder
+from typing import Any, Callable
 
 from lp3pss import costs
 from lp3pss.entities import (
@@ -53,6 +63,7 @@ from lp3pss.recording import (
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
     Recorder,
+    Tally,
     user_name,
 )
 from lp3pss.scenario import (
@@ -263,11 +274,78 @@ class RoundRecord:
     reported_rss: dict[int, int]  # post-adversary values, keyed by user
     delivered: tuple[int, ...]  # users whose report the gateway accepted for decryption
     result: RoundResult
-    phi: dict[int, float]
 
     @property
     def beta(self) -> int:
         return len(self.joins)
+
+
+def _report_encoder() -> Callable[[dict], str]:
+    """What ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` writes for a dict.
+
+    ``JSONEncoder.encode`` builds its C encoder anew on every call, about
+    1.3 µs, which each round's two rows would pay. This one is built once,
+    with the arguments ``encode`` gives it, except that it does not check
+    for circular references, which the report cannot hold. Without the C
+    accelerator it is ``JSONEncoder.encode``.
+    """
+    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    if json_encoder.c_make_encoder is None:
+        return encoder.encode
+    chunks = json_encoder.c_make_encoder(
+        None, encoder.default, json_encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+    )
+    return lambda obj: "".join(chunks(obj, 0))
+
+
+_ENCODE = _report_encoder()
+
+
+class RunFold:
+    """What a run keeps of each round once it has ended.
+
+    ``end_round`` runs as each round's decision is in, on that round's
+    counts only (and, at round 1, on initialization's). It keeps the
+    mismatch lines of both count checks, which ``verify_computation_counts``
+    and ``verify_communication_counts`` return, and the round's two rows
+    of the report as JSON text, each but the first led by a comma. Then
+    it folds the round's ``Tally.ops`` into the run totals, so the tally
+    never holds the keys of an ended round.
+    """
+
+    def __init__(self, config: SimulationConfig, tally: Tally) -> None:
+        self.n0 = config.sensing.n
+        self.range_bits = config.crypto.range_bits
+        self.tally = tally
+        self.computation: list[str] = []
+        self.communication: list[str] = []
+        self.round_rows: list[str] = []
+        self.phi_rows: list[str] = []
+
+    def end_round(self, record: RoundRecord, fc: FcState) -> None:
+        tally = self.tally
+        self.computation += _round_op_mismatches(tally.ops, record, self.n0)
+        self.communication += _round_traffic_mismatches(tally, record, self.range_bits)
+        result = record.result
+        row = _ENCODE(
+            {
+                "t": record.t,
+                "truth": record.truth,
+                **_outcome_fields(result),
+                "n_live": result.n_live,
+                "beta": record.beta,
+                "joins": record.joins,
+                "leaves": record.leaves,
+                "present": result.present,
+                "bits": {str(u): b for u, b in result.bits.items()},
+            }
+        )
+        phi = _ENCODE({str(u): rec.phi for u, rec in fc.records.items()})
+        if self.round_rows:
+            row, phi = "," + row, "," + phi
+        self.round_rows.append(row)
+        self.phi_rows.append(phi)
+        tally.fold_ops()
 
 
 @dataclass
@@ -279,64 +357,65 @@ class SimulationResult:
     fc: FcState
     recorder: Recorder
     leakage: LeakageReport
+    fold: RunFold
 
     def report_dict(self) -> dict:
+        """The report parsed back from ``report_json``."""
+        return json.loads(self.report_json())
+
+    def report_json(self) -> str:
+        """The report: ``json.dumps(report, sort_keys=True, separators=(",", ":"))``
+        and a newline, written around the rows the rounds left in ``fold``."""
         config = self.config
         churn = config.churn
         tally = self.recorder.tally
-        rates = estimate_error_rates(self.rounds)
-        rounds = [
+        # every key here sorts before "reputation" and "rounds", written after it
+        head = _ENCODE(
             {
-                "t": r.t,
-                "truth": r.truth,
-                **_outcome_fields(r.result),
-                "n_live": r.result.n_live,
-                "beta": r.beta,
-                "joins": list(r.joins),
-                "leaves": list(r.leaves),
-                "present": list(r.result.present),
-                "bits": {str(u): b for u, b in sorted(r.result.bits.items())},
+                "comm": {
+                    "links": tally.link_totals(),
+                    "logical_per_round": {str(t): c for t, c in tally.logical_per_round().items()},
+                },
+                "config": {
+                    # tau and sigma as resolved, which may be calibrated
+                    "sensing": {**asdict(config.sensing), "tau": self.tau},
+                    "channel": {**asdict(config.channel), "sigma": self.model.sigma},
+                    "churn": {
+                        "mu": churn.mu,
+                        "join": [churn.join_count.lo, churn.join_count.hi],
+                        "leave": [churn.leave_count.lo, churn.leave_count.hi],
+                    },
+                    "adversary": {str(u): asdict(b) for u, b in config.adversary.behaviors.items()},
+                    "crypto": asdict(config.crypto),
+                },
+                "error_rates": estimate_error_rates(self.rounds).to_dict(),
+                "leakage": {
+                    "verdict": "conforms" if self.leakage.conforms else "violates",
+                    "entities": self.leakage.verdicts,
+                },
+                "op_counts": tally.op_totals(),
+                "protocol_errors": tally.protocol_errors,
             }
-            for r in self.rounds
-        ]
-        return {
-            "config": {
-                # tau and sigma as resolved, which may be calibrated
-                "sensing": {**asdict(config.sensing), "tau": self.tau},
-                "channel": {**asdict(config.channel), "sigma": self.model.sigma},
-                "churn": {
-                    "mu": churn.mu,
-                    "join": [churn.join_count.lo, churn.join_count.hi],
-                    "leave": [churn.leave_count.lo, churn.leave_count.hi],
-                },
-                "adversary": {str(u): asdict(b) for u, b in sorted(config.adversary.behaviors.items())},
-                "crypto": asdict(config.crypto),
-            },
-            "rounds": rounds,
-            "reputation": {
-                "final": {
-                    str(u): {"rho": rec.rho, "eta": rec.eta, "phi": rec.phi, "weight": rec.weight}
-                    for u, rec in sorted(self.fc.records.items())
-                },
-                "phi_trajectory": [
-                    {str(u): phi for u, phi in sorted(r.phi.items())} for r in self.rounds
-                ],
-            },
-            "error_rates": rates.to_dict(),
-            "op_counts": tally.op_totals(),
-            "comm": {
-                "links": tally.link_totals(),
-                "logical_per_round": {str(t): c for t, c in tally.logical_per_round().items()},
-            },
-            "leakage": {
-                "verdict": "conforms" if self.leakage.conforms else "violates",
-                "entities": dict(sorted(self.leakage.verdicts.items())),
-            },
-            "protocol_errors": tally.protocol_errors,
-        }
-
-    def report_json(self) -> str:
-        return json.dumps(self.report_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        )
+        final = _ENCODE(
+            {
+                str(u): {"rho": rec.rho, "eta": rec.eta, "phi": rec.phi, "weight": rec.weight}
+                for u, rec in self.fc.records.items()
+            }
+        )
+        fold = self.fold
+        return "".join(
+            [
+                head[:-1],
+                ',"reputation":{"final":',
+                final,
+                ',"phi_trajectory":[',
+                *fold.phi_rows,
+                ']},"rounds":[',
+                *fold.round_rows,
+                "]}\n",
+            ]
+        )
 
 
 def _outcome_fields(result: RoundResult) -> dict:
@@ -433,6 +512,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     gw_ingest_init(gw, init_msgs, recorder)
     sus = make_su_states(keys)
 
+    fold = RunFold(config, recorder.tally)
     records: list[RoundRecord] = []
     for t in range(1, sensing.rounds + 1):
         recorder.start_round(t)
@@ -466,22 +546,21 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
             result = fc_decide(fc, zeta, recorder)
         except RoundAborted:
             result = RoundResult(None, (), {}, n_live=len(roster))
-        records.append(
-            RoundRecord(
-                t=t,
-                truth=truth,
-                joins=tuple(joins),
-                leaves=tuple(leaves),
-                roster=tuple(roster),
-                reported_rss=reported,
-                delivered=tuple(sorted(delivered)),
-                result=result,
-                phi={uid: fc.records[uid].phi for uid in sorted(fc.records)},
-            )
+        record = RoundRecord(
+            t=t,
+            truth=truth,
+            joins=tuple(joins),
+            leaves=tuple(leaves),
+            roster=tuple(roster),
+            reported_rss=reported,
+            delivered=tuple(sorted(delivered)),
+            result=result,
         )
+        records.append(record)
+        fold.end_round(record, fc)
 
     leakage = check_leakage(recorder.events)
-    return SimulationResult(config, model, tau, records, fc, recorder, leakage)
+    return SimulationResult(config, model, tau, records, fc, recorder, leakage, fold)
 
 
 # ---------------------------------------------------------------------------
@@ -508,55 +587,68 @@ def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
     membership phase. Initialization is checked separately: n wrapped
     thresholds cost the fusion center n (OPE + encryption) and the
     gateway n decryptions.
+
+    The driver checks each round as it ends, before its counts are
+    folded into the run totals; this returns what it found.
     """
-    ops = result.recorder.tally.ops
-    bad: list[str] = []
-
-    def expect(actual: int, wanted: int, what: str) -> None:
-        if actual != wanted:
-            bad.append(f"{what}: measured {actual}, expected {wanted}")
-
-    n0 = result.config.sensing.n
-    expect(ops[0, FC_NAME, PHASE_INIT, OPE_ENC], n0, "init FC ope_enc")
-    expect(ops[0, FC_NAME, PHASE_INIT, AEAD_ENC], n0, "init FC aead_enc")
-    expect(ops[0, GW_NAME, PHASE_INIT, AEAD_DEC], n0, "init GW aead_dec")
-
-    for r in result.rounds:
-        t, beta, delivered = r.t, r.beta, len(r.delivered)
-        expect(ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC], 1, f"round {t} FC aead_dec")
-        expect(ops[t, FC_NAME, PHASE_SENSING, AEAD_ENC], 0, f"round {t} FC sensing aead_enc")
-        expect(ops[t, FC_NAME, PHASE_SENSING, OPE_ENC], 0, f"round {t} FC sensing ope_enc")
-        expect(ops[t, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC], beta, f"round {t} FC membership aead_enc")
-        expect(ops[t, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC], beta, f"round {t} FC membership ope_enc")
-        expect(ops[t, GW_NAME, PHASE_SENSING, AEAD_DEC], delivered, f"round {t} GW aead_dec")
-        expect(ops[t, GW_NAME, PHASE_SENSING, AEAD_ENC], 1, f"round {t} GW aead_enc")
-        expect(ops[t, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC], beta, f"round {t} GW membership aead_dec")
-        for uid in r.roster:  # a message only on a mismatch: n checks per round
-            su = user_name(uid)
-            for op in (OPE_ENC, AEAD_ENC):
-                if (actual := ops[t, su, PHASE_SENSING, op]) != 1:
-                    bad.append(f"round {t} {su} {op}: measured {actual}, expected 1")
-    return ConformanceVerdict(bad)
+    return ConformanceVerdict(list(result.fold.computation))
 
 
 def verify_communication_counts(result: SimulationResult) -> ConformanceVerdict:
     """Exact per-round traffic check against the wire-framing model.
 
     Logical ciphertexts per sensing round must equal delivered + 1; the
-    sensing-phase bytes must equal the framing model exactly.
+    sensing-phase bytes must equal the framing model exactly. The driver
+    checks each round as it ends; this returns what it found.
     """
-    tally = result.recorder.tally
-    range_bits = result.config.crypto.range_bits
-    bad: list[str] = []
-    for r in result.rounds:
-        delivered = len(r.delivered)
-        logical = tally.logical[r.t]
-        if logical != delivered + 1:
-            bad.append(f"round {r.t}: {logical} logical ciphertexts, expected {delivered + 1}")
-        measured = 8 * tally.sensing_bytes[r.t]
-        expected = delivered * costs.report_wire_bits(range_bits) + costs.decision_vector_wire_bits(
-            len(r.roster)
-        )
-        if measured != expected:
-            bad.append(f"round {r.t}: {measured} sensing bits, framing model expects {expected}")
-    return ConformanceVerdict(bad)
+    return ConformanceVerdict(list(result.fold.communication))
+
+
+def _round_op_mismatches(ops: Counter[tuple[int, str, str, str]], r: RoundRecord, n0: int) -> list[str]:
+    """One round's part of ``verify_computation_counts``; at round 1, initialization's too."""
+    t, beta, delivered = r.t, r.beta, len(r.delivered)
+    checks = [
+        # (what, round, entity, phase, op, wanted); what names a line only on a mismatch
+        ("FC aead_dec", t, FC_NAME, PHASE_SENSING, AEAD_DEC, 1),
+        ("FC sensing aead_enc", t, FC_NAME, PHASE_SENSING, AEAD_ENC, 0),
+        ("FC sensing ope_enc", t, FC_NAME, PHASE_SENSING, OPE_ENC, 0),
+        ("FC membership aead_enc", t, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC, beta),
+        ("FC membership ope_enc", t, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC, beta),
+        ("GW aead_dec", t, GW_NAME, PHASE_SENSING, AEAD_DEC, delivered),
+        ("GW aead_enc", t, GW_NAME, PHASE_SENSING, AEAD_ENC, 1),
+        ("GW membership aead_dec", t, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC, beta),
+    ]
+    if t == 1:
+        checks[:0] = [
+            ("FC ope_enc", 0, FC_NAME, PHASE_INIT, OPE_ENC, n0),
+            ("FC aead_enc", 0, FC_NAME, PHASE_INIT, AEAD_ENC, n0),
+            ("GW aead_dec", 0, GW_NAME, PHASE_INIT, AEAD_DEC, n0),
+        ]
+    get = ops.get  # most wanted zeros are missing keys: skip Counter.__missing__
+    bad = []
+    for what, round_, entity, phase, op, wanted in checks:
+        if (actual := get((round_, entity, phase, op), 0)) != wanted:
+            where = f"round {t}" if round_ else "init"
+            bad.append(f"{where} {what}: measured {actual}, expected {wanted}")
+    for uid in r.roster:  # a message only on a mismatch: n checks per round
+        su = user_name(uid)
+        for op in (OPE_ENC, AEAD_ENC):
+            if (actual := get((t, su, PHASE_SENSING, op), 0)) != 1:
+                bad.append(f"round {t} {su} {op}: measured {actual}, expected 1")
+    return bad
+
+
+def _round_traffic_mismatches(tally: Tally, r: RoundRecord, range_bits: int) -> list[str]:
+    """One round's part of ``verify_communication_counts``."""
+    bad = []
+    delivered = len(r.delivered)
+    logical = tally.logical[r.t]
+    if logical != delivered + 1:
+        bad.append(f"round {r.t}: {logical} logical ciphertexts, expected {delivered + 1}")
+    measured = 8 * tally.sensing_bytes[r.t]
+    expected = delivered * costs.report_wire_bits(range_bits) + costs.decision_vector_wire_bits(
+        len(r.roster)
+    )
+    if measured != expected:
+        bad.append(f"round {r.t}: {measured} sensing bits, framing model expects {expected}")
+    return bad

@@ -1,5 +1,9 @@
+from collections import Counter
+
 import pytest
 from hypothesis import HealthCheck, settings
+
+from lp3pss import sim
 
 settings.register_profile(
     "default",
@@ -17,3 +21,25 @@ def master_seed() -> bytes:
 def flip_tag_bit(wire: bytes) -> bytes:
     """A framed AEAD ciphertext with one bit of its tag (the last byte) flipped."""
     return wire[:-1] + bytes([wire[-1] ^ 1])
+
+
+@pytest.fixture
+def round_ops(monkeypatch) -> list[Counter]:
+    """Per run made in the test, its ``Tally.ops`` over every round.
+
+    The driver folds each round's operation counts away as the round ends;
+    this wraps that step and adds each round's counts, as they stand just
+    before the fold, into the run's ``Counter``. Those hold the same keys
+    and counts as an unfolded ``Tally.ops`` of the whole run.
+    """
+    runs: list[Counter] = []
+    honest_end_round = sim.RunFold.end_round
+
+    def end_round(fold, record, fc):
+        if record.t == 1:
+            runs.append(Counter())
+        runs[-1].update(fold.tally.ops)
+        honest_end_round(fold, record, fc)
+
+    monkeypatch.setattr(sim.RunFold, "end_round", end_round)
+    return runs

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, file outputs, determinism."""
 
+import ast
 import csv
 import json
 import tracemalloc
@@ -34,7 +35,9 @@ def test_simulate_prints_the_reports_error_rates(tmp_path, capsys):
         SensingConfig(n=6, rounds=4, seed=42, report_loss_prob=0.1), churn=ChurnConfig(mu=0.5)
     )
     rates = run_simulation(config).report_dict()["error_rates"]
-    assert second == f"leakage: conforms; error rates: {rates}"
+    # the same values as the report's; the report's keys are sorted, the printout's are not
+    prefix = "leakage: conforms; error rates: "
+    assert second.startswith(prefix) and ast.literal_eval(second[len(prefix):]) == rates
     assert second == (
         "leakage: conforms; error rates: {'q_f': {'estimate': 0.0, 'ci95': "
         "[5.551115123125783e-17, 0.5614970317550454], 'trials': 3}, 'q_m': "
@@ -212,6 +215,26 @@ def test_verify_flags_key_material_whose_parties_are_not_a_list(tmp_path, capsys
     assert main(["verify", "--transcript", str(tampered)]) == 1
     captured = capsys.readouterr()
     assert "VIOLATION at U1" in captured.out and "key material" in captured.out
+    assert captured.err == ""
+
+
+def test_verify_judges_a_user_name_past_the_int_digit_limit_an_unknown_entity(tmp_path, capsys):
+    # int() refuses more than 4300 digits, and user_name cannot write such a
+    # name: a well-formed line is a violation, not a malformed transcript
+    transcript = tmp_path / "t.jsonl"
+    assert main(["simulate", "--n", "3", "--rounds", "2", "--seed", "7",
+                 "--out", str(tmp_path / "r.json"), "--transcript", str(transcript)]) == 0
+    entity = "U" + "1" * 5000
+    line = json.dumps(
+        {"round": 1, "entity": entity, "direction": "received", "tag": "PLAINTEXT_VALUE",
+         "size_bytes": 0, "meta": {"kind": "rss", "user": 1, "value": 1234}}
+    )
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_text(transcript.read_text() + line + "\n")
+    capsys.readouterr()
+    assert main(["verify", "--transcript", str(tampered)]) == 1
+    captured = capsys.readouterr()
+    assert f"VIOLATION at {entity} (round 1): unknown entity {entity!r}" in captured.out
     assert captured.err == ""
 
 

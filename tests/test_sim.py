@@ -3,9 +3,11 @@
 import dataclasses
 import io
 import json
+from collections import Counter
 
 import pytest
 from conftest import flip_tag_bit
+from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
@@ -21,10 +23,19 @@ from lp3pss.recording import (
     FC_NAME,
     GW_NAME,
     OPE_ENC,
+    PHASE_INIT,
     PHASE_SENSING,
     user_name,
 )
-from lp3pss.scenario import ALWAYS_FLIP, AdversaryProfile, Behavior, ChurnConfig, CountRange
+from lp3pss.scenario import (
+    ALWAYS_FLIP,
+    RANDOM_FLIP,
+    STUCK_AT,
+    AdversaryProfile,
+    Behavior,
+    ChurnConfig,
+    CountRange,
+)
 from lp3pss.sim import (
     ChannelSpec,
     ConfigError,
@@ -104,29 +115,29 @@ class TestDriver:
 
 
 class TestConformance:
-    def test_fc_counts_without_churn(self):
+    def test_fc_counts_without_churn(self, round_ops):
         result = small_run(n=50, rounds=3)
-        ops = result.recorder.tally.ops
+        (ops,) = round_ops
         for t in (1, 2, 3):
             assert ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
             assert ops[t, FC_NAME, PHASE_SENSING, AEAD_ENC] == 0
             assert ops[t, FC_NAME, PHASE_SENSING, OPE_ENC] == 0
         assert verify_computation_counts(result).ok
 
-    def test_fc_counts_with_five_joins(self):
+    def test_fc_counts_with_five_joins(self, round_ops):
         config = SimulationConfig(
             SensingConfig(n=10, rounds=3, seed=1),
             churn=ChurnConfig(mu=1.0, join_count=CountRange(5, 5), leave_count=CountRange(0, 0)),
         )
         result = run_simulation(config)
-        ops = result.recorder.tally.ops
+        (ops,) = round_ops
         assert ops[2, FC_NAME, "membership", AEAD_ENC] == 5
         assert ops[2, FC_NAME, "membership", OPE_ENC] == 5
         assert verify_computation_counts(result).ok
 
-    def test_gw_counts_scale_with_population(self):
-        result = small_run(n=100, rounds=2)
-        ops = result.recorder.tally.ops
+    def test_gw_counts_scale_with_population(self, round_ops):
+        small_run(n=100, rounds=2)
+        (ops,) = round_ops
         assert ops[1, GW_NAME, PHASE_SENSING, AEAD_DEC] == 100
         assert ops[1, GW_NAME, PHASE_SENSING, AEAD_ENC] == 1
 
@@ -136,11 +147,11 @@ class TestConformance:
         measured = 8 * result.recorder.tally.sensing_bytes[1]
         assert measured == measured_round_bits_model(25, 32)
 
-    def test_counter_totals_match_transcript_events(self, monkeypatch):
+    def test_counter_totals_match_transcript_events(self, monkeypatch, round_ops):
         # audit: one logged event per counted crypto operation, in an honest
         # run and in one where a report fails authentication at the gateway
         def audit(result):
-            ops = result.recorder.tally.ops
+            ops = round_ops[-1]
             for op in (OPE_ENC, AEAD_ENC, AEAD_DEC):
                 counted = sum(c for (_, _, _, o), c in ops.items() if o == op)
                 logged = sum(
@@ -352,14 +363,28 @@ class TestConformance:
             "decision vector failed authentication"
         ] * 2
 
-    def test_mismatch_is_reported_not_hidden(self):
-        result = small_run(rounds=1)
-        result.recorder.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] += 1  # inject a bogus count
+    def test_mismatch_is_reported_not_hidden(self, monkeypatch):
+        # the count is bogus in round 1 only, and must still be reported once
+        # later rounds have folded their counts in
+        honest_end_round = sim_module.RunFold.end_round
+
+        def end_round(fold, record, fc):
+            if record.t == 1:
+                fold.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] += 1  # inject a bogus count
+                fold.tally.ops[0, GW_NAME, PHASE_INIT, AEAD_DEC] += 1  # and one in initialization's
+            honest_end_round(fold, record, fc)
+
+        monkeypatch.setattr(sim_module.RunFold, "end_round", end_round)
+        result = small_run(rounds=3)
         verdict = verify_computation_counts(result)
         assert not verdict.ok
         assert any("FC aead_dec" in line for line in verdict.mismatches)
+        assert verdict.mismatches == [
+            "init GW aead_dec: measured 11, expected 10",
+            "round 1 FC aead_dec: measured 2, expected 1",
+        ]
 
-    def test_analytical_counts_equal_measured_counts(self):
+    def test_analytical_counts_equal_measured_counts(self, round_ops):
         # the cost-model row and the instrumented run must agree exactly
         beta, n = 3, 20
         config = SimulationConfig(
@@ -371,7 +396,7 @@ class TestConformance:
         model = analytical_cost(
             COST_LP3PSS, len(record.roster), AnalyticalCostParams(beta=float(beta))
         ).computation
-        ops = result.recorder.tally.ops
+        (ops,) = round_ops
         t = record.t
         assert ops[t, FC_NAME, PHASE_SENSING, AEAD_DEC] == model["FC"]["D"]
         assert ops[t, FC_NAME, "membership", AEAD_ENC] == model["FC"]["E"]
@@ -382,6 +407,167 @@ class TestConformance:
             name = user_name(uid)
             assert ops[t, name, PHASE_SENSING, OPE_ENC] == model["SU"]["OPE_E"]
             assert ops[t, name, PHASE_SENSING, AEAD_ENC] == model["SU"]["E"]
+
+
+def reference_report(result, phi_rows: list[dict[int, float]], ops: Counter) -> dict:
+    """The report as a dict, built the way the report used to be built in full.
+
+    ``phi_rows`` holds each round's credibilities as the round ended and
+    ``ops`` the run's ``Tally.ops`` over all rounds, both seen through the
+    driver's round-end step; op counts are totalled here, not by the tally.
+    """
+    config = result.config
+    churn = config.churn
+    tally = result.recorder.tally
+    totals: dict[tuple[str, str, str], int] = {}
+    for (_, entity, phase, op), c in ops.items():
+        totals[entity, phase, op] = totals.get((entity, phase, op), 0) + c
+    op_counts: dict = {}
+    for (entity, phase, op), c in sorted(totals.items()):
+        op_counts.setdefault(entity, {}).setdefault(phase, {})[op] = c
+
+    def outcome_fields(outcome):
+        if outcome is None:  # aborted round
+            return {"decision": None, "vote_sum": None, "lambda": None}
+        return {"decision": outcome.decision, "vote_sum": outcome.vote_sum, "lambda": outcome.lam}
+
+    return {
+        "config": {
+            "sensing": {**dataclasses.asdict(config.sensing), "tau": result.tau},
+            "channel": {**dataclasses.asdict(config.channel), "sigma": result.model.sigma},
+            "churn": {
+                "mu": churn.mu,
+                "join": [churn.join_count.lo, churn.join_count.hi],
+                "leave": [churn.leave_count.lo, churn.leave_count.hi],
+            },
+            "adversary": {str(u): dataclasses.asdict(b) for u, b in sorted(config.adversary.behaviors.items())},
+            "crypto": dataclasses.asdict(config.crypto),
+        },
+        "rounds": [
+            {
+                "t": r.t,
+                "truth": r.truth,
+                **outcome_fields(r.result.outcome),
+                "n_live": r.result.n_live,
+                "beta": r.beta,
+                "joins": list(r.joins),
+                "leaves": list(r.leaves),
+                "present": list(r.result.present),
+                "bits": {str(u): b for u, b in sorted(r.result.bits.items())},
+            }
+            for r in result.rounds
+        ],
+        "reputation": {
+            "final": {
+                str(u): {"rho": rec.rho, "eta": rec.eta, "phi": rec.phi, "weight": rec.weight}
+                for u, rec in sorted(result.fc.records.items())
+            },
+            "phi_trajectory": [{str(u): phi for u, phi in sorted(row.items())} for row in phi_rows],
+        },
+        "error_rates": estimate_error_rates(result.rounds).to_dict(),
+        "op_counts": op_counts,
+        "comm": {
+            "links": tally.link_totals(),
+            "logical_per_round": {str(t): c for t, c in tally.logical_per_round().items()},
+        },
+        "leakage": {
+            "verdict": "conforms" if result.leakage.conforms else "violates",
+            "entities": dict(sorted(result.leakage.verdicts.items())),
+        },
+        "protocol_errors": tally.protocol_errors,
+    }
+
+
+def run_watching_rounds(config, aborted_round=None):
+    """Run ``config``, aborting ``aborted_round`` by a tampered decision vector.
+
+    Returns the result, each round's credibilities and the run's op counts
+    as each round ended, before the driver folded them.
+    """
+    phi_rows: list[dict[int, float]] = []
+    ops: Counter = Counter()
+    honest_end_round = sim_module.RunFold.end_round
+    honest_compare = sim_module.gw_compare
+
+    def end_round(fold, record, fc):
+        phi_rows.append({u: rec.phi for u, rec in fc.records.items()})
+        ops.update(fold.tally.ops)
+        honest_end_round(fold, record, fc)
+
+    def compare(gw, reports, recorder):
+        msg, delivered = honest_compare(gw, reports, recorder)
+        if recorder.round == aborted_round:
+            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
+        return msg, delivered
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim_module.RunFold, "end_round", end_round)
+        patch.setattr(sim_module, "gw_compare", compare)
+        result = run_simulation(config)
+    return result, phi_rows, ops
+
+
+behaviors = st.one_of(
+    st.builds(Behavior, st.just(ALWAYS_FLIP)),
+    st.builds(Behavior, st.just(RANDOM_FLIP), flip_prob=st.floats(0.0, 1.0)),
+    st.builds(Behavior, st.just(STUCK_AT), stuck_bit=st.sampled_from([0, 1])),
+)
+
+
+@st.composite
+def small_configs(draw):
+    n = draw(st.integers(1, 6))
+    rounds = draw(st.integers(1, 6))
+    join_lo = draw(st.integers(0, 2))
+    leave_lo = draw(st.integers(0, 2))
+    return SimulationConfig(
+        SensingConfig(
+            n=n,
+            rounds=rounds,
+            seed=draw(st.integers(0, 2**63 - 1)),
+            busy_prob=draw(st.sampled_from([0.0, 0.5, 1.0])),
+            report_loss_prob=draw(st.sampled_from([0.0, 0.3])),
+        ),
+        churn=ChurnConfig(
+            mu=draw(st.floats(0.0, 1.0)),
+            join_count=CountRange(join_lo, join_lo + draw(st.integers(0, 2))),
+            leave_count=CountRange(leave_lo, leave_lo + draw(st.integers(0, 2))),
+        ),
+        adversary=AdversaryProfile(draw(st.dictionaries(st.integers(1, n + 3), behaviors, max_size=3))),
+    )
+
+
+class TestReport:
+    @settings(max_examples=100)
+    @given(config=small_configs(), data=st.data())
+    def test_written_report_equals_the_reference_encoding(self, config, data):
+        # churn, loss and adversaries as drawn, and one round aborted
+        aborted = data.draw(st.integers(1, config.sensing.rounds))
+        result, phi_rows, ops = run_watching_rounds(config, aborted)
+        assert result.rounds[aborted - 1].result.outcome is None
+        reference = reference_report(result, phi_rows, ops)
+        expected = json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
+        assert result.report_json() == expected
+        assert result.report_dict() == reference
+
+    def test_ended_rounds_leave_no_op_counts_behind(self, monkeypatch):
+        # the tally keeps one round's operation counts: as each round ends it
+        # folds them, so a run of 30 rounds ends with as many keys as one of 3
+        kept: list[set[int]] = []
+        honest_end_round = sim_module.RunFold.end_round
+
+        def end_round(fold, record, fc):
+            honest_end_round(fold, record, fc)
+            kept.append({key[0] for key in fold.tally.ops})
+
+        monkeypatch.setattr(sim_module.RunFold, "end_round", end_round)
+        short, long = small_run(n=8, rounds=3), small_run(n=8, rounds=30)
+        assert len(short.recorder.tally.ops) == len(long.recorder.tally.ops)
+        assert all(not rounds for rounds in kept)
+        for result in (short, long):
+            assert not any(t <= result.rounds[-1].t for t, _, _, _ in result.recorder.tally.ops)
+            totals = result.recorder.tally.op_totals()
+            assert totals[GW_NAME][PHASE_SENSING][AEAD_DEC] == 8 * len(result.rounds)
 
 
 class TestErrorRates:
