@@ -99,7 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     raw: dict = {"sensing": {}}
     if args.config:
-        raw = json.loads(args.config.read_text())
+        try:
+            raw = json.loads(args.config.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
         # check the shape of what the flags below write into before writing
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
@@ -136,6 +139,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if any(beta < 0 for beta in args.beta):
+        raise ConfigError(f"beta: joins per period must be >= 0, got {min(args.beta)}")
     failures = 0
     for n in args.n:
         for beta in args.beta:
@@ -205,10 +210,13 @@ def _cmd_costs(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown scheme(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
-    params = costs_mod.AnalyticalCostParams(
-        blck_bits=args.blck, gamma=args.gamma, y=args.y, mu=args.mu, beta=args.beta
-    )
-    rows = costs_mod.cost_rows(schemes, args.n, params)
+    try:
+        params = costs_mod.AnalyticalCostParams(
+            blck_bits=args.blck, gamma=args.gamma, y=args.y, mu=args.mu, beta=args.beta
+        )
+        rows = costs_mod.cost_rows(schemes, args.n, params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["scheme", "n", "entity", "primitive", "count", "comm_bits"])
         writer.writeheader()

@@ -57,8 +57,8 @@ class AnalyticalCostParams:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")
-        if self.beta < 0:
-            raise ValueError("beta must be non-negative")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise ValueError("beta must be finite and non-negative")
 
 
 @dataclass(frozen=True)

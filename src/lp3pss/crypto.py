@@ -31,6 +31,7 @@ import functools
 import hmac
 import struct
 from dataclasses import dataclass, field
+from typing import Callable
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers import Cipher
@@ -78,8 +79,8 @@ class OpeKey:
     mean number of range values left to each plaintext.
 
     The key owns the AES-ECB encryptor that ``ope_encrypt`` draws from,
-    built once here and freed with the key, and refers to the packer of
-    its width's node labels, which all keys of that width share.
+    built once here and freed with the key, and refers to the walk of
+    its width (``_ope_walk``), which all keys of that width share.
     """
 
     key_bytes: bytes
@@ -97,7 +98,7 @@ class OpeKey:
             raise ValueError("range_bits must be <= 63")
         ecb = Cipher(AES(self.key_bytes), _ECB).encryptor()
         object.__setattr__(self, "_ecb", ecb)
-        object.__setattr__(self, "_labels", _label_packer(self.domain_bits))
+        object.__setattr__(self, "_walk", _ope_walk(self.domain_bits))
 
     def __reduce__(self):
         # the encryptor cannot be copied or pickled; rebuild both from the key
@@ -112,10 +113,38 @@ _BLOCK_MASK = (1 << 128) - 1
 
 
 @functools.cache  # one entry per domain width, and OpeKey admits at most 55
-def _label_packer(domain_bits: int) -> struct.Struct:
-    """Packs the d + 1 node labels of a walk, each as one 16-byte
-    big-endian AES block: 8 zero bytes, then the label as a u64."""
-    return struct.Struct(">" + "8xQ" * (domain_bits + 1))
+def _ope_walk(domain_bits: int) -> Callable[[Callable[[bytes], bytes], int, int], int]:
+    """The body of ``ope_encrypt`` for one domain width d, as straight-line code.
+
+    The function returned takes the key's AES-ECB ``update``, a plaintext
+    ``m`` in the domain and the size of the ciphertext range. It packs the
+    d + 1 node labels, each as one 16-byte big-endian AES block (8 zero
+    bytes, then the label as a u64), draws their blocks in one call and
+    walks the d levels. Each level is written out with its constants:
+    ``half``, the bit offset of its block in the draws and ``n - 1``.
+    """
+    d = domain_bits
+    labels = ", ".join(f"top >> {s}" for s in range(d, 0, -1))
+    lines = [
+        "def walk(update, m, size):",
+        f"    top = m | {1 << d}",
+        f"    draws = from_bytes(update(pack({labels}, top)), 'big')",
+        "    lo = 0",
+    ]
+    for level in range(d, 0, -1):  # n = 2^level plaintexts under the node
+        half = 1 << (level - 1)
+        lines += [
+            f"    left = {half} + (draws >> {128 * level} & {_BLOCK_MASK}) % (size - {2 * half - 1})",
+            f"    if m & {half}:",
+            "        lo += left",
+            "        size -= left",
+            "    else:",
+            "        size = left",
+        ]
+    lines.append(f"    return lo + (draws & {_BLOCK_MASK}) % size")
+    namespace = {"pack": struct.Struct(">" + "8xQ" * (d + 1)).pack, "from_bytes": int.from_bytes}
+    exec("\n".join(lines), namespace)
+    return namespace["walk"]
 
 
 def ope_encrypt(key: OpeKey, m: int) -> int:
@@ -134,27 +163,9 @@ def ope_encrypt(key: OpeKey, m: int) -> int:
     Deterministic: the same (key, m) always yields the same ciphertext.
     Raises ValueError if ``m`` lies outside [0, 2^domain_bits).
     """
-    d = key.domain_bits
-    if not 0 <= m < 1 << d:
+    if not 0 <= m < 1 << key.domain_bits:
         raise ValueError(f"plaintext {m} outside OPE domain [0, {key.domain_size})")
-    top = m | 1 << d
-    labels = key._labels.pack(*[top >> s for s in range(d, -1, -1)])  # type: ignore[attr-defined]
-    draws = int.from_bytes(key._ecb.update(labels), "big")  # type: ignore[attr-defined]
-    lo = 0
-    size = 1 << key.range_bits
-    n = 1 << d  # plaintexts under the current node
-    shift = 128 * d  # bit offset of the current node's block in draws
-    while n > 1:
-        half = n >> 1
-        left = half + (draws >> shift & _BLOCK_MASK) % (size - n + 1)
-        if m & half:
-            lo += left
-            size -= left
-        else:
-            size = left
-        n = half
-        shift -= 128
-    return lo + (draws & _BLOCK_MASK) % size
+    return key._walk(key._ecb.update, m, 1 << key.range_bits)  # type: ignore[attr-defined]
 
 
 # ---------------------------------------------------------------------------

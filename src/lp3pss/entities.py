@@ -127,11 +127,7 @@ class ProtocolMessage:
     body: bytes
 
 
-# fresh event meta of a message, and of a crypto op on it (the recorder takes each over)
-def _message_meta(phase: str, subject: int | None) -> dict:
-    return {"phase": phase} if subject is None else {"phase": phase, "subject": subject}
-
-
+# fresh event meta of a refused message (the recorder takes it over)
 def _user_meta(subject: int | None) -> dict | None:
     return None if subject is None else {"user": subject}
 
@@ -150,8 +146,8 @@ def seal(
     and ``roster``; log the sender's encryption and the message as sent."""
     body = aead_encrypt(key, payload, message_assoc(phase, subject, recorder.round, roster))
     size = len(body)
-    recorder.crypto_op(sender, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, size, _user_meta(subject))
-    recorder.message_sent(sender, receiver, size, _message_meta(phase, subject))
+    recorder.user_op(sender, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, size, subject)
+    recorder.message_sent(sender, receiver, size, phase, subject)
     return ProtocolMessage(sender, receiver, phase, subject, body)
 
 
@@ -171,7 +167,7 @@ def unseal(
     """
     phase, subject, receiver = msg.phase, msg.subject, msg.receiver
     size = len(msg.body)
-    recorder.message_delivered(msg.sender, receiver, size, _message_meta(phase, subject))
+    recorder.message_delivered(msg.sender, receiver, size, phase, subject)
     try:
         payload = aead_decrypt(key, msg.body, message_assoc(phase, subject, recorder.round, roster))
     except CryptoError as exc:
@@ -296,7 +292,7 @@ def fc_init(
 def _wrap_tau(fc: FcState, uid: int, recorder: Recorder) -> ProtocolMessage:
     key = fc.ope_keys[uid]
     inner = ope_encrypt(key, fc.tau).to_bytes((key.range_bits + 7) // 8, "big")
-    recorder.crypto_op(FC_NAME, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, meta={"user": uid})
+    recorder.user_op(FC_NAME, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, 0, uid)
     return seal(fc.gw_key, FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, inner, recorder)
 
 
@@ -334,7 +330,7 @@ def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMess
         me, ViewTag.PLAINTEXT_VALUE, "local", {"kind": "rss", "user": su.uid, "value": rss_q}
     )
     inner = ope_encrypt(su.ope_key, rss_q).to_bytes((su.ope_key.range_bits + 7) // 8, "big")
-    recorder.crypto_op(me, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, meta={"user": su.uid})
+    recorder.user_op(me, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, 0, su.uid)
     return seal(su.gw_key, me, GW_NAME, MsgPhase.REPORT, su.uid, inner, recorder)
 
 
@@ -375,7 +371,7 @@ def gw_compare(
         bits[uid] = bit
         pair = [rss_ope, tau_ope]
         recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": uid, "pair": pair})
-        recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT, "computed", {"kind": "vote", "user": uid, "bit": bit})
+        recorder.vote(GW_NAME, "computed", uid, bit)
     vector = pack_decision_vector(roster, bits)
     msg = seal(gw.fc_key, GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, vector, recorder, roster)
     return msg, delivered
@@ -402,9 +398,7 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, len(msg.body), {"kind": "vote_vector"})
     present = tuple(sorted(bits))
     for uid in present:
-        recorder.observe(
-            FC_NAME, ViewTag.PLAINTEXT_BIT, "observed", {"kind": "vote", "user": uid, "bit": bits[uid]}
-        )
+        recorder.vote(FC_NAME, "observed", uid, bits[uid])
     if present:
         lam_round = compute_lambda(len(present), fc.alpha)
         outcome = fuse_votes(

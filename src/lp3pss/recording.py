@@ -149,17 +149,32 @@ class Recorder:
     through the entry points, each of which appends exactly one event
     and adds that event's contribution to the tally:
 
-    * ``crypto_op`` counts one operation of its entity, round and phase;
+    * ``crypto_op`` and ``user_op`` each count one operation of their
+      entity, round and phase;
     * ``message_delivered`` counts the message and its bytes on its
       link and, in the sensing phase, its bytes and one logical
       ciphertext in its round; a ``message_sent`` is counted nowhere,
       since lost messages are not traffic;
     * ``protocol_error`` adds its row to the protocol errors;
-    * ``observe`` counts nothing.
+    * ``observe`` and ``vote`` count nothing.
 
-    The caller hands each entry point a fresh ``meta`` dict, or none:
-    the recorder takes it over as the event's ``meta``, adding ``op``,
-    ``link`` or ``reason`` in place, so the caller must not reuse it.
+    Three entry points give their events a meta shared by every event
+    that carries it, built once per run and kept in a memo keyed by the
+    fields that fix it (so it holds a few metas per user ever keyed):
+
+    * ``user_op`` is ``crypto_op`` with ``{"user": user, "op": op}``, or
+      ``{"op": op}`` for no user;
+    * ``message_sent`` and ``message_delivered`` give a message the header
+      ``{"phase": phase, "subject": subject, "link": "sender->receiver"}``
+      (no ``subject`` when it is None), one per link, phase and subject;
+    * ``vote`` observes a vote bit with ``{"kind": "vote", "user": user,
+      "bit": bit}``.
+
+    The other entry points take a fresh ``meta`` dict from the caller, or
+    none: the recorder takes it over as the event's ``meta``, adding
+    ``op`` or ``reason`` in place, so the caller must not reuse it. Once
+    recorded, a meta is never written again, shared or fresh: readers of
+    the stream must not write to one either.
 
     The recorder never folds the tally's per-round operation counts
     itself: the simulation driver does at each round's end (see
@@ -171,6 +186,9 @@ class Recorder:
         self.round = 0
         self.phase = PHASE_INIT
         self.tally = Tally()
+        # the shared metas: (user, op), (sender, receiver, phase, subject)
+        # and ("vote", user, bit) to the one dict each names
+        self._shared: dict[tuple, dict] = {}
 
     # -- context ---------------------------------------------------------
 
@@ -204,25 +222,46 @@ class Recorder:
         key = (round_, entity, self.phase, op)
         ops[key] = ops.get(key, 0) + 1  # most keys are new: skip Counter.__missing__
 
-    def message_sent(
-        self, sender: str, receiver: str, size_bytes: int, meta: dict | None = None
-    ) -> None:
+    def user_op(self, entity: str, op: str, tag: str, size_bytes: int, user: int | None) -> None:
+        """``crypto_op`` with the shared meta of ``user`` and ``op``."""
+        try:
+            meta = self._shared[user, op]
+        except KeyError:
+            meta = self._shared[user, op] = {"op": op} if user is None else {"user": user, "op": op}
+        round_ = self.round
+        self.events.append(ViewEvent(round_, entity, _DIRECTION[op], tag, size_bytes, meta))
+        ops = self.tally.ops
+        key = (round_, entity, self.phase, op)
+        ops[key] = ops.get(key, 0) + 1
+
+    def _header(self, sender: str, receiver: str, phase: str, subject: int | None) -> dict:
+        """The shared header of a message, made on its first use."""
         link = f"{sender}->{receiver}"
-        if meta is None:
-            meta = {"link": link}
+        if subject is None:
+            header = {"phase": phase, "link": link}
         else:
-            meta["link"] = link
+            header = {"phase": phase, "subject": subject, "link": link}
+        self._shared[sender, receiver, phase, subject] = header
+        return header
+
+    def message_sent(
+        self, sender: str, receiver: str, size_bytes: int, phase: str, subject: int | None = None
+    ) -> None:
+        try:
+            meta = self._shared[sender, receiver, phase, subject]
+        except KeyError:
+            meta = self._header(sender, receiver, phase, subject)
         self.events.append(ViewEvent(self.round, sender, "sent", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, meta))
 
     def message_delivered(
-        self, sender: str, receiver: str, size_bytes: int, meta: dict | None = None
+        self, sender: str, receiver: str, size_bytes: int, phase: str, subject: int | None = None
     ) -> None:
         """Log the receiver's view; lost messages never get here, so only these are traffic."""
-        link = f"{sender}->{receiver}"
-        if meta is None:
-            meta = {"link": link}
-        else:
-            meta["link"] = link
+        try:
+            meta = self._shared[sender, receiver, phase, subject]
+        except KeyError:
+            meta = self._header(sender, receiver, phase, subject)
+        link = meta["link"]
         round_ = self.round
         self.events.append(ViewEvent(round_, receiver, "received", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, meta))
         tally = self.tally
@@ -245,6 +284,14 @@ class Recorder:
         if meta is None:
             meta = {}
         self.events.append(ViewEvent(self.round, entity, direction, tag, 0, meta))
+
+    def vote(self, entity: str, direction: str, user: int, bit: int) -> None:
+        """``observe`` the vote ``bit`` of ``user``, with its shared meta."""
+        try:
+            meta = self._shared["vote", user, bit]
+        except KeyError:
+            meta = self._shared["vote", user, bit] = {"kind": "vote", "user": user, "bit": bit}
+        self.events.append(ViewEvent(self.round, entity, direction, ViewTag.PLAINTEXT_BIT, 0, meta))
 
     def protocol_error(self, entity: str, reason: str, meta: dict | None = None) -> None:
         if meta is None:

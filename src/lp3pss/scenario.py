@@ -155,8 +155,7 @@ def churn_step(
         n_join = cfg.join_count.sample(rng)
         n_leave = cfg.leave_count.sample(rng)
     n_leave = min(n_leave, len(live) - 1)
-    pool = sorted(used) if used is not None else sorted(live)
-    next_id = (pool[-1] + 1) if pool else 1
+    next_id = max(used if used is not None else live, default=0) + 1
     joins = list(range(next_id, next_id + n_join))
     members = sorted(live)
     leave_idx = rng.choice(len(members), size=n_leave, replace=False) if n_leave else []

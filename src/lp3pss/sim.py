@@ -520,7 +520,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         leaves: list[int] = []
         if t > 1:
             recorder.set_phase(PHASE_MEMBERSHIP)
-            joins, leaves = churn_step(config.churn, rngs["churn"], t, set(fc.live), keys.issued)
+            joins, leaves = churn_step(config.churn, rngs["churn"], t, fc.live, keys.issued)
             if joins or leaves:
                 new_sus = handle_membership(fc, gw, joins, leaves, keys, recorder)
                 for uid in leaves:

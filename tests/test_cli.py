@@ -126,6 +126,17 @@ def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, fie
     assert err.startswith("config error: ") and field in err
 
 
+def test_simulate_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"sensing": {"n": 3, "tag": "\xff\xfe"}}')
+    code = main(["simulate", "--config", str(cfg_path), "--seed", "1",
+                 "--out", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("config error: ") and "not UTF-8" in err and "Traceback" not in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["simulate", "--n", "5", "--out", "x.json"]) == 2  # no --seed
     assert main(["frobnicate"]) == 2
@@ -135,6 +146,13 @@ def test_bench_green_path(capsys):
     assert main(["bench", "--n", "10,20", "--beta", "0,2", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("[ok]") == 4
+
+
+def test_bench_rejects_negative_joins_before_running(capsys):
+    assert main(["bench", "--n", "10", "--beta", "0,-1", "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no row runs, not even the good beta's
+    assert captured.err.startswith("config error: beta")
 
 
 def test_attack_subcommand_both_schemes(capsys):
@@ -180,6 +198,29 @@ def test_costs_csv_layout(tmp_path):
 def test_costs_unknown_scheme(tmp_path, capsys):
     code = main(["costs", "--schemes", "rot13", "--out", str(tmp_path / "c.csv")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--n", "-1"], "n"),
+        (["--n", "10,0"], "n"),
+        (["--mu", "2"], "mu"),
+        (["--blck", "0"], "blck_bits"),
+        (["--gamma", "0"], "gamma"),
+        (["--y", "0"], "y"),
+        (["--beta", "-3"], "beta"),
+        (["--beta", "nan"], "beta"),
+        (["--beta", "inf"], "beta"),
+    ],
+)
+def test_costs_rejects_bad_value(tmp_path, capsys, flags, field):
+    out = tmp_path / "c.csv"
+    code = main(["costs", "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(f"config error: {field} must")
+    assert not out.exists()
 
 
 def test_verify_clean_and_tampered_transcripts(tmp_path, capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
+from lp3pss.entities import MsgPhase
 from lp3pss.observability import check_leakage
 from lp3pss.recording import (
     AEAD_DEC,
@@ -95,12 +96,16 @@ def test_each_entry_point_appends_one_event_and_nothing_else():
         lambda: recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40, {"user": 1}),
         lambda: recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": 1}),
         lambda: recorder.crypto_op(user_name(1), OPE_ENC, OPAQUE),
-        lambda: recorder.message_sent(FC_NAME, GW_NAME, 40),
-        lambda: recorder.message_sent(user_name(1), GW_NAME, 44, {"subject": 1}),
-        lambda: recorder.message_delivered(FC_NAME, GW_NAME, 40),
-        lambda: recorder.message_delivered(user_name(1), GW_NAME, 44, {"subject": 1}),
+        lambda: recorder.user_op(user_name(1), OPE_ENC, OPAQUE, 0, 1),
+        lambda: recorder.user_op(GW_NAME, AEAD_ENC, OPAQUE, 34, None),
+        lambda: recorder.message_sent(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1),
+        lambda: recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC),
+        lambda: recorder.message_delivered(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1),
+        lambda: recorder.message_delivered(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC),
         lambda: recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT),
         lambda: recorder.observe(FC_NAME, ViewTag.PLAINTEXT_BIT, "observed", {"bit": 1}),
+        lambda: recorder.vote(GW_NAME, "computed", 1, 1),
+        lambda: recorder.vote(FC_NAME, "observed", 1, 1),
         lambda: recorder.protocol_error(FC_NAME, "decision vector failed authentication"),
         lambda: recorder.protocol_error(GW_NAME, "duplicate report", {"user": 1}),
     ]
@@ -108,6 +113,7 @@ def test_each_entry_point_appends_one_event_and_nothing_else():
     for phase in (PHASE_MEMBERSHIP, PHASE_SENSING):
         recorder.set_phase(phase)
         for call in calls:
+            shared = dict(recorder._shared)
             before = copy.deepcopy(recorder.__dict__)
             call()
             count += 1
@@ -116,7 +122,10 @@ def test_each_entry_point_appends_one_event_and_nothing_else():
             expected = before.pop("tally")
             fold_event(expected, phase, recorder.events[-1])
             assert recorder.tally == expected
-            assert {k: v for k, v in recorder.__dict__.items() if k not in ("events", "tally")} == before
+            # the memo of shared metas only grows, each entry kept as it was
+            before.pop("_shared")
+            assert all(recorder._shared[key] is meta for key, meta in shared.items())
+            assert {k: v for k, v in recorder.__dict__.items() if k not in ("events", "tally", "_shared")} == before
     assert [e.direction for e in recorder.events[:4]] == ["encrypt", "decrypt", "computed", "encrypt"]
 
 
@@ -124,8 +133,6 @@ def test_entry_points_take_over_the_meta_dict_they_are_given():
     recorder = Recorder()
     calls = [
         (lambda meta: recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, meta), {"op": AEAD_ENC}),
-        (lambda meta: recorder.message_sent(FC_NAME, GW_NAME, 40, meta), {"link": "FC->GW"}),
-        (lambda meta: recorder.message_delivered(FC_NAME, GW_NAME, 40, meta), {"link": "FC->GW"}),
         (lambda meta: recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT, "computed", meta), {}),
         (lambda meta: recorder.protocol_error(GW_NAME, "duplicate report", meta), {"reason": "duplicate report"}),
     ]
@@ -138,42 +145,84 @@ def test_entry_points_take_over_the_meta_dict_they_are_given():
     assert recorder.tally.protocol_errors[-1] is not recorder.events[-1].meta
 
 
+def test_shared_entry_points_give_each_key_one_meta():
+    recorder = Recorder()
+    report_header = {"phase": MsgPhase.REPORT, "subject": 1, "link": "U1->GW"}
+    vector_header = {"phase": MsgPhase.DECISION_VEC, "link": "GW->FC"}
+    vote = {"kind": "vote", "user": 1, "bit": 0}
+    expected = [
+        {"user": 1, "op": OPE_ENC},
+        {"user": 1, "op": OPE_ENC},  # the FC's encryption for U1 has U1's meta
+        {"op": AEAD_ENC},
+        report_header,
+        report_header,
+        vector_header,
+        vector_header,
+        vote,
+        vote,
+        {"kind": "vote", "user": 1, "bit": 1},
+    ]
+    for round_ in (1, 2):
+        recorder.start_round(round_)
+        recorder.user_op(user_name(1), OPE_ENC, OPAQUE, 0, 1)
+        recorder.user_op(FC_NAME, OPE_ENC, OPAQUE, 0, 1)
+        recorder.user_op(GW_NAME, AEAD_ENC, OPAQUE, 34, None)
+        recorder.message_sent(user_name(1), GW_NAME, 44, MsgPhase.REPORT, 1)
+        recorder.message_delivered(user_name(1), GW_NAME, 44, MsgPhase.REPORT, 1)
+        recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
+        recorder.message_delivered(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
+        recorder.vote(GW_NAME, "computed", 1, 0)
+        recorder.vote(FC_NAME, "observed", 1, 0)
+        recorder.vote(GW_NAME, "computed", 1, 1)
+    first, second = recorder.events[:10], recorder.events[10:]
+    assert [e.meta for e in first] == expected
+    assert all(a.meta is b.meta for a, b in zip(first, second))
+    # one object per key: equal metas are the same dict, others are not
+    ids = [id(e.meta) for e in first]
+    assert ids[0] == ids[1] and ids[3] == ids[4] and ids[5] == ids[6] and ids[7] == ids[8]
+    assert len(set(ids)) == 6
+    assert recorder.tally.link_totals() == {
+        "GW->FC": {"messages": 2, "bytes": 68},
+        "U1->GW": {"messages": 2, "bytes": 88},
+    }
+
+
 def drive_by_hand() -> PhasedRecorder:
     """Init, a membership change and a sensing round with faults at GW and FC."""
     recorder = PhasedRecorder()
     recorder.start_round(0)
     recorder.crypto_op(FC_NAME, OPE_ENC, OPAQUE, meta={"user": 1})
     recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, {"user": 1})
-    recorder.message_sent(FC_NAME, GW_NAME, 40)
-    recorder.message_delivered(FC_NAME, GW_NAME, 40)
+    recorder.message_sent(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1)
+    recorder.message_delivered(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1)
     recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40)
 
     recorder.start_round(1)
     recorder.set_phase(PHASE_MEMBERSHIP)  # U2 joins
     recorder.crypto_op(FC_NAME, OPE_ENC, OPAQUE, meta={"user": 2})
     recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, {"user": 2})
-    recorder.message_sent(FC_NAME, GW_NAME, 40)
-    recorder.message_delivered(FC_NAME, GW_NAME, 40)
+    recorder.message_sent(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 2)
+    recorder.message_delivered(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 2)
     recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40)
 
     recorder.set_phase(PHASE_SENSING)
     for uid in (1, 2):
         recorder.crypto_op(user_name(uid), OPE_ENC, OPAQUE)
         recorder.crypto_op(user_name(uid), AEAD_ENC, OPAQUE, 44)
-        recorder.message_sent(user_name(uid), GW_NAME, 44)
-        recorder.message_delivered(user_name(uid), GW_NAME, 44)
+        recorder.message_sent(user_name(uid), GW_NAME, 44, MsgPhase.REPORT, uid)
+        recorder.message_delivered(user_name(uid), GW_NAME, 44, MsgPhase.REPORT, uid)
     recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 44, {"user": 1})
     recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": 1})
     recorder.crypto_op(GW_NAME, AEAD_DEC, OPAQUE, 44, {"user": 2})  # fails authentication
     recorder.protocol_error(GW_NAME, "report failed authentication", {"user": 2})
     recorder.crypto_op(GW_NAME, AEAD_ENC, OPAQUE, 34)
-    recorder.message_sent(GW_NAME, FC_NAME, 34)
-    recorder.message_delivered(GW_NAME, FC_NAME, 34)
+    recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
+    recorder.message_delivered(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
     recorder.crypto_op(FC_NAME, AEAD_DEC, OPAQUE, 34)  # fails authentication
     recorder.protocol_error(FC_NAME, "decision vector failed authentication")
 
     recorder.start_round(2)  # still sensing; one report lost, one from a stranger
-    recorder.message_sent(user_name(1), GW_NAME, 44)
+    recorder.message_sent(user_name(1), GW_NAME, 44, MsgPhase.REPORT, 1)
     recorder.protocol_error(GW_NAME, "report from unknown user", {"user": 9})
     return recorder
 
@@ -297,6 +346,74 @@ def test_dump_matches_reference_encoding_and_reloads_equal(monkeypatch):
     assert any(phase == PHASE_MEMBERSHIP for phase in tally.op_totals()["FC"])
     assert {1, 2, 3} <= set(result.rounds[0].roster)
     assert_codec_conforms(recorder)
+
+
+class CopyingRecorder(Recorder):
+    """A recorder that also keeps a deep copy of each meta as it is recorded."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.events = CopyingList()
+
+
+class CopyingList(list):
+    def __init__(self) -> None:
+        super().__init__()
+        self.copies: list[dict] = []
+
+    def append(self, event) -> None:
+        super().append(event)
+        self.copies.append(copy.deepcopy(event.meta))
+
+
+def test_round_invariant_metas_are_shared_and_never_written(monkeypatch):
+    # churn, lost reports, all three adversary kinds and one tampered report
+    honest_report = sim_module.su_sense_report
+
+    def tampered_report(su, rss_q, recorder):
+        msg = honest_report(su, rss_q, recorder)
+        if su.uid == 4 and recorder.round == 3:
+            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
+        return msg
+
+    monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+    monkeypatch.setattr(sim_module, "Recorder", CopyingRecorder)
+    result = run_simulation(eventful_config())
+    events = result.recorder.events
+    assert [e["reason"] for e in result.recorder.tally.protocol_errors] == ["report failed authentication"]
+    assert any(r.joins or r.leaves for r in result.rounds)
+    assert any(len(r.delivered) < len(r.roster) for r in result.rounds)
+
+    def objects_per_key(key_of) -> dict:
+        groups: dict = {}
+        for e in events:
+            key = key_of(e)
+            if key is not None:
+                groups.setdefault(key, set()).add(id(e.meta))
+        return groups
+
+    headers = objects_per_key(
+        lambda e: (e.meta["link"], e.meta["phase"], e.meta.get("subject"))
+        if e.direction in ("sent", "received") else None
+    )
+    # each user's encryptions, the FC's for it at keying included
+    user_ops = objects_per_key(lambda e: (e.meta.get("user"), e.meta["op"]) if e.direction == "encrypt" else None)
+    votes = objects_per_key(
+        lambda e: (e.entity, e.meta["user"], e.meta["bit"]) if e.meta.get("kind") == "vote" else None
+    )
+    for groups in (headers, user_ops, votes):
+        assert groups and all(len(ids) == 1 for ids in groups.values())
+    assert len(headers) > len(result.rounds) and len(votes) > len(result.rounds)
+    assert any(len([e for e in events if id(e.meta) in ids]) > 2 for ids in user_ops.values())
+    # the refused report's metas, and every other meta, are fresh
+    shared_ids = set().union(*headers.values(), *user_ops.values(), *votes.values())
+    fresh = [e for e in events if id(e.meta) not in shared_ids]
+    assert len({id(e.meta) for e in fresh}) == len(fresh)
+    assert [e.meta for e in fresh if e.direction == "error"] == [{"user": 4, "reason": "report failed authentication"}]
+    assert {"op": AEAD_DEC, "user": 4} in [e.meta for e in fresh if e.tag == OPAQUE]
+    # and no meta was written after it was recorded
+    assert len(events.copies) == len(events)
+    assert all(kept == e.meta for kept, e in zip(events.copies, events))
 
 
 def test_online_tally_equals_reference_fold_of_the_stream(monkeypatch, round_ops):
