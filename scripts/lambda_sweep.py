@@ -45,4 +45,12 @@ if __name__ == "__main__":
     parser.add_argument("--trials", type=int, default=10_000)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
+    if args.n < 1:
+        parser.error(f"--n must be at least 1, got {args.n}")
+    if args.trials < 1:
+        parser.error(f"--trials must be at least 1, got {args.trials}")
+    try:
+        DetectionProfile(args.pf, args.pm)
+    except ValueError as exc:
+        parser.error(f"--pf {args.pf} --pm {args.pm}: {exc}")
     sweep(args.n, args.pf, args.pm, args.trials, args.seed)

@@ -10,7 +10,7 @@ import argparse
 import json
 
 from lp3pss.scenario import ALWAYS_FLIP, AdversaryProfile, Behavior
-from lp3pss.sim import SensingConfig, SimulationConfig, estimate_error_rates, run_simulation
+from lp3pss.sim import ConfigError, SensingConfig, SimulationConfig, estimate_error_rates, run_simulation
 
 
 def demo(n: int, rounds: int, seed: int) -> None:
@@ -44,4 +44,11 @@ if __name__ == "__main__":
     parser.add_argument("--rounds", type=int, default=100)
     parser.add_argument("--seed", type=int, default=11)
     args = parser.parse_args()
-    demo(args.n, args.rounds, args.seed)
+    if args.n < 2:
+        parser.error(f"--n must be at least 2, the adversary and an honest user, got {args.n}")
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, got {args.rounds}")
+    try:
+        demo(args.n, args.rounds, args.seed)
+    except ConfigError as exc:  # a seed out of range
+        parser.error(str(exc))

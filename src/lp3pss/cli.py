@@ -44,9 +44,22 @@ from lp3pss.sim import (
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",") if part]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one integer, got {text!r}")
+    return values
+
+
+def _scheme_list(text: str) -> list[str]:
+    schemes = [part.strip().lower() for part in text.split(",") if part.strip()]
+    if not schemes:
+        raise argparse.ArgumentTypeError(f"expected at least one scheme, got {text!r}")
+    unknown = [s for s in schemes if s not in costs_mod.SCHEMES]
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown scheme(s): {', '.join(unknown)}")
+    return schemes
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cost = sub.add_parser("costs", help="evaluate analytical cost formulas into a CSV")
     cost.add_argument(
         "--schemes",
+        type=_scheme_list,
         default="lp3pss,lpos,ppss,pdaft",
         help="comma list from lp3pss,lpos,ppss,pdaft",
     )
@@ -205,23 +219,18 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_costs(args: argparse.Namespace) -> int:
-    schemes = [s.strip().lower() for s in args.schemes.split(",") if s.strip()]
-    unknown = [s for s in schemes if s not in costs_mod.SCHEMES]
-    if unknown:
-        print(f"unknown scheme(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
     try:
         params = costs_mod.AnalyticalCostParams(
             blck_bits=args.blck, gamma=args.gamma, y=args.y, mu=args.mu, beta=args.beta
         )
-        rows = costs_mod.cost_rows(schemes, args.n, params)
+        rows = costs_mod.cost_rows(args.schemes, args.n, params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=["scheme", "n", "entity", "primitive", "count", "comm_bits"])
         writer.writeheader()
         writer.writerows(rows)
-    print(f"wrote {args.out} ({len(rows)} rows over {len(schemes)} schemes x {len(args.n)} sizes)")
+    print(f"wrote {args.out} ({len(rows)} rows over {len(args.schemes)} schemes x {len(args.n)} sizes)")
     return 0
 
 

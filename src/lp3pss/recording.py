@@ -18,10 +18,13 @@ they happened. A line is the compact, sorted-key, ASCII-only JSON object
     {"direction":...,"entity":...,"meta":...,"round":...,"size_bytes":...,"tag":...}
 
 that is, ``json.dumps(record, sort_keys=True, separators=(",", ":"))``
-of the event, followed by a newline. That call defines the format. The
-writer does not make it per event: it fills line templates cached per
-key tuple of ``meta`` and leaves any value those do not fit to the JSON
-encoder (``_TranscriptWriter``), and writes the same bytes. The reader
+of the event, followed by a newline. That call defines the format.
+``compact_json`` makes it, and is the one encoder of transcript lines and
+of the simulation report. The writer fills one line pattern per event
+with the texts of its fields. It encodes each shared meta (see
+``Recorder``) once per dump and looks it up by identity, which is safe
+only for those metas, since the recorder keeps them alive; every other
+meta is encoded for its event. The reader
 (``iter_transcript``, or ``load_transcript`` for a list) skips blank
 lines and rejects, naming the line, any line that is not exactly one
 JSON object with all six fields typed as the writer writes them:
@@ -35,10 +38,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import attrgetter, itemgetter
+from json import encoder as json_encoder
+from operator import attrgetter
 from sys import intern
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator
 
 PHASE_INIT = "init"
 PHASE_SENSING = "sensing"
@@ -318,29 +321,60 @@ class Recorder:
     # -- transcript I/O ----------------------------------------------------
 
     def dump_transcript(self, fh: IO[str]) -> int:
-        """Write every event as one JSONL line (format in the module docstring)."""
-        writer = _TranscriptWriter()
+        """Write every event as one JSONL line (format in the module docstring).
+
+        Each shared meta is encoded once per dump and found by identity,
+        which holds only because the recorder keeps its ``_shared`` dicts
+        alive; every other meta is encoded for its event, since a fresh
+        meta's id may be reused once the meta is freed. Names and tags are
+        strings, each encoded once per dump.
+        """
+        shared_text = {id(meta): compact_json(meta) for meta in self._shared.values()}.get
+        text = _NameTexts()
         events = sorted(self.events, key=attrgetter("entity"))  # stable: each entity's in order
         for start in range(0, len(events), _CHUNK_EVENTS):
-            fh.write(writer.lines(events[start:start + _CHUNK_EVENTS]))
+            # a meta's text is never empty, so `or` encodes fresh metas only
+            fh.write("".join([
+                _LINE % (text[e.direction], text[e.entity], shared_text(id(e.meta)) or compact_json(e.meta),
+                         e.round, e.size_bytes, text[e.tag])
+                for e in events[start:start + _CHUNK_EVENTS]
+            ]))
         return len(events)
 
 
 # -- transcript codec ---------------------------------------------------------
 
-# One line, keys in sorted order: what json.dumps(record, sort_keys=True,
-# separators=(",", ":")) writes for an event with int round and size_bytes.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+# json.dumps builds its C encoder anew on every call, about 1.3 µs. This one
+# is built once, with the arguments json.dumps gives it, except that it does
+# not check for circular references, which reports and metas cannot hold.
+_chunks = json_encoder.c_make_encoder and json_encoder.c_make_encoder(
+    None, _ENCODER.default, json_encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+)
+
+
+def compact_json(obj: object) -> str:
+    """``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, the compact,
+    sorted-key, ASCII-only JSON text that the report and every transcript
+    line are written in."""
+    return "".join(_chunks(obj, 0)) if _chunks else _ENCODER.encode(obj)
+
+
+# One line, keys in sorted order: what compact_json writes for an event's
+# record with int round and size_bytes.
 _LINE = '{"direction":%s,"entity":%s,"meta":%s,"round":%d,"size_bytes":%d,"tag":%s}\n'
-# The same line with the meta object's fields written in between, and every
-# value a %s to fill with its JSON text.
-_LINE_HEAD = '{"direction":%s,"entity":%s,"meta":{'
-_LINE_TAIL = '},"round":%s,"size_bytes":%s,"tag":%s}\n'
-# Events written per write, and per % when they fit the templates; bounds
-# the writer's buffers, not the transcript.
+# Lines per write; bounds the writer's buffer, not the transcript.
 _CHUNK_EVENTS = 1024
-# Bound on the writer's cache of value texts.
-_VALUE_TEXTS = 1024
-_META_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+class _NameTexts(dict):
+    """``compact_json`` of each string looked up, made on its first lookup."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = compact_json(name)
+        return text
+
+
 # Each tag to its constant: a loaded event shares the one string object
 # rather than keeping the decoder's copy (about 1.3 MiB on 18 850 events).
 _TAGS = {
@@ -371,132 +405,6 @@ _JSON_TYPE_NAMES = {
     bool: "a boolean",
     type(None): "null",
 }
-
-
-class _JsonValues(dict):
-    """JSON text of each exact ``int`` or ``str`` looked up, made once per value.
-
-    Look up nothing else: an int key also matches an equal bool or float,
-    whose JSON text differs. Most ints (OPE ciphertexts, readings) appear
-    once, so the texts are dropped whenever ``_VALUE_TEXTS`` are held.
-    """
-
-    def __missing__(self, value: int | str) -> str:
-        if len(self) >= _VALUE_TEXTS:
-            self.clear()
-        text = self[value] = int.__repr__(value) if type(value) is int else json.dumps(value)
-        return text
-
-
-try:
-    from operator import call as _call
-except ImportError:  # Python 3.10
-
-    def _call(function, arg):
-        return function(arg)
-
-
-_META = attrgetter("meta")
-_HEAD = attrgetter("direction", "entity")
-_TAIL = attrgetter("round", "size_bytes", "tag")
-_DICT = frozenset({dict})
-_PLAIN = frozenset({int, str})
-# What a template's getter returns for a meta it does not fit: no line
-# takes a None, so the events holding it go to the encoder.
-_MISFIT = (None,)
-
-
-def _line_template(meta: dict) -> tuple[str, Callable[[dict], Sequence]] | None:
-    """The template for lines whose ``meta`` has this one's keys in this order.
-
-    That is the line with the keys written in sorted order and a ``%s``
-    for each value, where a list in ``meta`` stands for a list of its
-    length with a ``%s`` per item, and a getter of the values (list items
-    spliced in) in that order. None when a key is not an exact ``str``.
-    """
-    if not all(type(key) is str for key in meta):
-        return None
-    order = sorted(meta)
-    lengths = [len(meta[key]) if type(meta[key]) is list else None for key in order]
-    fields = ",".join(
-        json.dumps(key).replace("%", "%%") + ":" + ("%s" if n is None else "[%s]" % ",".join(["%s"] * n))
-        for key, n in zip(order, lengths)
-    )
-    line = _LINE_HEAD + fields + _LINE_TAIL
-    # itemgetter returns a bare value for one key: wrap fewer than two
-    get = itemgetter(*order) if len(order) > 1 else lambda d: tuple(map(d.__getitem__, order))
-    if all(n is None for n in lengths):
-        return line, get
-
-    def spliced(meta: dict) -> Sequence:
-        values: list = []
-        for value, n in zip(get(meta), lengths):
-            if n is None:
-                values.append(value)
-            elif type(value) is list and len(value) == n:
-                values += value
-            else:
-                return _MISFIT
-        return values
-
-    return line, spliced
-
-
-class _TranscriptWriter:
-    """The lines of one dump, most of them filled from cached templates.
-
-    Each key tuple of a ``meta`` dict, in insertion order, gets one line
-    template (``_line_template``) from the first dict that has it. A run of
-    events is written by one ``%`` of their templates joined, when every
-    ``meta`` is an exact ``dict``, every value to write (the event's fields
-    and its meta values) is an exact ``int`` or ``str``, and every list has
-    its template's length. Otherwise the run is split in halves, and an
-    event that still does not fit is written with ``_META_ENCODER``: its
-    ``meta`` is not an exact ``dict``, has a key that is not an exact
-    ``str``, or holds a bool, float, None, dict, subclass or nested list.
-    Either way each line is what ``_LINE`` gives.
-    """
-
-    def __init__(self) -> None:
-        self.value_text = _JsonValues().__getitem__
-        self.templates: dict[tuple, tuple | None] = {}
-
-    def lines(self, events: list[ViewEvent]) -> str:
-        """The lines of ``events``, in order, joined."""
-        text = self._from_templates(events)
-        if text is not None:
-            return text
-        if len(events) > 1:
-            half = len(events) // 2
-            return self.lines(events[:half]) + self.lines(events[half:])
-        (e,) = events
-        encode = _META_ENCODER.encode
-        return _LINE % (encode(e.direction), encode(e.entity), encode(e.meta), e.round, e.size_bytes, encode(e.tag))
-
-    def _from_templates(self, events: list[ViewEvent]) -> str | None:
-        """The lines of ``events`` filled from templates, or None when one does not fit."""
-        metas = list(map(_META, events))
-        if not _DICT.issuperset(map(type, metas)):
-            return None
-        shapes = list(map(tuple, metas))
-        templates = self.templates
-        found = list(map(templates.get, shapes))
-        if None in found:
-            for shape, meta in zip(shapes, metas):
-                if shape not in templates:
-                    templates[shape] = _line_template(meta)
-            found = list(map(templates.get, shapes))
-            if None in found:
-                return None
-        lines, getters = zip(*found)
-        # every line's values in its template's order: direction, entity,
-        # the meta values, round, size_bytes and tag
-        values = list(chain.from_iterable(chain.from_iterable(
-            zip(map(_HEAD, events), map(_call, getters, metas), map(_TAIL, events))
-        )))
-        if not _PLAIN.issuperset(map(type, values)):
-            return None
-        return "".join(lines) % tuple(map(self.value_text, values))
 
 
 def _shape_error(record: object) -> str:

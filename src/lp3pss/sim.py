@@ -32,8 +32,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from json import encoder as json_encoder
-from typing import Any, Callable
+from typing import Any
 
 from lp3pss import costs
 from lp3pss.entities import (
@@ -64,6 +63,7 @@ from lp3pss.recording import (
     PHASE_SENSING,
     Recorder,
     Tally,
+    compact_json,
     user_name,
 )
 from lp3pss.scenario import (
@@ -280,27 +280,6 @@ class RoundRecord:
         return len(self.joins)
 
 
-def _report_encoder() -> Callable[[dict], str]:
-    """What ``json.dumps(obj, sort_keys=True, separators=(",", ":"))`` writes for a dict.
-
-    ``JSONEncoder.encode`` builds its C encoder anew on every call, about
-    1.3 µs, which each round's two rows would pay. This one is built once,
-    with the arguments ``encode`` gives it, except that it does not check
-    for circular references, which the report cannot hold. Without the C
-    accelerator it is ``JSONEncoder.encode``.
-    """
-    encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-    if json_encoder.c_make_encoder is None:
-        return encoder.encode
-    chunks = json_encoder.c_make_encoder(
-        None, encoder.default, json_encoder.encode_basestring_ascii, None, ":", ",", True, False, True
-    )
-    return lambda obj: "".join(chunks(obj, 0))
-
-
-_ENCODE = _report_encoder()
-
-
 class RunFold:
     """What a run keeps of each round once it has ended.
 
@@ -327,7 +306,7 @@ class RunFold:
         self.computation += _round_op_mismatches(tally.ops, record, self.n0)
         self.communication += _round_traffic_mismatches(tally, record, self.range_bits)
         result = record.result
-        row = _ENCODE(
+        row = compact_json(
             {
                 "t": record.t,
                 "truth": record.truth,
@@ -340,7 +319,7 @@ class RunFold:
                 "bits": {str(u): b for u, b in result.bits.items()},
             }
         )
-        phi = _ENCODE({str(u): rec.phi for u, rec in fc.records.items()})
+        phi = compact_json({str(u): rec.phi for u, rec in fc.records.items()})
         if self.round_rows:
             row, phi = "," + row, "," + phi
         self.round_rows.append(row)
@@ -370,7 +349,7 @@ class SimulationResult:
         churn = config.churn
         tally = self.recorder.tally
         # every key here sorts before "reputation" and "rounds", written after it
-        head = _ENCODE(
+        head = compact_json(
             {
                 "comm": {
                     "links": tally.link_totals(),
@@ -397,7 +376,7 @@ class SimulationResult:
                 "protocol_errors": tally.protocol_errors,
             }
         )
-        final = _ENCODE(
+        final = compact_json(
             {
                 str(u): {"rho": rec.rho, "eta": rec.eta, "phi": rec.phi, "weight": rec.weight}
                 for u, rec in self.fc.records.items()

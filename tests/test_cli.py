@@ -155,6 +155,26 @@ def test_bench_rejects_negative_joins_before_running(capsys):
     assert captured.err.startswith("config error: beta")
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["costs", "--schemes", ","], "--schemes"),
+        (["costs", "--n", ","], "--n"),
+        (["bench", "--n", ",", "--seed", "3"], "--n"),
+        (["bench", "--beta", ",", "--seed", "3"], "--beta"),
+    ],
+)
+def test_empty_list_flag_is_usage_error(tmp_path, capsys, argv, flag):
+    out = tmp_path / "c.csv"
+    if argv[0] == "costs":
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert f"argument {flag}: expected at least one" in captured.err
+    assert not out.exists()
+
+
 def test_attack_subcommand_both_schemes(capsys):
     assert main(["attack", "--scheme", "baseline", "--n", "6", "--seed", "2"]) == 0
     assert main(["attack", "--scheme", "lp3pss", "--n", "6", "--seed", "2"]) == 0
@@ -198,6 +218,8 @@ def test_costs_csv_layout(tmp_path):
 def test_costs_unknown_scheme(tmp_path, capsys):
     code = main(["costs", "--schemes", "rot13", "--out", str(tmp_path / "c.csv")])
     assert code == 2
+    assert "argument --schemes: unknown scheme(s): rot13" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -499,9 +499,8 @@ class Level(enum.IntEnum):
     HIGH = 7
 
 
-# Values the writer's templates must leave to the encoder, or write as the
-# encoder would: every type json.dumps accepts in a meta, and strings that
-# mean something to % or to JSON.
+# Values the writer must write as json.dumps would: every type json.dumps
+# accepts in a meta, and strings that mean something to % or to JSON.
 ODD_VALUES = [
     True,
     False,
@@ -532,10 +531,19 @@ ODD_VALUES = [
 ]
 
 
-def test_templates_write_what_json_dumps_writes_whatever_the_value_types():
+def test_dump_writes_what_json_dumps_writes_whatever_the_value_types():
     # every event shares its key tuple with plain ones written before and
-    # after it, so each odd value meets a template made for ints and strs
+    # after it, and each odd value reaches fresh metas and, when hashable,
+    # shared ones, each shared meta next to a fresh one equal to it
     recorder = Recorder()
+    pairs = []  # (shared meta, fresh meta equal to it)
+
+    def beside_shared() -> None:
+        """Observe a fresh copy of the last event's shared meta next to it."""
+        shared = recorder.events[-1]
+        recorder.observe(shared.entity, shared.tag, shared.direction, dict(shared.meta))
+        pairs.append((shared.meta, recorder.events[-1].meta))
+
     for value in ODD_VALUES:
         for meta in (
             {"user": 7, "op": OPE_ENC},
@@ -547,10 +555,27 @@ def test_templates_write_what_json_dumps_writes_whatever_the_value_types():
             {"kind": value, "user": 2, "value": 9},
         ):
             recorder.observe(GW_NAME, OPAQUE, "computed", meta)
+        if type(value) in (list, dict):
+            continue  # the fields of a shared meta key its memo, so they are hashable
+        # None is no user and no subject
+        recorder.user_op(GW_NAME, OPE_ENC, OPAQUE, 0, value)
+        beside_shared()
+        recorder.vote(GW_NAME, "received", value, value)
+        beside_shared()
+        recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.REPORT, value)
+        beside_shared()
+        recorder.message_delivered(user_name(3), GW_NAME, 34, MsgPhase.REPORT, value)
+        beside_shared()
+    shared_ids = {id(meta) for meta in recorder._shared.values()}
+    assert all(
+        id(shared) in shared_ids and id(fresh) not in shared_ids and shared == fresh
+        for shared, fresh in pairs
+    )
+    assert len(pairs) == 4 * len([v for v in ODD_VALUES if type(v) not in (list, dict)])
     # keys that mean something to %
     for meta in ({"100%": 1, "%(x)s": "%s"}, {"%d": 2, "%": "%%"}):
         recorder.observe(GW_NAME, OPAQUE, "computed", meta)
-    # a long run, with odd values deep inside a template-filled stretch
+    # a long run, with odd values deep inside a stretch of plain ones
     for i in range(3000):
         meta = {"user": i, "op": "%" if i % 2 else "op"}
         if i in (1500, 2047, 2048):
@@ -560,7 +585,7 @@ def test_templates_write_what_json_dumps_writes_whatever_the_value_types():
 
 
 @pytest.mark.parametrize("key", [1, True, None, 2.5], ids=["int", "bool", "none", "float"])
-def test_templates_leave_keys_that_are_not_strings_to_the_encoder(key):
+def test_dump_writes_keys_that_are_not_strings_as_json_dumps_does(key):
     recorder = Recorder()
     for meta in ({"user": 1}, {key: 1}, {key: "a"}, {"user": 2}):
         recorder.observe(FC_NAME, OPAQUE, "computed", meta)

@@ -32,17 +32,53 @@ def test_script_exits_zero(argv):
     assert proc.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scripts/lambda_sweep.py", "--n", "0"], "--n"),
+        (["scripts/lambda_sweep.py", "--pf", "0.7", "--pm", "0.7"], "--pf"),
+        (["scripts/lambda_sweep.py", "--trials", "0"], "--trials"),
+        (["scripts/reputation_demo.py", "--n", "0"], "--n"),
+        (["scripts/reputation_demo.py", "--rounds", "0"], "--rounds"),
+    ],
+    ids=["sweep-n", "sweep-pf-pm", "sweep-trials", "demo-n", "demo-rounds"],
+)
+def test_script_rejects_bad_argument_with_usage_error(argv, flag):
+    proc = run_script(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    last = proc.stderr.splitlines()[-1]
+    assert ": error: " + flag in last
+
+
+# What the digests script prints for the tiny sizes: pinned like the golden
+# hashes in test_recording.py, and changed only with a deliberate change to
+# the crypto or to the report or transcript format.
+GOLDEN_TINY_DIGESTS = """\
+wide seed=7 report=3698166702ef48cbfc2e38038dc19123c88299e5cf06a0d31f4fe16fc29925be transcript=6b4505d9a099c855dfb119ad559070bd07ea87426833411d2fe1b79fb6e602d0
+wide seed=8 report=3922b56b529f62e33bf0297f7d4e98b9c8fc980ecdc3234ad41ef9a9e160afc0 transcript=4859b26f7d5f543b4bf16d06efc02164f15ebcfc124989d6da9c1c758a839366
+long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=214a04965b75398757b85c97f3496321651435121e0138f8b619a035cee0ce49
+long seed=8 report=3c1869841b6f976197cc782d9626409adcee81c315d72858174ce439bc28f843 transcript=8cab399e0b03235dc99d2066b15dbac8e6c39fd30bdb8a113d3043127d44a971
+churn seed=7 report=818e5566578935f2d097ecf5032bff3a72b7e67fce17888fd659764d9c5d7554 transcript=c28d38701f8139878539be7ed51d8193156d8a7e8058a943555030bf7d38f22e
+churn seed=8 report=786cdc07a679a83859f7ad5746d1ad8c33ef085ce918308e529fe3fb9b1c3af0 transcript=f176428c40bb881cc9874f196c281ac52a18798312c9baffc4fde3450f40cf0c
+"""
+
+
 def test_output_digests_print_one_line_of_hashes_per_run():
-    argv = ["scripts/output_digests.py", "--workload", "long", "churn", "--seed", "7", "8", "--size", "tiny"]
+    argv = [
+        "scripts/output_digests.py", "--workload", "wide", "long", "churn", "--seed", "7", "8", "--size", "tiny"
+    ]
     runs = [run_script(argv) for _ in range(2)]
     assert runs[0].returncode == 0, runs[0].stderr
     assert runs[0].stdout == runs[1].stdout
     lines = runs[0].stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
-        ["long", "seed=7"], ["long", "seed=8"], ["churn", "seed=7"], ["churn", "seed=8"]
+        [workload, f"seed={seed}"] for workload in ("wide", "long", "churn") for seed in (7, 8)
     ]
     for line in lines:
         report, transcript = line.split()[2:]
         assert report.startswith("report=") and len(report) == len("report=") + 64
         assert transcript.startswith("transcript=") and len(transcript) == len("transcript=") + 64
-    assert len({line.split()[2] for line in lines}) == 4
+    assert len({line.split()[2] for line in lines}) == 6
+    assert runs[0].stdout == GOLDEN_TINY_DIGESTS
