@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from lp3pss.crypto import pair_channel_key
 from lp3pss.entities import MsgPhase, seal, unseal
 from lp3pss.recording import (
@@ -44,6 +42,7 @@ from lp3pss.recording import (
     ViewTag,
     user_name,
 )
+from lp3pss.rng import default_rng
 from lp3pss.scenario import ChannelModel
 
 BASELINE = "baseline"
@@ -337,8 +336,8 @@ def build_dlp_scenario(
     """
     if not 1 <= target <= n:
         raise ValueError("target must be one of the n users")
-    rng = np.random.default_rng(seed)
-    rss = {uid: int(rng.integers(0, model.quant.domain_max + 1)) for uid in range(1, n + 1)}
+    rng = default_rng(seed)
+    rss = {uid: rng.integers(0, model.quant.domain_max + 1) for uid in range(1, n + 1)}
     full = set(range(1, n + 1))
     without = full - {target}
     rosters = (full, without) if leave else (without, full)

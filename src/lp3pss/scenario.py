@@ -11,6 +11,10 @@ leave counts are drawn from bounded integer distributions. Adversaries
 manipulate only their own report, before encryption, and never see the
 detection threshold, so the flip behaviors reflect about the model
 midpoint as their best guess of it.
+
+Every draw comes from a ``lp3pss.rng.Generator``: numpy 2.x's
+``Generator(PCG64)`` streams, reproduced without numpy, so a seed gives
+the same run whichever numpy (if any) is installed.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Iterable
 
-import numpy as np
+from lp3pss.rng import Generator, SeedSequence
 
 PU_ABSENT = 0
 PU_PRESENT = 1
@@ -88,30 +92,32 @@ def calibrate_channel(
 
 
 def generate_rss(
-    model: ChannelModel, truth: int, rng: np.random.Generator, n: int
+    model: ChannelModel, truth: int, rng: Generator, n: int
 ) -> list[int]:
-    """Draw n i.i.d. quantized RSS values under the given hypothesis."""
+    """Draw n i.i.d. quantized RSS values under the given hypothesis,
+    each rounded half to even and clamped to the domain."""
     mean = model.mu1 if truth == PU_PRESENT else model.mu0
-    draws = rng.normal(mean, model.sigma, size=n)
-    clipped = np.clip(np.rint(draws), 0, model.quant.domain_max)
-    return [int(v) for v in clipped]
+    top = model.quant.domain_max
+    return [min(max(round(x), 0), top) for x in rng.normal(mean, model.sigma, n)]
 
 
 @dataclass(frozen=True)
 class CountRange:
-    """Uniform bounded integer distribution; lo == hi pins a constant."""
+    """Uniform bounded integer distribution; lo == hi pins a constant.
+
+    Bounds are int64 values, as the generator draws them."""
 
     lo: int
     hi: int
 
     def __post_init__(self) -> None:
-        if self.lo < 0 or self.hi < self.lo:
-            raise ValueError("need 0 <= lo <= hi")
+        if not 0 <= self.lo <= self.hi < 2**63:
+            raise ValueError("need 0 <= lo <= hi < 2^63")
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: Generator) -> int:
         if self.lo == self.hi:
             return self.lo
-        return int(rng.integers(self.lo, self.hi + 1))
+        return rng.integers(self.lo, self.hi + 1)
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ class ChurnConfig:
 
 def churn_step(
     cfg: ChurnConfig,
-    rng: np.random.Generator,
+    rng: Generator,
     t: int,
     live: set[int],
     used: set[int] | None = None,
@@ -203,7 +209,7 @@ def apply_malice(
     uid: int,
     rss_q: int,
     model: ChannelModel,
-    rng: np.random.Generator,
+    rng: Generator,
 ) -> int:
     """Reported value after the user's behavior is applied to its draw.
 
@@ -223,8 +229,8 @@ def apply_malice(
     return model.quant.domain_max if behavior.stuck_bit == 1 else 0
 
 
-def spawn_rngs(seed: int, names: Iterable[str]) -> dict[str, np.random.Generator]:
+def spawn_rngs(seed: int, names: Iterable[str]) -> dict[str, Generator]:
     """Independent named RNG streams derived from one seed."""
     names = list(names)
-    children = np.random.SeedSequence(seed).spawn(len(names))
-    return {name: np.random.default_rng(ss) for name, ss in zip(names, children)}
+    children = SeedSequence(seed).spawn(len(names))
+    return {name: Generator(ss) for name, ss in zip(names, children)}

@@ -2,10 +2,10 @@
 
 from statistics import NormalDist
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lp3pss.rng import default_rng
 from lp3pss.scenario import (
     ALWAYS_FLIP,
     HONEST,
@@ -34,7 +34,7 @@ def model_with(sigma: float = 500.0) -> ChannelModel:
 class TestGenerateRss:
     def test_degenerate_sigma_collapses_to_mean(self):
         model = model_with(sigma=1e-9)
-        values = generate_rss(model, PU_PRESENT, np.random.default_rng(0), 100)
+        values = generate_rss(model, PU_PRESENT, default_rng(0), 100)
         assert values == [round(model.mu1)] * 100
 
     def test_gaussian_tail_calibration(self):
@@ -43,21 +43,21 @@ class TestGenerateRss:
         z = NormalDist().inv_cdf(0.9)
         tau = 3000.0
         model = model_with(sigma=(tau - 2000.0) / z)
-        values = generate_rss(model, PU_ABSENT, np.random.default_rng(1), 100_000)
+        values = generate_rss(model, PU_ABSENT, default_rng(1), 100_000)
         p_f = sum(v >= tau for v in values) / len(values)
         assert p_f == pytest.approx(0.1, abs=0.01)
 
     def test_seed_determinism(self):
         model = model_with()
-        a = generate_rss(model, PU_PRESENT, np.random.default_rng(7), 50)
-        b = generate_rss(model, PU_PRESENT, np.random.default_rng(7), 50)
+        a = generate_rss(model, PU_PRESENT, default_rng(7), 50)
+        b = generate_rss(model, PU_PRESENT, default_rng(7), 50)
         assert a == b
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([PU_ABSENT, PU_PRESENT]))
     @settings(max_examples=25)
     def test_clamped_to_domain(self, seed, truth):
         model = ChannelModel(10.0, 50.0, 2000.0, Quantization(domain_bits=8))
-        values = generate_rss(model, truth, np.random.default_rng(seed), 64)
+        values = generate_rss(model, truth, default_rng(seed), 64)
         assert all(0 <= v <= 255 for v in values)
 
     def test_model_invariants(self):
@@ -75,7 +75,7 @@ class TestCalibration:
 
     def test_empirical_rates_match_request(self):
         model, tau = calibrate_channel(0.05, 0.15)
-        rng = np.random.default_rng(3)
+        rng = default_rng(3)
         absent = generate_rss(model, PU_ABSENT, rng, 200_000)
         present = generate_rss(model, PU_PRESENT, rng, 200_000)
         assert sum(v >= tau for v in absent) / len(absent) == pytest.approx(0.05, abs=0.005)
@@ -85,13 +85,13 @@ class TestCalibration:
 class TestChurn:
     def test_zero_mu_never_changes(self):
         cfg = ChurnConfig(mu=0.0, join_count=CountRange(1, 3), leave_count=CountRange(1, 3))
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         for t in range(1000):
             assert churn_step(cfg, rng, t, {1, 2, 3}) == ([], [])
 
     def test_forced_joins_give_constant_beta(self):
         cfg = ChurnConfig(mu=1.0, join_count=CountRange(5, 5), leave_count=CountRange(0, 0))
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         live = {1, 2}
         for t in range(20):
             joins, leaves = churn_step(cfg, rng, t, live)
@@ -100,7 +100,7 @@ class TestChurn:
 
     def test_event_rate_matches_mu(self):
         cfg = ChurnConfig(mu=0.2, join_count=CountRange(1, 3), leave_count=CountRange(0, 2))
-        rng = np.random.default_rng(11)
+        rng = default_rng(11)
         live = set(range(1, 30))
         used = set(live)
         events = 0
@@ -115,7 +115,7 @@ class TestChurn:
 
     def test_never_empties_network(self):
         cfg = ChurnConfig(mu=1.0, join_count=CountRange(0, 0), leave_count=CountRange(5, 5))
-        rng = np.random.default_rng(2)
+        rng = default_rng(2)
         live = {4}
         joins, leaves = churn_step(cfg, rng, 1, live)
         assert leaves == [] and joins == []
@@ -124,13 +124,13 @@ class TestChurn:
 
     def test_departed_ids_not_reissued(self):
         cfg = ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(0, 0))
-        rng = np.random.default_rng(5)
+        rng = default_rng(5)
         joins, _ = churn_step(cfg, rng, 1, live={1, 2}, used={1, 2, 3, 4})
         assert joins == [5]
 
     def test_leavers_come_from_live_set(self):
         cfg = ChurnConfig(mu=1.0, join_count=CountRange(0, 0), leave_count=CountRange(2, 2))
-        rng = np.random.default_rng(9)
+        rng = default_rng(9)
         live = {3, 8, 12, 20}
         _, leaves = churn_step(cfg, rng, 1, live)
         assert set(leaves) <= live and len(leaves) == 2
@@ -139,19 +139,19 @@ class TestChurn:
 class TestAdversaries:
     def test_honest_is_identity(self):
         profile = AdversaryProfile()
-        assert apply_malice(profile, 1, 3123, model_with(), np.random.default_rng(0)) == 3123
+        assert apply_malice(profile, 1, 3123, model_with(), default_rng(0)) == 3123
 
     def test_always_flip_reflects_about_midpoint(self):
         profile = AdversaryProfile({1: Behavior(ALWAYS_FLIP)})
         model = model_with()
-        reported = apply_malice(profile, 1, int(model.mu1), model, np.random.default_rng(0))
+        reported = apply_malice(profile, 1, int(model.mu1), model, default_rng(0))
         assert reported < model.midpoint
         assert reported == 2 * model.midpoint - model.mu1
 
     def test_random_flip_rate(self):
         profile = AdversaryProfile({1: Behavior(RANDOM_FLIP, flip_prob=0.5)})
         model = model_with()
-        rng = np.random.default_rng(4)
+        rng = default_rng(4)
         flips = sum(
             apply_malice(profile, 1, 3600, model, rng) != 3600 for _ in range(10_000)
         )
@@ -159,7 +159,7 @@ class TestAdversaries:
 
     def test_stuck_at_extremes(self):
         model = model_with()
-        rng = np.random.default_rng(0)
+        rng = default_rng(0)
         high = AdversaryProfile({1: Behavior(STUCK_AT, stuck_bit=1)})
         low = AdversaryProfile({1: Behavior(STUCK_AT, stuck_bit=0)})
         assert apply_malice(high, 1, 3000, model, rng) == model.quant.domain_max
@@ -168,7 +168,7 @@ class TestAdversaries:
     def test_flip_output_stays_in_domain(self):
         profile = AdversaryProfile({1: Behavior(ALWAYS_FLIP)})
         model = ChannelModel(10.0, 250.0, 5.0, Quantization(domain_bits=8))
-        assert 0 <= apply_malice(profile, 1, 0, model, np.random.default_rng(0)) <= 255
+        assert 0 <= apply_malice(profile, 1, 0, model, default_rng(0)) <= 255
 
     def test_bad_behavior_rejected(self):
         with pytest.raises(ValueError):
