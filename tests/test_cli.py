@@ -112,9 +112,9 @@ def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
         ({"sensing": {"p_f": 0.5, "p_m": 0.5}}, "sensing.p_f"),
         ({"churn": {"join": [1, "a"]}}, "churn.join"),
         ({"churn": {"leave": [2, 1]}}, "churn.leave"),
+        ({"adversary": {"1": {"kind": "stuck-at", "stuck_bit": True}}}, "adversary.1.stuck_bit"),
         ({"churn": {"mu": 1.0, "join": [0, 10**20], "leave": [0, 0]}}, "churn.join"),
         ({"churn": {"mu": 1.0, "join": [0, 0], "leave": [2**63, 2**63]}}, "churn.leave"),
-        ({"adversary": {"1": {"kind": "stuck-at", "stuck_bit": True}}}, "adversary.1.stuck_bit"),
     ],
 )
 def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, field):
