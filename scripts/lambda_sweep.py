@@ -3,7 +3,10 @@
 
 Simulates per-user votes directly from the error profile (bit = 1 with
 probability p_f when the channel is free, 1 - p_m when busy) and prints
-Q_f + Q_m for every threshold, marking the analytic optimum.
+Q_f + Q_m for every threshold, marking the analytic optimum. The votes
+are drawn from ``lp3pss.rng`` one at a time, trial by trial, busy trials
+first: the same doubles, in the same order, as numpy's
+``random((trials, n))`` twice, so the output is numpy's to the byte.
 
 Usage: python scripts/lambda_sweep.py [--n 10] [--pf 0.1] [--pm 0.2]
        [--trials 10000] [--seed 7]
@@ -11,26 +14,24 @@ Usage: python scripts/lambda_sweep.py [--n 10] [--pf 0.1] [--pm 0.2]
 
 import argparse
 
-import numpy as np
-
 from lp3pss.fusion import DetectionProfile, compute_alpha, compute_lambda
+from lp3pss.rng import default_rng
 
 
 def sweep(n: int, p_f: float, p_m: float, trials: int, seed: int) -> None:
-    rng = np.random.default_rng(seed)
-    busy_votes = (rng.random((trials, n)) < 1.0 - p_m).sum(axis=1)
-    free_votes = (rng.random((trials, n)) < p_f).sum(axis=1)
+    rng = default_rng(seed)
+    busy_votes = [sum(rng.random() < 1.0 - p_m for _ in range(n)) for _ in range(trials)]
+    free_votes = [sum(rng.random() < p_f for _ in range(n)) for _ in range(trials)]
+    rates = [
+        (lam, sum(v >= lam for v in free_votes) / trials, sum(v < lam for v in busy_votes) / trials)
+        for lam in range(1, n + 1)
+    ]
     profile = DetectionProfile(p_f, p_m)
     lam_opt = compute_lambda(n, compute_alpha(profile))
     print(f"n={n} p_f={p_f} p_m={p_m} trials={trials}  ->  analytic optimum lambda={lam_opt}")
     print(f"{'lambda':>6}  {'Q_f':>8}  {'Q_m':>8}  {'Q_f+Q_m':>8}")
-    best = min(
-        range(1, n + 1),
-        key=lambda lam: (free_votes >= lam).mean() + (busy_votes < lam).mean(),
-    )
-    for lam in range(1, n + 1):
-        q_f = (free_votes >= lam).mean()
-        q_m = (busy_votes < lam).mean()
+    best = min(rates, key=lambda rate: rate[1] + rate[2])[0]
+    for lam, q_f, q_m in rates:
         marks = ("  <- empirical argmin" if lam == best else "") + (
             "  (analytic)" if lam == lam_opt else ""
         )
@@ -49,6 +50,8 @@ if __name__ == "__main__":
         parser.error(f"--n must be at least 1, got {args.n}")
     if args.trials < 1:
         parser.error(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        parser.error(f"--seed must be non-negative, got {args.seed}")
     try:
         DetectionProfile(args.pf, args.pm)
     except ValueError as exc:

@@ -445,13 +445,15 @@ def handle_membership(
     for uid in leaves:
         if uid not in fc.live:
             raise ProtocolError(f"user {uid} not live")
+    if len(fc.live) - len(leaves) + len(joins) == 0:
+        raise ProtocolError("membership change emptied the network")
     for uid in leaves:
         keys.remove_user(uid)
         fc.live.discard(uid)
         del fc.ope_keys[uid]
         del fc.records[uid]
         del gw.user_keys[uid]
-        del gw.tau_cache[uid]
+        gw.tau_cache.pop(uid, None)  # absent if the leaver's wrapped threshold was refused
     new_states: dict[int, SuState] = {}
     for uid in joins:
         keys.add_user(uid)
@@ -461,6 +463,4 @@ def handle_membership(
         gw.user_keys[uid] = keys.gw_user[uid]
         gw_ingest_init(gw, [_wrap_tau(fc, uid, recorder)], recorder)
         new_states[uid] = make_su_state(keys, uid)
-    if not fc.live:
-        raise ProtocolError("membership change emptied the network")
     return new_states

@@ -9,13 +9,23 @@ protocol errors and the leakage verdict, and is a pure function of
 (config, seed): two runs with the same config produce byte-identical
 reports and transcripts.
 
-Each round folds when it ends (``RunFold.end_round``): the driver checks
-the round's operation counts and traffic against the analytical model,
-encodes the round's ``rounds`` and ``phi_trajectory`` rows of the report
-as JSON text, and adds the round's operation counts into the run totals,
-dropping the round's own. So neither the per-round counts nor the report
-rows are held as objects after their round, and ``report_json`` writes
-the document around the encoded rows.
+The round fold: each round folds as soon as its decision is in
+(``RunFold.end_round``), on that round's counts only (at round 1, on
+initialization's too). The driver
+
+1. runs both count checks, the round's operation counts against the
+   analytical model and its traffic against the framing model, and
+   keeps their mismatch lines for ``verify_computation_counts`` and
+   ``verify_communication_counts``;
+2. encodes the round's rows of the report's ``rounds`` and
+   ``phi_trajectory`` as JSON text;
+3. adds the round's operation counts into the run totals per (entity,
+   phase, operation) that the report's ``op_counts`` holds, and drops the
+   round's own.
+
+So neither the per-round counts nor the report rows are held as objects
+after their round, and ``report_json`` writes the document around the
+encoded rows, with the same bytes as encoding the whole report at once.
 
 A round whose decision vector the fusion center cannot use (it is
 malformed, fails authentication, was packed over another roster or has
@@ -27,6 +37,7 @@ null decisions and a leakage verdict.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -281,15 +292,10 @@ class RoundRecord:
 
 
 class RunFold:
-    """What a run keeps of each round once it has ended.
-
-    ``end_round`` runs as each round's decision is in, on that round's
-    counts only (and, at round 1, on initialization's). It keeps the
-    mismatch lines of both count checks, which ``verify_computation_counts``
-    and ``verify_communication_counts`` return, and the round's two rows
-    of the report as JSON text, each but the first led by a comma. Then
-    it folds the round's ``Tally.ops`` into the run totals, so the tally
-    never holds the keys of an ended round.
+    """What a run keeps of each round once it has ended: the mismatch
+    lines of both count checks, and the round's two report rows as JSON
+    text, each but the first led by a comma. ``end_round`` is the round
+    fold that the module docstring describes.
     """
 
     def __init__(self, config: SimulationConfig, tally: Tally) -> None:
@@ -471,7 +477,27 @@ def estimate_error_rates(rounds: list[RoundRecord]) -> ErrorRates:
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Execute one full run; see the module docstring for the shape."""
+    """Execute one full run; see the module docstring for the shape.
+
+    Automatic garbage collection is paused for the whole run and the
+    caller's setting is put back on every exit, by return or by raise.
+    The premise: a run creates no reference cycles, so the cyclic
+    collector has nothing to free while it runs, and each of its passes
+    would only rescan the events the run keeps (a test pins this). The
+    pause acts on the whole process, so cycles that other threads make
+    meanwhile are collected after the run ends.
+    """
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        return _run(config)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(config: SimulationConfig) -> SimulationResult:
     sensing = config.sensing
     model, tau = config.resolve_channel()
     profile = sensing.profile

@@ -371,8 +371,9 @@ class TestMembership:
             ([5, 3], [1], "user 3 already issued keys"),  # U3 left before
             ([5, 5], [], "repeated"),
             ([], [2, 2], "repeated"),
+            ([], [1, 2, 4], "emptied the network"),
         ],
-        ids=["rejoin", "repeated-join", "repeated-leave"],
+        ids=["rejoin", "repeated-join", "repeated-leave", "emptied"],
     )
     def test_refused_change_leaves_every_state_alone(self, master_seed, joins, leaves, reason):
         keys, fc, gw, _, recorder, _ = setup_network(4, master_seed)

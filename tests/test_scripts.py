@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from lp3pss.fusion import DetectionProfile, compute_alpha, compute_lambda
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,16 +35,52 @@ def test_script_exits_zero(argv):
     assert proc.stdout
 
 
+def numpy_sweep_printout(n: int, p_f: float, p_m: float, trials: int, seed: int) -> str:
+    """What lambda_sweep.py printed when it drew its votes with numpy."""
+    rng = np.random.default_rng(seed)
+    busy_votes = (rng.random((trials, n)) < 1.0 - p_m).sum(axis=1)
+    free_votes = (rng.random((trials, n)) < p_f).sum(axis=1)
+    lam_opt = compute_lambda(n, compute_alpha(DetectionProfile(p_f, p_m)))
+    lines = [
+        f"n={n} p_f={p_f} p_m={p_m} trials={trials}  ->  analytic optimum lambda={lam_opt}",
+        f"{'lambda':>6}  {'Q_f':>8}  {'Q_m':>8}  {'Q_f+Q_m':>8}",
+    ]
+    best = min(
+        range(1, n + 1),
+        key=lambda lam: (free_votes >= lam).mean() + (busy_votes < lam).mean(),
+    )
+    for lam in range(1, n + 1):
+        q_f = (free_votes >= lam).mean()
+        q_m = (busy_votes < lam).mean()
+        marks = ("  <- empirical argmin" if lam == best else "") + (
+            "  (analytic)" if lam == lam_opt else ""
+        )
+        lines.append(f"{lam:>6}  {q_f:>8.4f}  {q_m:>8.4f}  {q_f + q_m:>8.4f}{marks}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n, p_f, p_m, trials, seed",
+    [(10, 0.1, 0.2, 2000, 7), (7, 0.05, 0.3, 3000, 123), (25, 0.2, 0.25, 500, 99), (1, 0.1, 0.2, 1, 0)],
+)
+def test_lambda_sweep_prints_what_numpy_draws_give(n, p_f, p_m, trials, seed):
+    argv = ["--n", n, "--pf", p_f, "--pm", p_m, "--trials", trials, "--seed", seed]
+    proc = run_script(["scripts/lambda_sweep.py", *map(str, argv)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == numpy_sweep_printout(n, p_f, p_m, trials, seed)
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
         (["scripts/lambda_sweep.py", "--n", "0"], "--n"),
         (["scripts/lambda_sweep.py", "--pf", "0.7", "--pm", "0.7"], "--pf"),
         (["scripts/lambda_sweep.py", "--trials", "0"], "--trials"),
+        (["scripts/lambda_sweep.py", "--seed", "-1"], "--seed"),
         (["scripts/reputation_demo.py", "--n", "0"], "--n"),
         (["scripts/reputation_demo.py", "--rounds", "0"], "--rounds"),
     ],
-    ids=["sweep-n", "sweep-pf-pm", "sweep-trials", "demo-n", "demo-rounds"],
+    ids=["sweep-n", "sweep-pf-pm", "sweep-trials", "sweep-seed", "demo-n", "demo-rounds"],
 )
 def test_script_rejects_bad_argument_with_usage_error(argv, flag):
     proc = run_script(argv)

@@ -1,6 +1,8 @@
 """Driver behavior: determinism, counters, error rates, config parsing."""
 
+import contextlib
 import dataclasses
+import gc
 import io
 import json
 from collections import Counter
@@ -17,6 +19,7 @@ from lp3pss.costs import (
     analytical_cost,
     measured_round_bits_model,
 )
+from lp3pss.entities import ProtocolError
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -55,6 +58,45 @@ def small_run(**kwargs):
     defaults = dict(n=10, rounds=5, seed=42)
     defaults.update(kwargs)
     return run_simulation(SimulationConfig(SensingConfig(**defaults)))
+
+
+def tamper_reports(patch, tamper, round_, uid=None):
+    """Make the report of ``uid`` (of every user if None) sent in round
+    ``round_`` reach the gateway as ``tamper(body)``."""
+
+    def report(su, rss_q, recorder):
+        msg = entities_module.su_sense_report(su, rss_q, recorder)
+        if recorder.round == round_ and uid in (None, su.uid):
+            msg = dataclasses.replace(msg, body=tamper(msg.body))
+        return msg
+
+    patch.setattr(sim_module, "su_sense_report", report)
+
+
+def tamper_decision_vector(patch, tamper, round_=None):
+    """Make the gateway's decision vector of round ``round_`` (of every
+    round if None) reach the fusion center as ``tamper(body)``."""
+
+    def compare(gw, reports, recorder):
+        msg, delivered = entities_module.gw_compare(gw, reports, recorder)
+        if round_ in (None, recorder.round):
+            msg = dataclasses.replace(msg, body=tamper(msg.body))
+        return msg, delivered
+
+    patch.setattr(sim_module, "gw_compare", compare)
+
+
+def tamper_join_init(patch, round_):
+    """Make the wrapped thresholds of round ``round_``'s joiners reach the
+    gateway with a flipped tag bit."""
+    honest_ingest = entities_module.gw_ingest_init
+
+    def ingest(gw, messages, recorder):
+        if recorder.round == round_:
+            messages = [dataclasses.replace(m, body=flip_tag_bit(m.body)) for m in messages]
+        honest_ingest(gw, messages, recorder)
+
+    patch.setattr(entities_module, "gw_ingest_init", ingest)
 
 
 class TestDriver:
@@ -164,15 +206,7 @@ class TestConformance:
 
         audit(small_run(n=12, rounds=6))
 
-        honest_report = sim_module.su_sense_report
-
-        def tampered_report(su, rss_q, recorder):
-            msg = honest_report(su, rss_q, recorder)
-            if su.uid == 3 and recorder.round == 2:
-                msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
-            return msg
-
-        monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+        tamper_reports(monkeypatch, flip_tag_bit, 2, uid=3)
         result = small_run(n=12, rounds=6)
         assert [(e["round"], e["reason"]) for e in result.recorder.tally.protocol_errors] == [
             (2, "report failed authentication")
@@ -182,19 +216,11 @@ class TestConformance:
     def test_failed_decision_vector_aborts_only_its_round(self, monkeypatch):
         # a flipped tag bit fails authentication; a vector one byte short is
         # malformed and also one byte off the framing model
-        honest_compare = sim_module.gw_compare
         for tamper, reason, off_model in (
             (flip_tag_bit, "decision vector failed authentication", []),
             (lambda wire: wire[:-1], "decision vector is malformed", ["round 2"]),
         ):
-
-            def tampered_compare(gw, reports, recorder, tamper=tamper):
-                msg, delivered = honest_compare(gw, reports, recorder)
-                if recorder.round == 2:
-                    msg = dataclasses.replace(msg, body=tamper(msg.body))
-                return msg, delivered
-
-            monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
+            tamper_decision_vector(monkeypatch, tamper, 2)
             result = small_run(rounds=4)
             report = json.loads(result.report_json())
             aborted = report["rounds"][1]
@@ -218,15 +244,7 @@ class TestConformance:
             assert sum(q.trials for q in (rates.q_f, rates.q_m) if q is not None) == 3
 
     def test_truncated_report_is_malformed_and_skipped(self, monkeypatch):
-        honest_report = sim_module.su_sense_report
-
-        def truncated_report(su, rss_q, recorder):
-            msg = honest_report(su, rss_q, recorder)
-            if su.uid == 2 and recorder.round == 2:
-                msg = dataclasses.replace(msg, body=msg.body[:-1])
-            return msg
-
-        monkeypatch.setattr(sim_module, "su_sense_report", truncated_report)
+        tamper_reports(monkeypatch, lambda wire: wire[:-1], 2, uid=2)
         result = small_run(n=5, rounds=3)
         assert [(e["round"], e["entity"], e["reason"], e["user"]) for e in result.recorder.tally.protocol_errors] == [
             (2, GW_NAME, "report is malformed", 2)
@@ -257,18 +275,10 @@ class TestConformance:
             decrypted.append(wire)
             return honest_decrypt(key, wire, assoc)
 
-        honest_report = sim_module.su_sense_report
-
-        def truncated_report(su, rss_q, recorder):
-            # sent whole, shortened on the link: received counts what arrived
-            msg = honest_report(su, rss_q, recorder)
-            if recorder.round == 3:
-                msg = dataclasses.replace(msg, body=msg.body[:-2])
-            return msg
-
         monkeypatch.setattr(entities_module, "aead_encrypt", encrypt)
         monkeypatch.setattr(entities_module, "aead_decrypt", decrypt)
-        monkeypatch.setattr(sim_module, "su_sense_report", truncated_report)
+        # sent whole, shortened on the link: received counts what arrived
+        tamper_reports(monkeypatch, lambda wire: wire[:-2], 3)
         config = SimulationConfig(
             SensingConfig(n=6, rounds=5, seed=4, report_loss_prob=0.2),
             churn=ChurnConfig(mu=1.0, join_count=CountRange(0, 2), leave_count=CountRange(0, 1)),
@@ -288,14 +298,7 @@ class TestConformance:
         # gateway and the fusion center pack over different rosters, U6's
         # reports come from an unknown user, and every later round aborts on
         # the roster digest bound into the decision vector
-        honest_ingest = entities_module.gw_ingest_init
-
-        def tampered_ingest(gw, messages, recorder):
-            if recorder.round == 2:
-                messages = [dataclasses.replace(m, body=flip_tag_bit(m.body)) for m in messages]
-            honest_ingest(gw, messages, recorder)
-
-        monkeypatch.setattr(entities_module, "gw_ingest_init", tampered_ingest)
+        tamper_join_init(monkeypatch, 2)
         config = SimulationConfig(
             SensingConfig(n=5, rounds=4, seed=3),
             churn=ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(0, 0)),
@@ -317,6 +320,34 @@ class TestConformance:
         assert [r.delivered for r in result.rounds] == [
             (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 7), (1, 2, 3, 4, 5, 7, 8)
         ]
+        assert verify_computation_counts(result).ok
+        assert verify_communication_counts(result).ok
+        assert result.leakage.conforms
+
+    def test_leaver_whose_threshold_was_refused_leaves_cleanly(self, monkeypatch):
+        # U5 joins in round 2 and its wrapped threshold arrives tampered, so
+        # the gateway never caches it; U5 leaves in round 5, with no cache
+        # entry to drop, and from then on the rosters agree again
+        tamper_join_init(monkeypatch, 2)
+        config = SimulationConfig(
+            SensingConfig(n=4, rounds=30, seed=3),
+            churn=ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(1, 1)),
+        )
+        result = run_simulation(config)
+        assert [(r.joins, r.leaves) for r in result.rounds[1:5]] == [
+            ((5,), (2,)), ((6,), (1,)), ((7,), (3,)), ((8,), (5,))
+        ]
+        errors = [(e["round"], e["entity"], e["reason"]) for e in result.recorder.tally.protocol_errors]
+        assert errors == [
+            (2, GW_NAME, "init message failed authentication"),
+            (2, GW_NAME, "report from unknown user"),
+            (2, FC_NAME, "decision vector failed authentication"),
+            (3, GW_NAME, "report from unknown user"),
+            (3, FC_NAME, "decision vector failed authentication"),
+            (4, GW_NAME, "report from unknown user"),
+            (4, FC_NAME, "decision vector failed authentication"),
+        ]
+        assert [r.result.outcome is None for r in result.rounds] == [False, True, True, True] + [False] * 26
         assert verify_computation_counts(result).ok
         assert verify_communication_counts(result).ok
         assert result.leakage.conforms
@@ -347,13 +378,7 @@ class TestConformance:
         assert result.leakage.conforms
 
     def test_run_with_every_round_aborted_finishes(self, monkeypatch):
-        honest_compare = sim_module.gw_compare
-
-        def tampered_compare(gw, reports, recorder):
-            msg, delivered = honest_compare(gw, reports, recorder)
-            return dataclasses.replace(msg, body=flip_tag_bit(msg.body)), delivered
-
-        monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
+        tamper_decision_vector(monkeypatch, flip_tag_bit)
         result = small_run(n=3, rounds=2)
         report = json.loads(result.report_json())
         assert [r["decision"] for r in report["rounds"]] == [None, None]
@@ -478,7 +503,7 @@ def reference_report(result, phi_rows: list[dict[int, float]], ops: Counter) -> 
     }
 
 
-def run_watching_rounds(config, aborted_round=None):
+def run_watching_rounds(config, aborted_round):
     """Run ``config``, aborting ``aborted_round`` by a tampered decision vector.
 
     Returns the result, each round's credibilities and the run's op counts
@@ -487,22 +512,15 @@ def run_watching_rounds(config, aborted_round=None):
     phi_rows: list[dict[int, float]] = []
     ops: Counter = Counter()
     honest_end_round = sim_module.RunFold.end_round
-    honest_compare = sim_module.gw_compare
 
     def end_round(fold, record, fc):
         phi_rows.append({u: rec.phi for u, rec in fc.records.items()})
         ops.update(fold.tally.ops)
         honest_end_round(fold, record, fc)
 
-    def compare(gw, reports, recorder):
-        msg, delivered = honest_compare(gw, reports, recorder)
-        if recorder.round == aborted_round:
-            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
-        return msg, delivered
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim_module.RunFold, "end_round", end_round)
-        patch.setattr(sim_module, "gw_compare", compare)
+        tamper_decision_vector(patch, flip_tag_bit, aborted_round)
         result = run_simulation(config)
     return result, phi_rows, ops
 
@@ -568,6 +586,67 @@ class TestReport:
             assert not any(t <= result.rounds[-1].t for t, _, _, _ in result.recorder.tally.ops)
             totals = result.recorder.tally.op_totals()
             assert totals[GW_NAME][PHASE_SENSING][AEAD_DEC] == 8 * len(result.rounds)
+
+
+@contextlib.contextmanager
+def collection(enabled: bool):
+    """Automatic garbage collection switched on or off for the block, then
+    put back as it was."""
+    was = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+class TestCollectorPause:
+    # run_simulation pauses automatic collection for the whole run, on the
+    # premise that a run makes no reference cycles
+    @pytest.mark.parametrize("faulty", [False, True], ids=["honest", "tampered"])
+    def test_a_run_makes_no_reference_cycles(self, monkeypatch, faulty):
+        config = SimulationConfig(
+            SensingConfig(n=30, rounds=12, seed=5, report_loss_prob=0.1 if faulty else 0.0),
+            churn=ChurnConfig(mu=1.0, join_count=CountRange(0, 3), leave_count=CountRange(0, 3)),
+            adversary=AdversaryProfile(
+                {1: Behavior(ALWAYS_FLIP), 2: Behavior(STUCK_AT, stuck_bit=1)} if faulty else {}
+            ),
+        )
+        if faulty:
+            tamper_reports(monkeypatch, flip_tag_bit, 3, uid=4)
+            tamper_decision_vector(monkeypatch, flip_tag_bit, 5)
+        with collection(False):
+            gc.collect()
+            result = run_simulation(config)
+            unreachable = gc.collect()
+        assert unreachable == 0
+        assert any(r.beta and r.leaves for r in result.rounds)
+        reasons = {e["reason"] for e in result.recorder.tally.protocol_errors}
+        assert reasons == ({"report failed authentication", "decision vector failed authentication"} if faulty else set())
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+    def test_run_pauses_collection_and_restores_the_callers_setting(self, monkeypatch, raises, enabled):
+        seen: list[bool] = []
+
+        def decide(fc, zeta, recorder):
+            seen.append(gc.isenabled())
+            if raises:
+                raise ProtocolError("injected")
+            return entities_module.fc_decide(fc, zeta, recorder)
+
+        monkeypatch.setattr(sim_module, "fc_decide", decide)
+        with collection(enabled):
+            with pytest.raises(ProtocolError, match="injected") if raises else contextlib.nullcontext():
+                small_run(rounds=3)
+            assert gc.isenabled() is enabled
+        assert seen == [False] * (1 if raises else 3)
 
 
 class TestErrorRates:
