@@ -11,9 +11,9 @@ per-link traffic, bytes and logical ciphertexts per sensing round and
 the protocol errors. Operation counts are kept per round until the
 round is folded into run totals (``Tally.fold_ops``).
 
-Transcript files are JSON lines: one event per line, the stream
-stable-sorted by entity name, so each entity's events stay in the order
-they happened. A line is the compact, sorted-key, ASCII-only JSON object
+Transcript files are JSON lines: one event per line, in stream order,
+the order the events were appended. A line is the compact, sorted-key,
+ASCII-only JSON object
 
     {"direction":...,"entity":...,"meta":...,"round":...,"size_bytes":...,"tag":...}
 
@@ -39,7 +39,6 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from json import encoder as json_encoder
-from operator import attrgetter
 from sys import intern
 from typing import IO, Iterable, Iterator
 
@@ -321,7 +320,7 @@ class Recorder:
     # -- transcript I/O ----------------------------------------------------
 
     def dump_transcript(self, fh: IO[str]) -> int:
-        """Write every event as one JSONL line (format in the module docstring).
+        """Write every event as one JSONL line, in stream order (format in the module docstring).
 
         Each shared meta is encoded once per dump and found by identity,
         which holds only because the recorder keeps its ``_shared`` dicts
@@ -331,7 +330,7 @@ class Recorder:
         """
         shared_text = {id(meta): compact_json(meta) for meta in self._shared.values()}.get
         text = _NameTexts()
-        events = sorted(self.events, key=attrgetter("entity"))  # stable: each entity's in order
+        events = self.events
         for start in range(0, len(events), _CHUNK_EVENTS):
             # a meta's text is never empty, so `or` encodes fresh metas only
             fh.write("".join([

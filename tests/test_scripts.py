@@ -95,12 +95,12 @@ def test_script_rejects_bad_argument_with_usage_error(argv, flag):
 # hashes in test_recording.py, and changed only with a deliberate change to
 # the crypto or to the report or transcript format.
 GOLDEN_TINY_DIGESTS = """\
-wide seed=7 report=3698166702ef48cbfc2e38038dc19123c88299e5cf06a0d31f4fe16fc29925be transcript=6b4505d9a099c855dfb119ad559070bd07ea87426833411d2fe1b79fb6e602d0
-wide seed=8 report=3922b56b529f62e33bf0297f7d4e98b9c8fc980ecdc3234ad41ef9a9e160afc0 transcript=4859b26f7d5f543b4bf16d06efc02164f15ebcfc124989d6da9c1c758a839366
-long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=214a04965b75398757b85c97f3496321651435121e0138f8b619a035cee0ce49
-long seed=8 report=3c1869841b6f976197cc782d9626409adcee81c315d72858174ce439bc28f843 transcript=8cab399e0b03235dc99d2066b15dbac8e6c39fd30bdb8a113d3043127d44a971
-churn seed=7 report=818e5566578935f2d097ecf5032bff3a72b7e67fce17888fd659764d9c5d7554 transcript=c28d38701f8139878539be7ed51d8193156d8a7e8058a943555030bf7d38f22e
-churn seed=8 report=786cdc07a679a83859f7ad5746d1ad8c33ef085ce918308e529fe3fb9b1c3af0 transcript=f176428c40bb881cc9874f196c281ac52a18798312c9baffc4fde3450f40cf0c
+wide seed=7 report=3698166702ef48cbfc2e38038dc19123c88299e5cf06a0d31f4fe16fc29925be transcript=81adf2034b8dafaa36cd3b1d3d7ea58df4bb1f2b3d07a8c8fc94e6ee21e25b1e
+wide seed=8 report=3922b56b529f62e33bf0297f7d4e98b9c8fc980ecdc3234ad41ef9a9e160afc0 transcript=6f74b58943ebb22dce06edaa5559f1a02c7fe33127c6c7abae2c7e842f7a6abe
+long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=ff90b21e4fd86e0ff0fba7956ee5f2efd8ff073b1f73d532fdd97ba19bb7c326
+long seed=8 report=3c1869841b6f976197cc782d9626409adcee81c315d72858174ce439bc28f843 transcript=04f87912487b9c692b007a4c26e9cb91b36d6072d1f8711f5932b0e6c226a2be
+churn seed=7 report=818e5566578935f2d097ecf5032bff3a72b7e67fce17888fd659764d9c5d7554 transcript=4a1e5ea46b40b0766439b4852e325f5a763aa07c67df3b05b936a875845c646f
+churn seed=8 report=786cdc07a679a83859f7ad5746d1ad8c33ef085ce918308e529fe3fb9b1c3af0 transcript=793bd863960f2742e7c079365ae2c6338cc94593d20d26b27cd32bb7e9412186
 """
 
 
