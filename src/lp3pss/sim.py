@@ -443,11 +443,15 @@ class ErrorRates:
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -> RateEstimate:
+    """The Wilson score interval; its bound is exactly 0 with no successes
+    and exactly 1 with all, where ``center -/+ half`` leaves float residue."""
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
-    return RateEstimate(p, max(0.0, center - half), min(1.0, center + half), trials)
+    low = center - half if successes else 0.0
+    high = center + half if successes < trials else 1.0
+    return RateEstimate(p, low, high, trials)
 
 
 def estimate_error_rates(rounds: list[RoundRecord]) -> ErrorRates:

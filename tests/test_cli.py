@@ -40,7 +40,7 @@ def test_simulate_prints_the_reports_error_rates(tmp_path, capsys):
     assert second.startswith(prefix) and ast.literal_eval(second[len(prefix):]) == rates
     assert second == (
         "leakage: conforms; error rates: {'q_f': {'estimate': 0.0, 'ci95': "
-        "[5.551115123125783e-17, 0.5614970317550454], 'trials': 3}, 'q_m': "
+        "[0.0, 0.5614970317550454], 'trials': 3}, 'q_m': "
         "{'estimate': 0.0, 'ci95': [0.0, 0.7934506856227626], 'trials': 1}}"
     )
 

@@ -95,12 +95,12 @@ def test_script_rejects_bad_argument_with_usage_error(argv, flag):
 # hashes in test_recording.py, and changed only with a deliberate change to
 # the crypto or to the report or transcript format.
 GOLDEN_TINY_DIGESTS = """\
-wide seed=7 report=3698166702ef48cbfc2e38038dc19123c88299e5cf06a0d31f4fe16fc29925be transcript=81adf2034b8dafaa36cd3b1d3d7ea58df4bb1f2b3d07a8c8fc94e6ee21e25b1e
-wide seed=8 report=3922b56b529f62e33bf0297f7d4e98b9c8fc980ecdc3234ad41ef9a9e160afc0 transcript=6f74b58943ebb22dce06edaa5559f1a02c7fe33127c6c7abae2c7e842f7a6abe
+wide seed=7 report=ee92301f0a56a15cc43f6cc1c5c735ceff84a8e2f237458ba66f5187fa13bae7 transcript=81adf2034b8dafaa36cd3b1d3d7ea58df4bb1f2b3d07a8c8fc94e6ee21e25b1e
+wide seed=8 report=cb3c602e421f924cef69906a6fef329cb18e9aba547c1498a20387f20e1e029f transcript=6f74b58943ebb22dce06edaa5559f1a02c7fe33127c6c7abae2c7e842f7a6abe
 long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=ff90b21e4fd86e0ff0fba7956ee5f2efd8ff073b1f73d532fdd97ba19bb7c326
-long seed=8 report=3c1869841b6f976197cc782d9626409adcee81c315d72858174ce439bc28f843 transcript=04f87912487b9c692b007a4c26e9cb91b36d6072d1f8711f5932b0e6c226a2be
-churn seed=7 report=818e5566578935f2d097ecf5032bff3a72b7e67fce17888fd659764d9c5d7554 transcript=4a1e5ea46b40b0766439b4852e325f5a763aa07c67df3b05b936a875845c646f
-churn seed=8 report=786cdc07a679a83859f7ad5746d1ad8c33ef085ce918308e529fe3fb9b1c3af0 transcript=793bd863960f2742e7c079365ae2c6338cc94593d20d26b27cd32bb7e9412186
+long seed=8 report=dfdd4c91d3ce8553e0f94c5e213fa6cb2b7db08820416a5987be2abb9516753d transcript=04f87912487b9c692b007a4c26e9cb91b36d6072d1f8711f5932b0e6c226a2be
+churn seed=7 report=d8841c7f55e10ff9f30f4e6d5493b466ddd0aa6d8f795ac26eed6012890f2fe5 transcript=4a1e5ea46b40b0766439b4852e325f5a763aa07c67df3b05b936a875845c646f
+churn seed=8 report=89c66ae7914ba59cf1b1e3fc1468bad4949cf289f679650a73e6dd2363de585c transcript=793bd863960f2742e7c079365ae2c6338cc94593d20d26b27cd32bb7e9412186
 """
 
 

@@ -677,6 +677,13 @@ class TestErrorRates:
         assert est.ci_low == pytest.approx(0.0215, abs=2e-3)
         assert est.ci_high == pytest.approx(0.1125, abs=2e-3)
 
+    def test_wilson_endpoints_are_exact_at_none_and_all(self):
+        # the report writes these bounds: no float residue such as 5.55e-17
+        for trials in range(1, 501):
+            none, every = wilson_interval(0, trials), wilson_interval(trials, trials)
+            assert none.ci_low == 0.0 and 0.0 < none.ci_high < 1.0, trials
+            assert every.ci_high == 1.0 and 0.0 < every.ci_low < 1.0, trials
+
     def test_fused_error_beats_local_error(self):
         # with ten symmetric users and the optimal threshold the fused
         # Q_f + Q_m must land far below the per-user 0.2
