@@ -298,12 +298,17 @@ def _wrap_tau(fc: FcState, uid: int, recorder: Recorder) -> ProtocolMessage:
 
 def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recorder) -> None:
     """Cache the decrypted OPE threshold for each user the FC wrapped. A
-    malformed or unauthentic message (tampered, or replayed from another
-    round) becomes a protocol error and leaves its user out of the cache."""
+    message for a user whose threshold is already cached is refused before
+    delivery. A malformed or unauthentic message (tampered, or replayed
+    from another round) is delivered, then refused. Each refusal is a
+    protocol error and caches nothing."""
     for msg in messages:
         uid = msg.subject
         if msg.phase != MsgPhase.INIT_C or uid is None:
             raise ProtocolError(f"not an init message: {msg.phase}")
+        if uid in gw.tau_cache:
+            recorder.protocol_error(GW_NAME, "duplicate init message", {"user": uid})
+            continue
         try:
             tau_ope = int.from_bytes(unseal(gw.fc_key, msg, recorder), "big")
         except MessageRefused:

@@ -343,19 +343,3 @@ def build_dlp_scenario(
     rosters = (full, without) if leave else (without, full)
     recorder = run_baseline([(roster, rss) for roster in rosters], master_seed=seed.to_bytes(32, "big"))
     return recorder.events, rosters, rss[target]
-
-
-# ---------------------------------------------------------------------------
-# injected-violation mutants for checker sensitivity tests
-# ---------------------------------------------------------------------------
-
-
-def inject_event(
-    events: Iterable[ViewEvent],
-    entity: str,
-    tag: str,
-    meta: dict,
-    round_: int = 1,
-) -> list[ViewEvent]:
-    """Copy the stream and append one foreign observation at ``entity``."""
-    return [*events, ViewEvent(round_, entity, "received", tag, 0, meta)]

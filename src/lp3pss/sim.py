@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -257,8 +256,10 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         path = f"adversary.{uid_str}"
         try:
             uid = int(uid_str)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: user id must be an integer") from exc
+        except ValueError:
+            uid = 0
+        if uid < 1 or str(uid) != uid_str:  # "01", " 2" and "1_0" would alias another key
+            raise ConfigError(f"{path}: user id must be a positive integer in plain digits, such as 3")
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError(f"{path}: expected an object with a 'kind' field")
         behaviors[uid] = build(Behavior, spec, path)
@@ -343,10 +344,6 @@ class SimulationResult:
     recorder: Recorder
     leakage: LeakageReport
     fold: RunFold
-
-    def report_dict(self) -> dict:
-        """The report parsed back from ``report_json``."""
-        return json.loads(self.report_json())
 
     def report_json(self) -> str:
         """The report: ``json.dumps(report, sort_keys=True, separators=(",", ":"))``

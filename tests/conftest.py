@@ -4,6 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from lp3pss import sim
+from lp3pss.recording import ViewEvent
 
 settings.register_profile(
     "default",
@@ -16,6 +17,12 @@ settings.load_profile("default")
 @pytest.fixture
 def master_seed() -> bytes:
     return bytes(range(32))
+
+
+def inject_event(events, entity: str, tag: str, meta: dict, round_: int = 1) -> list[ViewEvent]:
+    """Copy the stream and append one foreign observation at ``entity``:
+    a mutant the leakage checker must catch."""
+    return [*events, ViewEvent(round_, entity, "received", tag, 0, meta)]
 
 
 def flip_tag_bit(wire: bytes) -> bytes:

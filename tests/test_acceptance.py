@@ -13,6 +13,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import inject_event
 from lp3pss.costs import (
     LP3PSS as COST_LP3PSS,
     PDAFT,
@@ -37,7 +38,6 @@ from lp3pss.observability import (
     build_dlp_scenario,
     check_leakage,
     dlp_attack_oracle,
-    inject_event,
     srlp_exposure,
 )
 from lp3pss.recording import FC_NAME, GW_NAME, ViewTag, user_name

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import io
 import json
 import tracemalloc
 
@@ -9,7 +10,15 @@ import pytest
 
 from lp3pss import cli
 from lp3pss.cli import main
-from lp3pss.scenario import ChurnConfig
+from lp3pss.scenario import (
+    ALWAYS_FLIP,
+    RANDOM_FLIP,
+    STUCK_AT,
+    AdversaryProfile,
+    Behavior,
+    ChurnConfig,
+    CountRange,
+)
 from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
 
 
@@ -34,7 +43,7 @@ def test_simulate_prints_the_reports_error_rates(tmp_path, capsys):
     config = SimulationConfig(
         SensingConfig(n=6, rounds=4, seed=42, report_loss_prob=0.1), churn=ChurnConfig(mu=0.5)
     )
-    rates = run_simulation(config).report_dict()["error_rates"]
+    rates = json.loads(run_simulation(config).report_json())["error_rates"]
     # the same values as the report's; the report's keys are sorted, the printout's are not
     prefix = "leakage: conforms; error rates: "
     assert second.startswith(prefix) and ast.literal_eval(second[len(prefix):]) == rates
@@ -115,6 +124,11 @@ def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
         ({"adversary": {"1": {"kind": "stuck-at", "stuck_bit": True}}}, "adversary.1.stuck_bit"),
         ({"churn": {"mu": 1.0, "join": [0, 10**20], "leave": [0, 0]}}, "churn.join"),
         ({"churn": {"mu": 1.0, "join": [0, 0], "leave": [2**63, 2**63]}}, "churn.leave"),
+        ({"adversary": {"1": {"kind": "always-flip"}, "01": {"kind": "stuck-at"}}}, "adversary.01"),
+        ({"adversary": {"1_0": {"kind": "always-flip"}}}, "adversary.1_0"),
+        ({"adversary": {" 2": {"kind": "always-flip"}}}, "adversary. 2"),
+        ({"adversary": {"0": {"kind": "always-flip"}}}, "adversary.0"),
+        ({"adversary": {"-3": {"kind": "always-flip"}}}, "adversary.-3"),
     ],
 )
 def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, field):
@@ -417,3 +431,43 @@ def test_verify_memory_does_not_grow_with_the_transcript(tmp_path, capsys):
             tracemalloc.stop()
     capsys.readouterr()
     assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_verify_gives_the_same_verdicts_on_stream_and_entity_order(tmp_path, capsys):
+    # a transcript is written in stream order; verify groups events by entity
+    # itself, so the same lines stable-sorted by entity read the same, clean
+    # or with violations at the fusion center, the gateway and a user
+    config = SimulationConfig(
+        SensingConfig(n=8, rounds=6, seed=11, report_loss_prob=0.1),
+        churn=ChurnConfig(mu=0.8, join_count=CountRange(1, 2), leave_count=CountRange(0, 1)),
+        adversary=AdversaryProfile(
+            {1: Behavior(STUCK_AT, stuck_bit=1), 2: Behavior(ALWAYS_FLIP), 3: Behavior(RANDOM_FLIP, flip_prob=0.5)}
+        ),
+    )
+    fh = io.StringIO()
+    run_simulation(config).recorder.dump_transcript(fh)
+    lines = fh.getvalue().splitlines(keepends=True)
+    leaks = [
+        LEAKED_RSS,
+        LEAKED_RSS.replace('"FC"', '"GW"').replace('"round": 1', '"round": 4'),
+        LEAKED_RSS.replace('"FC"', '"U4"').replace('"round": 1', '"round": 2'),
+    ]
+    transcript = tmp_path / "t.jsonl"
+    for injected in ([], leaks):
+        stream = list(lines)
+        for i, leak in enumerate(injected, start=1):
+            stream.insert(i * len(stream) // 4, leak + "\n")
+        by_entity = sorted(stream, key=lambda line: json.loads(line)["entity"])
+        assert by_entity != stream
+        outcomes = []
+        for order in (stream, by_entity):
+            transcript.write_text("".join(order))
+            code = main(["verify", "--transcript", str(transcript)])
+            captured = capsys.readouterr()
+            outcomes.append((code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        code, out, _ = outcomes[0]
+        assert code == (1 if injected else 0)
+        assert [entity for entity in ("FC", "GW", "U4") if f"VIOLATION at {entity} " in out] == (
+            ["FC", "GW", "U4"] if injected else []
+        )

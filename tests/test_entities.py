@@ -215,6 +215,7 @@ class TestSensing:
 
     def test_init_message_replayed_in_a_later_round_refused(self, master_seed):
         _, _, gw, _, recorder, msgs = setup_network(2, master_seed)
+        del gw.tau_cache[1]  # as after a leave: the replay is no duplicate, so it is delivered
         cached = dict(gw.tau_cache)
         recorder.start_round(3)
         gw_ingest_init(gw, msgs[:1], recorder)
@@ -222,6 +223,16 @@ class TestSensing:
         assert recorder.tally.protocol_errors == [
             {"round": 3, "entity": GW_NAME, "reason": "init message failed authentication", "user": 1}
         ]
+
+    def test_init_message_for_a_cached_user_refused_before_delivery(self, master_seed):
+        _, _, gw, _, recorder, msgs = setup_network(2, master_seed)
+        cached, events = dict(gw.tau_cache), len(recorder.events)
+        gw_ingest_init(gw, msgs[:1], recorder)
+        assert gw.tau_cache == cached
+        assert recorder.tally.protocol_errors == [
+            {"round": 0, "entity": GW_NAME, "reason": "duplicate init message", "user": 1}
+        ]
+        assert len(recorder.events) == events + 1  # the error alone: not received, not decrypted
 
     def test_malformed_init_message_leaves_its_user_uncached(self, master_seed):
         keys = derive_pairwise_keys(master_seed, [FC, GW, 1, 2, 3])

@@ -1,6 +1,7 @@
 """Leakage verdicts, injected-violation mutants, and attack oracles."""
 
 import pytest
+from conftest import inject_event
 from hypothesis import given, settings, strategies as st
 
 from lp3pss.observability import (
@@ -11,7 +12,6 @@ from lp3pss.observability import (
     check_leakage,
     CONFORMS,
     dlp_attack_oracle,
-    inject_event,
     LeakageReport,
     require_complete,
     run_baseline,

@@ -352,6 +352,22 @@ class TestConformance:
         assert verify_communication_counts(result).ok
         assert result.leakage.conforms
 
+    def test_duplicated_init_message_is_refused(self, monkeypatch):
+        # the first wrapped threshold arrives twice, same nonce and round: the
+        # second copy is refused before delivery, so it is neither decrypted
+        # nor counted as traffic
+        def ingest(gw, messages, recorder):
+            entities_module.gw_ingest_init(gw, [*messages, messages[0]], recorder)
+
+        monkeypatch.setattr(sim_module, "gw_ingest_init", ingest)
+        result = small_run(n=4, rounds=3, seed=3)
+        assert verify_computation_counts(result).mismatches == []
+        assert verify_communication_counts(result).ok
+        errors = [(e["round"], e["entity"], e["reason"], e["user"]) for e in result.recorder.tally.protocol_errors]
+        assert errors == [(0, GW_NAME, "duplicate init message", 1)]
+        assert result.leakage.conforms
+        assert all(r.result.outcome is not None for r in result.rounds)
+
     def test_wrong_length_decision_vector_aborts_only_its_round(self, monkeypatch):
         # the gateway packs once a round; in round 2 it sends an authenticated
         # vector one byte long for 3 users, which needs two
@@ -566,7 +582,7 @@ class TestReport:
         reference = reference_report(result, phi_rows, ops)
         expected = json.dumps(reference, sort_keys=True, separators=(",", ":")) + "\n"
         assert result.report_json() == expected
-        assert result.report_dict() == reference
+        assert json.loads(result.report_json()) == reference
 
     def test_ended_rounds_leave_no_op_counts_behind(self, monkeypatch):
         # the tally keeps one round's operation counts: as each round ends it
