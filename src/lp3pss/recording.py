@@ -320,7 +320,7 @@ class Recorder:
     # -- transcript I/O ----------------------------------------------------
 
     def dump_transcript(self, fh: IO[str]) -> int:
-        """Write every event as one JSONL line, in stream order (format in the module docstring).
+        """Write each event as one JSONL line, in stream order (format in the module docstring).
 
         Each shared meta is encoded once per dump and found by identity,
         which holds only because the recorder keeps its ``_shared`` dicts

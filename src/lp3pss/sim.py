@@ -258,7 +258,7 @@ def config_from_dict(raw: dict) -> SimulationConfig:
             uid = int(uid_str)
         except ValueError:
             uid = 0
-        if uid < 1 or str(uid) != uid_str:  # "01", " 2" and "1_0" would alias another key
+        if uid < 1 or str(uid) != uid_str:  # int() also reads "01", " 2" and "1_0"
             raise ConfigError(f"{path}: user id must be a positive integer in plain digits, such as 3")
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError(f"{path}: expected an object with a 'kind' field")
