@@ -113,12 +113,13 @@ def message_assoc(
     return assoc
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ProtocolMessage:
     """One message on a link. ``body`` is the framed AEAD ciphertext exactly
     as it travels (see ``crypto.aead_encrypt``); its length is the traffic
     the recorder counts for the message. The protocol makes one only with
-    ``seal`` and opens one only with ``unseal``."""
+    ``seal``, opens one only with ``unseal`` and never writes one after
+    ``seal``. Not frozen, so cheap to build, and not hashable."""
 
     sender: str
     receiver: str
@@ -234,6 +235,7 @@ def pack_decision_vector(roster: list[int], bits: dict[int, int]) -> bytes:
 
 
 def unpack_decision_vector(roster: list[int], payload: bytes) -> dict[int, int]:
+    """The present users' vote bits, keyed in the order of ``roster``."""
     width = (len(roster) + 7) // 8
     if len(payload) != 2 * width:
         raise ProtocolError(
@@ -385,9 +387,10 @@ def gw_compare(
 def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundResult:
     """Fuse the decision vector, then update reputation and weights.
 
-    Absent users contribute nothing to the vote sum, keep their record
-    untouched, and the voting threshold is recomputed over the number of
-    users actually present this round. A vector that is malformed, fails
+    Absent users contribute nothing to the vote sum, keep their counts,
+    and the voting threshold is recomputed over the number of users
+    actually present this round. Every live user's new weight is written
+    into its record in place. A vector that is malformed, fails
     authentication (tampered, replayed, or packed over another roster) or
     has the wrong length is refused by ``unseal`` and yields no votes:
     ``RoundAborted`` is raised with the recorded reason.
@@ -401,22 +404,15 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
         raise RoundAborted(str(exc)) from exc
     bits = unpack_decision_vector(roster, payload)
     recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, len(msg.body), {"kind": "vote_vector"})
-    present = tuple(sorted(bits))
+    present = tuple(bits)
     for uid in present:
         recorder.vote(FC_NAME, "observed", uid, bits[uid])
-    if present:
-        lam_round = compute_lambda(len(present), fc.alpha)
-        outcome = fuse_votes(
-            [fc.records[uid].weight for uid in present], [bits[uid] for uid in present], lam_round
-        )
-    else:
-        outcome = fuse_votes([], [], 1)
-    fc.records = update_reputation(fc.records, bits, outcome.decision)
-    phis = [fc.records[uid].phi for uid in roster]
-    weights = compute_weights(phis, len(roster))
+    lam_round = compute_lambda(len(present), fc.alpha) if present else 1
+    outcome = fuse_votes([fc.records[uid].weight for uid in present], list(bits.values()), lam_round)
+    records = fc.records = update_reputation(fc.records, bits, outcome.decision)
+    weights = compute_weights([records[uid].phi for uid in roster], len(roster))
     for uid, weight in zip(roster, weights):
-        record = fc.records[uid]
-        fc.records[uid] = ReputationRecord(record.rho, record.eta, weight)
+        records[uid].weight = weight
     return RoundResult(outcome, present, bits, n_live=len(roster))
 
 

@@ -40,9 +40,11 @@ class DetectionProfile:
             raise ValueError("need p_f + p_m < 1 for a meaningful detector")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ReputationRecord:
-    """Agreement/disagreement counts plus the current contribution weight."""
+    """Agreement/disagreement counts plus the current contribution weight,
+    which ``entities.fc_decide`` writes in place, so no two users may share
+    a record. Not frozen, so cheap to build, and not hashable."""
 
     rho: int = 0
     eta: int = 0
@@ -115,8 +117,9 @@ def update_reputation(
 ) -> dict[int, ReputationRecord]:
     """Credit users whose vote matched the global decision, debit the rest.
 
-    ``bits`` holds only the users present this round; absent users keep
-    their record untouched.
+    ``bits`` holds only the users present this round. Each present user
+    gets a new record; an absent user's record is the input's own object,
+    shared, not copied. No input record is written.
     """
     if decision not in (0, 1):
         raise ValueError("decision must be 0 or 1")

@@ -7,6 +7,7 @@ import pytest
 from conftest import flip_tag_bit
 from hypothesis import given, strategies as st
 
+from lp3pss import entities
 from lp3pss.crypto import (
     FC,
     GW,
@@ -213,6 +214,29 @@ class TestSensing:
         assert result.present == (1,)
         assert [e["reason"] for e in recorder.tally.protocol_errors] == ["report failed authentication"]
 
+    def test_entities_never_write_a_message(self, master_seed, monkeypatch):
+        sealed = []
+        real_seal = entities.seal
+
+        def recording_seal(*args, **kwargs):
+            msg = real_seal(*args, **kwargs)
+            sealed.append((msg, copy.deepcopy(msg)))
+            return msg
+
+        monkeypatch.setattr(entities, "seal", recording_seal)
+        _, fc, gw, sus, recorder, _ = setup_network(4, master_seed)
+        recorder.start_round(1)
+        recorder.set_phase(PHASE_SENSING)
+        reports = [su_sense_report(sus[uid], 4000, recorder) for uid in (1, 3, 4)]  # U2's is lost
+        reports[1] = dataclasses.replace(reports[1], body=flip_tag_bit(reports[1].body))
+        tampered = copy.deepcopy(reports[1])
+        zeta, _ = gw_compare(gw, reports, recorder)
+        assert fc_decide(fc, zeta, recorder).present == (1, 4)
+        assert len(sealed) == 4 + 3 + 1  # init messages, reports, decision vector
+        for msg, at_seal in sealed:
+            assert msg == at_seal
+        assert reports[1] == tampered
+
     def test_init_message_replayed_in_a_later_round_refused(self, master_seed):
         _, _, gw, _, recorder, msgs = setup_network(2, master_seed)
         del gw.tau_cache[1]  # as after a leave: the replay is no duplicate, so it is delivered
@@ -270,7 +294,7 @@ class TestDecision:
 
     def test_aborted_round_leaves_reputation_unchanged(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
-        records_before = dict(fc.records)
+        records_before = copy.deepcopy(fc.records)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
         assoc = message_assoc(MsgPhase.DECISION_VEC, None, 1, [1, 2])
@@ -300,7 +324,7 @@ class TestDecision:
         recorder.set_phase(PHASE_SENSING)
         stale, _ = gw_compare(gw, [su_sense_report(sus[u], 4000, recorder) for u in (1, 2, 3)], recorder)
         fc_decide(fc, stale, recorder)
-        records_after_round_1 = dict(fc.records)
+        records_after_round_1 = copy.deepcopy(fc.records)
         recorder.start_round(2)
         with pytest.raises(RoundAborted):
             fc_decide(fc, stale, recorder)
@@ -312,7 +336,7 @@ class TestDecision:
         _, fc, gw, sus, recorder, _ = setup_network(4, master_seed)
         fc.live.discard(4)
         del gw.tau_cache[1]
-        records_before = dict(fc.records)
+        records_before = copy.deepcopy(fc.records)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
         reports = [su_sense_report(sus[u], rss, recorder) for u, rss in ((2, 4000), (3, 100), (4, 100))]
@@ -333,6 +357,25 @@ class TestDecision:
 
 
 class TestMembership:
+    def test_no_two_users_share_a_record(self, master_seed):
+        keys, fc, gw, sus, recorder, _ = setup_network(4, master_seed)
+
+        def assert_unshared():
+            assert len({id(record) for record in fc.records.values()}) == len(fc.records)
+
+        assert_unshared()
+        recorder.start_round(1)
+        recorder.set_phase(PHASE_MEMBERSHIP)
+        sus.update(handle_membership(fc, gw, [5, 6], [1], keys, recorder))
+        assert_unshared()
+        for t, drop in ((2, {5, 6}), (3, {2}), (4, set())):
+            run_round(fc, gw, sus, recorder, {u: 4000 if u % 2 else 100 for u in fc.live}, t, drop)
+            assert_unshared()
+        # fc_decide writes weights in place: a write must reach its own user only
+        others = {uid: record.weight for uid, record in fc.records.items() if uid != 5}
+        fc.records[5].weight = 0.25
+        assert {uid: record.weight for uid, record in fc.records.items() if uid != 5} == others
+
     def test_joins_charge_fc_and_leave_existing_users_alone(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(10, master_seed)
         su_snapshot = copy.deepcopy(sus)
@@ -422,7 +465,9 @@ class TestPacking:
         bits = {uid: data.draw(st.integers(0, 1), label=f"b{uid}") for uid in sorted(present)}
         payload = pack_decision_vector(roster, bits)
         assert len(payload) == 2 * ((len(roster) + 7) // 8)
-        assert unpack_decision_vector(roster, payload) == bits
+        unpacked = unpack_decision_vector(roster, payload)
+        assert unpacked == bits
+        assert list(unpacked) == [uid for uid in roster if uid in bits]
 
     def test_wrong_size_rejected(self):
         with pytest.raises(ProtocolError):

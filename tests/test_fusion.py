@@ -1,5 +1,6 @@
 """Voting threshold, weighted fusion, and beta reputation arithmetic."""
 
+import copy
 import itertools
 import math
 
@@ -118,6 +119,14 @@ class TestReputation:
         updated = update_reputation(records, {2: 0}, 0)
         assert updated[1] == records[1]
         assert updated[2].rho == 1
+
+    def test_input_records_are_never_written(self):
+        records = {1: ReputationRecord(3, 1), 2: ReputationRecord(0, 2, 0.5), 3: ReputationRecord()}
+        before = copy.deepcopy(records)
+        updated = update_reputation(records, {1: 1, 2: 0}, 1)
+        assert records == before
+        assert updated[3] is records[3]  # absent: shared, not copied
+        assert updated[1] is not records[1] and updated[2] is not records[2]
 
     def test_disagreement_debits(self):
         updated = update_reputation({1: ReputationRecord()}, {1: 0}, 1)
