@@ -25,9 +25,11 @@ with the texts of its fields. It encodes each shared meta (see
 ``Recorder``) once per dump and looks it up by identity, which is safe
 only for those metas, since the recorder keeps them alive; every other
 meta is encoded for its event. The reader
-(``iter_transcript``, or ``load_transcript`` for a list) skips blank
-lines and rejects, naming the line, any line that is not exactly one
-JSON object with all six fields typed as the writer writes them:
+(``iter_transcript``, or ``load_transcript`` for a list) strips only
+JSON whitespace (space, tab, CR and LF) from both ends of each line,
+skips the lines that leaves empty, and rejects, naming the line, any
+line that is not exactly one JSON object with all six fields typed as
+the writer writes them:
 ``round`` and ``size_bytes`` integers (not booleans), ``entity`` and
 ``direction`` strings, ``meta`` an object and ``tag`` one of the
 ``ViewTag`` strings. Other fields are ignored.
@@ -35,8 +37,10 @@ JSON object with all six fields typed as the writer writes them:
 
 from __future__ import annotations
 
+import gc
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json import encoder as json_encoder
 from sys import intern
@@ -387,6 +391,9 @@ _TAGS = {
     )
 }
 _scan_once = json.JSONDecoder().scan_once
+# What json.loads skips around a value; str.strip() with no argument strips
+# more (NBSP, form feed, \x1c-\x1f, \x85, \u2028, ...), which JSON rejects.
+_JSON_WHITESPACE = " \t\r\n"
 _FIELD_TYPES = (
     ("round", int),
     ("entity", str),
@@ -464,7 +471,7 @@ def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
     generator is done.
     """
     for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
+        line = line.strip(_JSON_WHITESPACE)
         if not line:
             continue
         try:
@@ -474,11 +481,56 @@ def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
         yield event
 
 
+@contextmanager
+def collection_paused() -> Iterator[None]:
+    """Pause automatic garbage collection for a block that builds objects
+    it keeps and no reference cycles; then hand them to the oldest generation.
+
+    On entry, automatic collection is paused if it was on. On exit, by
+    return or by raise, it is switched back on if it was on, and no
+    collection runs. Before that, if it was on and no object is frozen,
+    ``gc.freeze(); gc.unfreeze()`` moves every object the collector
+    tracks into its oldest generation, in constant time, and zeroes the
+    young generation's count. That is where the collector's own
+    young-generation passes would have moved the kept objects, after
+    scanning each of them twice and freeing nothing.
+
+    Side effects, process-wide:
+
+    * the caller's young objects, and any that other threads make inside
+      the block, are promoted too, so cyclic garbage among them waits for
+      the next full collection instead of a young one;
+    * if the caller has frozen objects (``gc.get_freeze_count()`` is not
+      0), the generations are left as they are, so the caller's frozen
+      objects are never thawed;
+    * if collection was off, the generations are left as they are too.
+    """
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
+
+
 def load_transcript(lines: Iterable[str]) -> list[ViewEvent]:
     """The events of a JSONL transcript, in file order: ``iter_transcript`` read in full.
 
     Raises ``ValueError`` naming the first malformed line. The result is
     a list, read in full before returning, and stays so: callers such as
     ``perfbench/worker.py`` check it after closing the file.
+
+    The read runs under ``collection_paused``: automatic garbage
+    collection is paused while the events are built, and on return or
+    raise the events, with every other object the process tracks, are
+    handed to the collector's oldest generation (see there for the side
+    effects). Reading builds no reference cycles, so the young-generation
+    passes it would start would only rescan the events and free nothing.
     """
-    return list(iter_transcript(lines))
+    with collection_paused():
+        return list(iter_transcript(lines))

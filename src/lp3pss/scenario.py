@@ -95,10 +95,14 @@ def generate_rss(
     model: ChannelModel, truth: int, rng: Generator, n: int
 ) -> list[int]:
     """Draw n i.i.d. quantized RSS values under the given hypothesis,
-    each rounded half to even and clamped to the domain."""
+    each rounded half to even and clamped to the domain.
+
+    The clamp comes first, so a draw that overflowed to infinity (a huge
+    sigma) lands on the domain's end instead of failing to round; for a
+    finite draw the result is the same int either way."""
     mean = model.mu1 if truth == PU_PRESENT else model.mu0
     top = model.quant.domain_max
-    return [min(max(round(x), 0), top) for x in rng.normal(mean, model.sigma, n)]
+    return [round(min(max(x, 0), top)) for x in rng.normal(mean, model.sigma, n)]
 
 
 @dataclass(frozen=True)

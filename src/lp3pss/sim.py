@@ -37,7 +37,6 @@ null decisions and a leakage verdict.
 
 from __future__ import annotations
 
-import gc
 import hashlib
 import math
 from collections import Counter
@@ -73,6 +72,7 @@ from lp3pss.recording import (
     PHASE_SENSING,
     Recorder,
     Tally,
+    collection_paused,
     compact_json,
     user_name,
 )
@@ -209,7 +209,8 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     """Parse the JSON config structure, naming the field on any problem.
 
     Sections: sensing (required), channel, churn, adversary, crypto,
-    output (output holds file paths and is consumed by the CLI).
+    output (output holds file paths and is consumed by the CLI; it is
+    checked here, and builds nothing).
     """
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
@@ -263,6 +264,13 @@ def config_from_dict(raw: dict) -> SimulationConfig:
         if not isinstance(spec, dict) or "kind" not in spec:
             raise ConfigError(f"{path}: expected an object with a 'kind' field")
         behaviors[uid] = build(Behavior, spec, path)
+
+    output = raw.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("output: expected an object")
+    _require_keys(output, {"transcript"}, "output")
+    if not isinstance(output.get("transcript", ""), str):
+        raise ConfigError("output.transcript: expected a path string")
 
     return SimulationConfig(sensing, channel, churn, AdversaryProfile(behaviors), crypto_params)
 
@@ -480,22 +488,20 @@ def estimate_error_rates(rounds: list[RoundRecord]) -> ErrorRates:
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Execute one full run; see the module docstring for the shape.
 
-    Automatic garbage collection is paused for the whole run and the
-    caller's setting is put back on every exit, by return or by raise.
-    The premise: a run creates no reference cycles, so the cyclic
-    collector has nothing to free while it runs, and each of its passes
-    would only rescan the events the run keeps (a test pins this). The
-    pause acts on the whole process, so cycles that other threads make
-    meanwhile are collected after the run ends.
+    The run executes under ``recording.collection_paused``: automatic
+    garbage collection is paused for the whole run and the caller's
+    setting is put back on every exit, by return or by raise. With
+    collection on and nothing frozen, everything the run keeps, and every
+    other object the process tracks, is then handed to the collector's
+    oldest generation. The premise: a run creates no reference cycles
+    (a test pins this), so the collector has nothing to free in what it
+    keeps, and each pass over it, during the run or in the young
+    generations after it, would only rescan it. The side effects are
+    process-wide: cycles that other threads make meanwhile, and the
+    caller's young cyclic garbage, wait for the next full collection.
     """
-    enabled = gc.isenabled()
-    if enabled:
-        gc.disable()
-    try:
+    with collection_paused():
         return _run(config)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _run(config: SimulationConfig) -> SimulationResult:

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 from collections import Counter
 
 import pytest
@@ -50,3 +52,27 @@ def round_ops(monkeypatch) -> list[Counter]:
 
     monkeypatch.setattr(sim.RunFold, "end_round", end_round)
     return runs
+
+
+@contextlib.contextmanager
+def collection(enabled: bool):
+    """Automatic garbage collection switched on or off for the block, then
+    put back as it was."""
+    was = gc.isenabled()
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if was:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def young_count(objects) -> int:
+    """How many of ``objects`` the collector holds in generation 0 or 1."""
+    young = {id(o) for generation in (0, 1) for o in gc.get_objects(generation=generation)}
+    return sum(id(o) in young for o in objects)

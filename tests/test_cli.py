@@ -77,6 +77,15 @@ def test_simulate_with_config_file(tmp_path):
     assert doc["config"]["adversary"]["1"]["kind"] == "always-flip"
 
 
+def test_simulate_survives_draws_that_overflow(tmp_path):
+    # a finite sigma this large passes the parser and overflows draws to +-inf
+    config = {"sensing": {"n": 3, "rounds": 2, "tau": 3000}, "channel": {"sigma": 1.7e308}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["simulate", "--config", str(cfg_path), "--seed", "1",
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_simulate_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"sensing": {"n": -3, "rounds": 1, "seed": 1}}))
@@ -129,6 +138,7 @@ def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
         ({"adversary": {" 2": {"kind": "always-flip"}}}, "adversary. 2"),
         ({"adversary": {"0": {"kind": "always-flip"}}}, "adversary.0"),
         ({"adversary": {"-3": {"kind": "always-flip"}}}, "adversary.-3"),
+        ({"output": {"transcirpt": "t.jsonl"}}, "output.transcirpt: unknown field"),
     ],
 )
 def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, field):
@@ -341,6 +351,14 @@ def test_verify_malformed_transcript(tmp_path, capsys):
         json.dumps({k: v for k, v in good.items() if k != "meta"}),
         json.dumps(good) + " {}",
         "[" * 100_000,
+        # only space, tab, CR and LF are JSON whitespace
+        "\xa0" + json.dumps(good),
+        json.dumps(good) + "\xa0",
+        "\x0c" + json.dumps(good),
+        "\u2028" + json.dumps(good),
+        "\x1c",
+        "\x1f",
+        "\x85",
     ]
     lineno = good_lines.count("\n") + 1
     for line in wrong_shapes:

@@ -1,13 +1,15 @@
 """The event stream: its tally, the transcript codec and pinned output hashes."""
 
+import contextlib
 import copy
 import dataclasses
 import enum
+import gc
 import hashlib
 import io
 import json
 
-from conftest import flip_tag_bit
+from conftest import collection, flip_tag_bit, young_count
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -620,6 +622,51 @@ def test_loaded_events_share_one_string_per_name():
     for field in ("entity", "direction", "tag"):
         names = [getattr(e, field) for e in events]
         assert len({id(name) for name in names}) == len(set(names)), field
+
+
+def test_lines_ending_in_crlf_load():
+    result = run_simulation(eventful_config())
+    lines = [line[:-1] + "\r\n" for line in dump(result.recorder).splitlines(keepends=True)]
+    assert load_transcript([*lines, "\r\n", " \t\r\n"]) == result.recorder.events
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_load_pauses_collection_and_restores_the_callers_setting(raises, enabled):
+    good = dump(run_simulation(SimulationConfig(SensingConfig(n=3, rounds=2, seed=1))).recorder)
+    good_lines = good.splitlines(keepends=True)
+    seen: list[bool] = []
+
+    def lines():
+        for line in good_lines:
+            seen.append(gc.isenabled())
+            yield line
+        if raises:
+            yield "not json\n"
+
+    with collection(enabled):
+        with pytest.raises(ValueError, match="malformed") if raises else contextlib.nullcontext():
+            load_transcript(lines())
+        assert gc.isenabled() is enabled
+    assert seen == [False] * len(good_lines)
+
+
+def test_load_hands_its_events_to_the_oldest_generation():
+    text = dump(run_simulation(eventful_config()).recorder)
+    with collection(True):
+        assert gc.get_freeze_count() == 0
+        events = load_transcript(io.StringIO(text))
+        assert young_count(events) == 0
+
+
+def test_load_makes_no_reference_cycles():
+    text = dump(run_simulation(eventful_config()).recorder)
+    with collection(False):
+        gc.collect()
+        events = load_transcript(io.StringIO(text))
+        unreachable = gc.collect()
+    assert unreachable == 0
+    assert len(events) == text.count("\n")
 
 
 # Pinned output of one small run with churn, adversaries and lost reports.

@@ -1,9 +1,10 @@
 """Signal model, churn process, and adversary behaviors."""
 
+import math
 from statistics import NormalDist
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lp3pss.rng import default_rng
 from lp3pss.scenario import (
@@ -59,6 +60,37 @@ class TestGenerateRss:
         model = ChannelModel(10.0, 50.0, 2000.0, Quantization(domain_bits=8))
         values = generate_rss(model, truth, default_rng(seed), 64)
         assert all(0 <= v <= 255 for v in values)
+
+    def test_overflowed_draws_clamp_to_the_domain_ends(self):
+        # a sigma near the float maximum overflows some draws to +-inf,
+        # which round() cannot take
+        model = ChannelModel(10.0, 50.0, 1.7e308, Quantization(domain_bits=8))
+        draws = default_rng(3).normal(model.mu0, model.sigma, 64)
+        assert math.inf in draws and -math.inf in draws
+        values = generate_rss(model, PU_ABSENT, default_rng(3), 64)
+        assert values == [255 if x > 0 else 0 for x in draws]
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(-0.0)
+    @example(-0.5)
+    @example(0.5)
+    @example(254.5)
+    @example(255.49)
+    @example(255.5)
+    @example(255.51)
+    @example(-1e308)
+    @example(1e308)
+    def test_finite_draws_give_what_rounding_first_gave(self, x):
+        model = ChannelModel(10.0, 50.0, 1.0, Quantization(domain_bits=8))
+
+        class Draws:
+            def normal(self, mean, sigma, n):
+                return [x] * n
+
+        rounded_first = min(max(round(x), 0), 255)
+        values = generate_rss(model, PU_PRESENT, Draws(), 1)
+        assert values == [rounded_first]
+        assert type(values[0]) is int
 
     def test_model_invariants(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ import json
 from collections import Counter
 
 import pytest
-from conftest import flip_tag_bit
+from conftest import collection, flip_tag_bit, young_count
 from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
@@ -604,24 +604,6 @@ class TestReport:
             assert totals[GW_NAME][PHASE_SENSING][AEAD_DEC] == 8 * len(result.rounds)
 
 
-@contextlib.contextmanager
-def collection(enabled: bool):
-    """Automatic garbage collection switched on or off for the block, then
-    put back as it was."""
-    was = gc.isenabled()
-    if enabled:
-        gc.enable()
-    else:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if was:
-            gc.enable()
-        else:
-            gc.disable()
-
-
 class TestCollectorPause:
     # run_simulation pauses automatic collection for the whole run, on the
     # premise that a run makes no reference cycles
@@ -663,6 +645,24 @@ class TestCollectorPause:
                 small_run(rounds=3)
             assert gc.isenabled() is enabled
         assert seen == [False] * (1 if raises else 3)
+
+    def test_run_hands_what_it_keeps_to_the_oldest_generation(self):
+        with collection(True):
+            assert gc.get_freeze_count() == 0
+            result = small_run(rounds=3)
+            assert young_count(result.recorder.events) == 0
+            assert young_count([result, *result.rounds]) == 0
+
+    def test_run_leaves_the_callers_frozen_objects_frozen(self):
+        with collection(True):
+            gc.freeze()
+            try:
+                frozen = gc.get_freeze_count()
+                assert frozen > 0
+                small_run(rounds=3)
+                assert gc.get_freeze_count() == frozen
+            finally:
+                gc.unfreeze()
 
 
 class TestErrorRates:
