@@ -431,11 +431,15 @@ def handle_membership(
 ) -> dict[int, SuState]:
     """Apply joins and leaves and rekey the joiners.
 
-    Joins and leaves may arrive in the same period. A joiner's id must
-    never have been keyed, since re-keying a departed id would reuse its
-    nonces; every check runs before any state changes. No stored state of
-    any remaining user changes. Returns states for the joining users.
+    Joins and leaves may arrive in the same period. A joiner's id must be
+    a non-negative int that was never keyed, since re-keying a departed id
+    would reuse its nonces; every check runs before any state changes, and
+    a refused change raises ``ProtocolError``. No stored state of any
+    remaining user changes. Returns states for the joining users.
     """
+    for uid in joins:  # what KeyTable.add_user requires, checked before any change
+        if not isinstance(uid, int) or uid < 0:
+            raise ProtocolError(f"user id must be a non-negative int, got {uid!r}")
     if set(joins) & set(leaves):
         raise ProtocolError("a user cannot both join and leave in one period")
     if len(set(joins)) != len(joins) or len(set(leaves)) != len(leaves):

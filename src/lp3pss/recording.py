@@ -32,13 +32,19 @@ line that is not exactly one JSON object with all six fields typed as
 the writer writes them:
 ``round`` and ``size_bytes`` integers (not booleans), ``entity`` and
 ``direction`` strings, ``meta`` an object and ``tag`` one of the
-``ViewTag`` strings. Other fields are ignored.
+``ViewTag`` strings. Other fields are ignored. A line that repeats a line
+of the previous round but for its round digits is read without a decode,
+and its event shares that line's meta (``iter_transcript`` says when this
+holds and why it reads what a decode would). So loaded metas, like
+recorded ones, may be shared and must not be written. Reading holds one
+line, its event and the line shapes of two rounds.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -461,23 +467,84 @@ def _parse_event(line: str) -> ViewEvent:
     raise ValueError(_shape_error(record))
 
 
+# What the writer puts after a line's round digits and their comma.
+_WRITER_TAIL = re.compile(r'"size_bytes":[0-9]+,"tag":"[A-Z_]+"}').fullmatch
+# A round text that is one JSON number token and that int() reads as the
+# decoder does: ASCII digits, no leading zero, fewer than 19 digits.
+_CANONICAL_ROUND = re.compile(r"0|[1-9][0-9]{0,17}").fullmatch
+
+
 def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
     """The events of a JSONL transcript, in file order, one line at a time.
 
     Raises ``ValueError`` naming the first malformed line when it reaches
-    that line, after yielding the events before it. Memory holds one line
-    and its event, so a caller that keeps no events reads a file of any
-    length in bounded memory; the lines must stay readable until the
-    generator is done.
+    that line, after yielding the events before it. Memory holds one line,
+    its event and the shapes of two rounds (below), so a caller that keeps
+    no events reads a file of any length in bounded memory; the lines must
+    stay readable until the generator is done.
+
+    Most lines repeat a line of the previous round but for the round
+    digits, since the recorder shares round-invariant metas. Each stripped
+    line is split at its last ``,"round":`` into a head, the round digits
+    (up to the next comma) and the rest. The shape of a line, its rest,
+    entity, direction, tag, size and meta, is kept under its head for the
+    round whose digits it carries and the round after; a line of the next
+    round with the same head and rest is built from that shape, with no
+    decode, and its meta is the same object. Every other line is decoded
+    by ``_parse_event``. So events loaded may share metas, and a caller
+    must not write to a loaded meta, as to a recorded one.
+
+    Why a hit decodes to the same record but for its round. A shape is
+    kept only from a line that decoded, whose round digits are canonical
+    (``_CANONICAL_ROUND``: one JSON number token) and whose rest is the
+    writer's tail, ``"size_bytes":<digits>,"tag":"<A-Z_>"}``. In valid
+    JSON, ``,"round":`` is a member key: a quote after a comma inside a
+    string would end the string, and a bare ``round`` cannot follow. The
+    digits are that member's whole value, as a comma follows them. The
+    tail holds one ``}``, the line's last character, which closes the
+    top-level object; so the object holding this ``round`` is the
+    top-level one, and the tail holds no later ``round`` key that the
+    decoder would read instead. A line with the same head and rest and
+    other canonical digits differs in that one number token only.
     """
+    # head -> (rest, entity, direction, tag, size_bytes, meta) of the
+    # previous and the current round: one shape per head, the last kept
+    prev: dict[str, tuple] = {}
+    cur: dict[str, tuple] = {}
+    tails: dict[str, bool] = {}  # this round's rests: each the writer's tail or not
+    round_text: str | None = None
+    round_: int | None = None
     for lineno, line in enumerate(lines, start=1):
         line = line.strip(_JSON_WHITESPACE)
         if not line:
             continue
+        head, _, after = line.rpartition(',"round":')
+        digits, _, rest = after.partition(",")
+        if digits != round_text:
+            round_text = digits
+            if _CANONICAL_ROUND(digits):
+                round_ = int(digits)
+                prev, cur, tails = cur, {}, {}
+            else:  # no shape is found or kept until the digits are canonical
+                round_ = None
+                prev = cur = {}
+        shape = prev.get(head)
+        if shape is not None:
+            known, entity, direction, tag, size_bytes, meta = shape
+            if known == rest:
+                cur[head] = shape
+                yield ViewEvent(round_, entity, direction, tag, size_bytes, meta)
+                continue
         try:
             event = _parse_event(line)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"transcript line {lineno} is malformed: {exc}") from exc
+        if round_ is not None:
+            writers = tails.get(rest)
+            if writers is None:
+                writers = tails[rest] = _WRITER_TAIL(rest) is not None
+            if writers:
+                cur[head] = (rest, event.entity, event.direction, event.tag, event.size_bytes, event.meta)
         yield event
 
 
@@ -523,7 +590,11 @@ def load_transcript(lines: Iterable[str]) -> list[ViewEvent]:
 
     Raises ``ValueError`` naming the first malformed line. The result is
     a list, read in full before returning, and stays so: callers such as
-    ``perfbench/worker.py`` check it after closing the file.
+    ``perfbench/worker.py`` check it after closing the file. Events read
+    from lines that repeat a line of the previous round but for the round
+    share that line's meta object (see ``iter_transcript``): a caller must
+    not write to a loaded meta. Beyond the list, memory holds one line and
+    the line shapes of two rounds.
 
     The read runs under ``collection_paused``: automatic garbage
     collection is paused while the events are built, and on return or

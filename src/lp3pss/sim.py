@@ -271,6 +271,8 @@ def config_from_dict(raw: dict) -> SimulationConfig:
     _require_keys(output, {"transcript"}, "output")
     if not isinstance(output.get("transcript", ""), str):
         raise ConfigError("output.transcript: expected a path string")
+    if output.get("transcript") == "":  # it would name the working directory, found only after the run
+        raise ConfigError("output.transcript: expected a path string, got an empty string")
 
     return SimulationConfig(sensing, channel, churn, AdversaryProfile(behaviors), crypto_params)
 

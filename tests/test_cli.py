@@ -139,6 +139,7 @@ def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
         ({"adversary": {"0": {"kind": "always-flip"}}}, "adversary.0"),
         ({"adversary": {"-3": {"kind": "always-flip"}}}, "adversary.-3"),
         ({"output": {"transcirpt": "t.jsonl"}}, "output.transcirpt: unknown field"),
+        ({"output": {"transcript": ""}}, "output.transcript"),
     ],
 )
 def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, field):
@@ -150,6 +151,7 @@ def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, fie
     err = capsys.readouterr().err
     assert code == 2, err
     assert err.startswith("config error: ") and field in err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_simulate_rejects_config_that_is_not_utf8(tmp_path, capsys):

@@ -426,19 +426,22 @@ class TestMembership:
             ([5, 5], [], "repeated"),
             ([], [2, 2], "repeated"),
             ([], [1, 2, 4], "emptied the network"),
+            # a join id KeyTable.add_user refuses, alongside a valid leave
+            ([-1], [2], "non-negative int, got -1"),
+            (["5"], [2], "non-negative int, got '5'"),
         ],
-        ids=["rejoin", "repeated-join", "repeated-leave", "emptied"],
+        ids=["rejoin", "repeated-join", "repeated-leave", "emptied", "negative-join", "str-join"],
     )
     def test_refused_change_leaves_every_state_alone(self, master_seed, joins, leaves, reason):
         keys, fc, gw, _, recorder, _ = setup_network(4, master_seed)
         handle_membership(fc, gw, [], [3], keys, recorder)
         snapshot = copy.deepcopy((fc, gw, keys))
-        events_before = len(recorder.events)
+        events_before = list(recorder.events)
         with pytest.raises(ProtocolError, match=reason):
             handle_membership(fc, gw, joins, leaves, keys, recorder)
         assert (fc, gw, keys) == snapshot
         assert keys.issued == {1, 2, 3, 4}
-        assert len(recorder.events) == events_before
+        assert recorder.events == events_before
 
     def test_leave_of_unknown_id_rejected(self, master_seed):
         keys, fc, gw, _, recorder, _ = setup_network(3, master_seed)

@@ -30,6 +30,9 @@ from lp3pss.recording import (
     Recorder,
     Tally,
     ViewTag,
+    _parse_event,
+    compact_json,
+    iter_transcript,
     load_transcript,
     user_name,
 )
@@ -628,6 +631,106 @@ def test_lines_ending_in_crlf_load():
     result = run_simulation(eventful_config())
     lines = [line[:-1] + "\r\n" for line in dump(result.recorder).splitlines(keepends=True)]
     assert load_transcript([*lines, "\r\n", " \t\r\n"]) == result.recorder.events
+
+
+def strict_read(lines: list[str]) -> tuple[list, str | None]:
+    """The oracle: ``_parse_event`` of each stripped, non-empty line, and the
+    reader's error text for the first line it rejects."""
+    events = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip(" \t\r\n")
+        if not line:
+            continue
+        try:
+            events.append(_parse_event(line))
+        except (ValueError, RecursionError) as exc:
+            return events, f"transcript line {lineno} is malformed: {exc}"
+    return events, None
+
+
+def read(lines: list[str]) -> tuple[list, str | None]:
+    events = []
+    try:
+        for event in iter_transcript(lines):
+            events.append(event)
+    except ValueError as exc:
+        return events, str(exc)
+    return events, None
+
+
+def with_round(line: str, text: str) -> str:
+    """The line with the digits after its last ``,"round":`` replaced by ``text``."""
+    head, key, after = line.rpartition(',"round":')
+    _, comma, rest = after.partition(",")
+    return head + key + text + comma + rest
+
+
+def record_text(items: list[tuple[str, object]]) -> str:
+    return "{" + ",".join(f"{json.dumps(k)}:{compact_json(v)}" for k, v in items) + "}"
+
+
+SMALL_TRANSCRIPT = dump(run_simulation(SimulationConfig(SensingConfig(n=2, rounds=3, seed=1))).recorder)
+# text that makes a round the writer never writes, or no JSON integer at all
+ODD_ROUNDS = ["01", "-1", "1.0", "1e2", " 1", "1234567890123456789", "١"]
+
+
+@st.composite
+def mutated_copy(draw, line: str, t: int) -> str:
+    """A copy of a round-t line for round t+1, mutated so that a reader which
+    trusted the text around its round could misread it."""
+    record = json.loads(line)
+    record["round"] = t + 1
+    items = sorted(record.items())
+    kind = draw(st.sampled_from(["round", "second round", "meta last", "whitespace", "reorder", "trailing"]))
+    if kind == "round":
+        return with_round(line, draw(st.sampled_from(ODD_ROUNDS)))
+    if kind == "second round":
+        extra = ("round", draw(st.integers(0, 9)))
+        return record_text([extra, *items] if draw(st.booleans()) else [*items, extra])
+    if kind == "meta last":
+        # the meta's text ends as a line does, with a round of its own
+        tail = [("round", t), ("size_bytes", record["size_bytes"]), ("tag", record["tag"])]
+        meta = record_text([*sorted(record["meta"].items()), *tail])
+        return record_text([(k, v) for k, v in items if k != "meta"])[:-1] + ',"meta":' + meta + "}"
+    text = record_text(items)
+    if kind == "whitespace":
+        at = draw(st.integers(1, len(text) - 1))
+        return text[:at] + draw(st.sampled_from([" ", "\t", "\r\n "])) + text[at:]
+    if kind == "reorder":
+        return record_text(draw(st.permutations(items)))
+    return text + draw(st.sampled_from(["x", " ", "{}", ",", '"', "\\", ',"round":1']))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reader_reads_what_the_strict_parse_reads(data):
+    lines = SMALL_TRANSCRIPT.splitlines(keepends=True)
+    # a line of round 1 or later: the next round's copy would find its shape
+    at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if json.loads(line)["round"] >= 1]))
+    t = json.loads(lines[at])["round"]
+    copy_ = data.draw(mutated_copy(lines[at].rstrip("\n"), t))
+    # then the copy and the line again, each with the next round's digits
+    again = [with_round(copy_, str(t + 2)) + "\n", with_round(lines[at], str(t + 2))]
+    stream = [*lines[: at + 1], copy_ + "\n", *again, *lines[at + 1 :]]
+    assert read(stream) == strict_read(stream)
+
+
+def test_loaded_events_of_one_shape_share_one_meta():
+    result = run_simulation(SimulationConfig(SensingConfig(n=4, rounds=6, seed=5)))
+    events = load_transcript(io.StringIO(dump(result.recorder)))
+    assert events == result.recorder.events
+    by_shape: dict[tuple, list] = {}
+    for e in events:
+        by_shape.setdefault((e.entity, e.direction, e.tag, e.size_bytes, compact_json(e.meta)), []).append(e)
+    # a shape in every sensing round, once a round, is read from one line's
+    # decode: its events share that line's meta
+    every_round = [
+        shape_events for shape_events in by_shape.values()
+        if [e.round for e in shape_events] == list(range(1, 7))
+    ]
+    assert len(every_round) >= 4 * 3  # each user's two operations and report, at least
+    for shape_events in every_round:
+        assert len({id(e.meta) for e in shape_events}) == 1, shape_events[0]
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -1,5 +1,6 @@
 """The experiment scripts README documents run to completion at tiny sizes."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -121,3 +122,19 @@ def test_output_digests_print_one_line_of_hashes_per_run():
         assert transcript.startswith("transcript=") and len(transcript) == len("transcript=") + 64
     assert len({line.split()[2] for line in lines}) == 6
     assert runs[0].stdout == GOLDEN_TINY_DIGESTS
+
+
+def test_output_digests_exit_1_naming_a_run_whose_transcript_reads_back_otherwise(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts perfbench/ on it
+    spec = importlib.util.spec_from_file_location("output_digests", ROOT / "scripts" / "output_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    honest = script.load_transcript
+    monkeypatch.setattr(script, "load_transcript", lambda lines: honest(lines)[:-1])
+    monkeypatch.setattr(sys, "argv", ["output_digests.py", "--workload", "long", "--seed", "7", "8", "--size", "tiny"])
+    with pytest.raises(SystemExit) as exited:
+        script.main()
+    assert exited.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "".join(GOLDEN_TINY_DIGESTS.splitlines(keepends=True)[2:4])
+    assert "long seed=7:" in err and "long seed=8:" in err
