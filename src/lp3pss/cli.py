@@ -52,6 +52,13 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
+def _path(text: str) -> Path:
+    # Path("") is the working directory, which open() refuses only after the run
+    if not text:
+        raise argparse.ArgumentTypeError("expected a path, got an empty string")
+    return Path(text)
+
+
 def _scheme_list(text: str) -> list[str]:
     schemes = [part.strip().lower() for part in text.split(",") if part.strip()]
     if not schemes:
@@ -75,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, required=True, help="run seed (no ambient randomness)")
     sim.add_argument("--churn-mu", type=float, help="membership-change probability per period")
     sim.add_argument("--loss-prob", type=float, help="per-report loss probability")
-    sim.add_argument("--out", type=Path, required=True, help="report JSON path")
-    sim.add_argument("--transcript", type=Path, help="also dump the JSONL transcript here")
+    sim.add_argument("--out", type=_path, required=True, help="report JSON path")
+    sim.add_argument("--transcript", type=_path, help="also dump the JSONL transcript here")
 
     bench = sub.add_parser("bench", help="count/traffic conformance over a population sweep")
     bench.add_argument("--n", type=_int_list, default=[10, 100, 500], help="comma list of n")

@@ -55,7 +55,6 @@ from lp3pss.fusion import (
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
-    COMPARE,
     FC_NAME,
     GW_NAME,
     OPE_ENC,
@@ -374,11 +373,8 @@ def gw_compare(
         meta = {"kind": "rss_ope", "user": uid, "value": rss_ope}
         recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, len(msg.body), meta)
         tau_ope = gw.tau_cache[uid]
-        bit = 0 if rss_ope < tau_ope else 1
-        bits[uid] = bit
-        pair = [rss_ope, tau_ope]
-        recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": uid, "pair": pair})
-        recorder.vote(GW_NAME, "computed", uid, bit)
+        bit = bits[uid] = 0 if rss_ope < tau_ope else 1
+        recorder.vote(GW_NAME, "computed", uid, bit)  # counts the comparison
     vector = pack_decision_vector(roster, bits)
     msg = seal(gw.fc_key, GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, vector, recorder, roster)
     return msg, delivered
@@ -431,14 +427,16 @@ def handle_membership(
 ) -> dict[int, SuState]:
     """Apply joins and leaves and rekey the joiners.
 
-    Joins and leaves may arrive in the same period. A joiner's id must be
-    a non-negative int that was never keyed, since re-keying a departed id
-    would reuse its nonces; every check runs before any state changes, and
-    a refused change raises ``ProtocolError``. No stored state of any
-    remaining user changes. Returns states for the joining users.
+    Joins and leaves may arrive in the same period. Every id, joining or
+    leaving, must be a plain non-negative int (a bool is not one: it would
+    name a user ``UFalse`` or remove user 1). A joiner's id must also never
+    have been keyed, since re-keying a departed id would reuse its nonces.
+    Every check runs before any state changes, and a refused change raises
+    ``ProtocolError``. No stored state of any remaining user changes.
+    Returns states for the joining users.
     """
-    for uid in joins:  # what KeyTable.add_user requires, checked before any change
-        if not isinstance(uid, int) or uid < 0:
+    for uid in (*joins, *leaves):
+        if type(uid) is not int or uid < 0:
             raise ProtocolError(f"user id must be a non-negative int, got {uid!r}")
     if set(joins) & set(leaves):
         raise ProtocolError("a user cannot both join and leave in one period")

@@ -150,7 +150,7 @@ def _add_ops(totals: dict[tuple[str, str, str], int], ops: Counter[tuple[int, st
 
 
 _PHASES = (PHASE_INIT, PHASE_SENSING, PHASE_MEMBERSHIP)
-_DIRECTION = {OPE_ENC: "encrypt", AEAD_ENC: "encrypt", AEAD_DEC: "decrypt", COMPARE: "computed"}
+_DIRECTION = {OPE_ENC: "encrypt", AEAD_ENC: "encrypt", AEAD_DEC: "decrypt"}
 
 
 class Recorder:
@@ -163,12 +163,16 @@ class Recorder:
 
     * ``crypto_op`` and ``user_op`` each count one operation of their
       entity, round and phase;
+    * ``vote`` at the gateway counts one ``COMPARE`` of the gateway in
+      its round and phase: the comparison that gave the bit has no event
+      of its own, since its OPE values are in the gateway's decryption
+      events. A vote at any other entity counts nothing;
     * ``message_delivered`` counts the message and its bytes on its
       link and, in the sensing phase, its bytes and one logical
       ciphertext in its round; a ``message_sent`` is counted nowhere,
       since lost messages are not traffic;
     * ``protocol_error`` adds its row to the protocol errors;
-    * ``observe`` and ``vote`` count nothing.
+    * ``observe`` counts nothing.
 
     Three entry points give their events a meta shared by every event
     that carries it, built once per run and kept in a memo keyed by the
@@ -223,16 +227,13 @@ class Recorder:
         size_bytes: int = 0,
         meta: dict | None = None,
     ) -> None:
-        """``op`` is one of ``OPE_ENC``, ``AEAD_ENC``, ``AEAD_DEC`` and ``COMPARE``."""
+        """``op`` is one of ``OPE_ENC``, ``AEAD_ENC`` and ``AEAD_DEC``; a
+        ``COMPARE`` is counted by ``vote``."""
         if meta is None:
             meta = {"op": op}
         else:
             meta["op"] = op
-        round_ = self.round
-        self.events.append(ViewEvent(round_, entity, _DIRECTION[op], tag, size_bytes, meta))
-        ops = self.tally.ops
-        key = (round_, entity, self.phase, op)
-        ops[key] = ops.get(key, 0) + 1  # most keys are new: skip Counter.__missing__
+        self._append_op(entity, op, _DIRECTION[op], tag, size_bytes, meta)
 
     def user_op(self, entity: str, op: str, tag: str, size_bytes: int, user: int | None) -> None:
         """``crypto_op`` with the shared meta of ``user`` and ``op``."""
@@ -240,11 +241,15 @@ class Recorder:
             meta = self._shared[user, op]
         except KeyError:
             meta = self._shared[user, op] = {"op": op} if user is None else {"user": user, "op": op}
+        self._append_op(entity, op, _DIRECTION[op], tag, size_bytes, meta)
+
+    def _append_op(self, entity: str, op: str, direction: str, tag: str, size_bytes: int, meta: dict) -> None:
+        """Append an event and count ``op`` of ``entity`` in the current round and phase."""
         round_ = self.round
-        self.events.append(ViewEvent(round_, entity, _DIRECTION[op], tag, size_bytes, meta))
+        self.events.append(ViewEvent(round_, entity, direction, tag, size_bytes, meta))
         ops = self.tally.ops
         key = (round_, entity, self.phase, op)
-        ops[key] = ops.get(key, 0) + 1
+        ops[key] = ops.get(key, 0) + 1  # most keys are new: skip Counter.__missing__
 
     def _header(self, sender: str, receiver: str, phase: str, subject: int | None) -> dict:
         """The shared header of a message, made on its first use."""
@@ -298,12 +303,21 @@ class Recorder:
         self.events.append(ViewEvent(self.round, entity, direction, tag, 0, meta))
 
     def vote(self, entity: str, direction: str, user: int, bit: int) -> None:
-        """``observe`` the vote ``bit`` of ``user``, with its shared meta."""
+        """``observe`` the vote ``bit`` of ``user``, with its shared meta.
+
+        A vote at the gateway is the outcome of its one comparison of OPE
+        values, counted here as a ``COMPARE`` op: the values compared are
+        in the gateway's decryption events already, so the comparison has
+        no event of its own.
+        """
         try:
             meta = self._shared["vote", user, bit]
         except KeyError:
             meta = self._shared["vote", user, bit] = {"kind": "vote", "user": user, "bit": bit}
-        self.events.append(ViewEvent(self.round, entity, direction, ViewTag.PLAINTEXT_BIT, 0, meta))
+        if entity == GW_NAME:
+            self._append_op(GW_NAME, COMPARE, direction, ViewTag.PLAINTEXT_BIT, 0, meta)
+        else:
+            self.events.append(ViewEvent(self.round, entity, direction, ViewTag.PLAINTEXT_BIT, 0, meta))
 
     def protocol_error(self, entity: str, reason: str, meta: dict | None = None) -> None:
         if meta is None:

@@ -165,6 +165,18 @@ def test_simulate_rejects_config_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("flag", ["--transcript", "--out"])
+def test_simulate_refuses_an_empty_path_before_the_run(tmp_path, monkeypatch, capsys, flag):
+    monkeypatch.chdir(tmp_path)
+    paths = {"--out": "r.json", "--transcript": "t.jsonl", flag: ""}
+    argv = ["simulate", "--n", "3", "--rounds", "2", "--seed", "1"]
+    assert main([*argv, *(arg for item in paths.items() for arg in item)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing ran
+    assert f"argument {flag}: expected a path, got an empty string" in captured.err
+    assert list(tmp_path.iterdir()) == []  # no report file, no transcript
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["simulate", "--n", "5", "--out", "x.json"]) == 2  # no --seed
     assert main(["frobnicate"]) == 2

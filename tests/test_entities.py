@@ -429,8 +429,15 @@ class TestMembership:
             # a join id KeyTable.add_user refuses, alongside a valid leave
             ([-1], [2], "non-negative int, got -1"),
             (["5"], [2], "non-negative int, got '5'"),
+            # leave ids are checked as join ids are, and a bool is no user id
+            ([], [[1]], r"non-negative int, got \[1\]"),
+            ([False], [], "non-negative int, got False"),
+            ([], [True], "non-negative int, got True"),
         ],
-        ids=["rejoin", "repeated-join", "repeated-leave", "emptied", "negative-join", "str-join"],
+        ids=[
+            "rejoin", "repeated-join", "repeated-leave", "emptied", "negative-join", "str-join",
+            "list-leave", "bool-join", "bool-leave",
+        ],
     )
     def test_refused_change_leaves_every_state_alone(self, master_seed, joins, leaves, reason):
         keys, fc, gw, _, recorder, _ = setup_network(4, master_seed)

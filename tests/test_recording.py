@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
+from lp3pss.cli import main
 from lp3pss.entities import MsgPhase
 from lp3pss.observability import check_leakage
 from lp3pss.recording import (
@@ -54,10 +55,13 @@ OPAQUE = ViewTag.OPAQUE_CIPHERTEXT
 def fold_event(tally: Tally, phase: str, e) -> None:
     """The reference fold: add one event, appended in ``phase``, to ``tally``.
 
-    Operation counts come from events whose ``meta`` has ``"op"``; traffic
-    from ``"received"`` events; protocol errors from ``"error"`` events.
+    Operation counts come from events whose ``meta`` has ``"op"``, and one
+    comparison from each vote at the gateway; traffic from ``"received"``
+    events; protocol errors from ``"error"`` events.
     """
     op = e.meta.get("op")
+    if op is None and e.entity == GW_NAME and e.meta.get("kind") == "vote":
+        op = COMPARE
     if op is not None:
         tally.ops[e.round, e.entity, phase, op] += 1
     if e.direction == "received":
@@ -99,7 +103,7 @@ def test_each_entry_point_appends_one_event_and_nothing_else():
     calls = [
         lambda: recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40),
         lambda: recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40, {"user": 1}),
-        lambda: recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": 1}),
+        lambda: recorder.vote(GW_NAME, "computed", 2, 0),
         lambda: recorder.crypto_op(user_name(1), OPE_ENC, OPAQUE),
         lambda: recorder.user_op(user_name(1), OPE_ENC, OPAQUE, 0, 1),
         lambda: recorder.user_op(GW_NAME, AEAD_ENC, OPAQUE, 34, None),
@@ -217,7 +221,7 @@ def drive_by_hand() -> PhasedRecorder:
         recorder.message_sent(user_name(uid), GW_NAME, 44, MsgPhase.REPORT, uid)
         recorder.message_delivered(user_name(uid), GW_NAME, 44, MsgPhase.REPORT, uid)
     recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 44, {"user": 1})
-    recorder.crypto_op(GW_NAME, COMPARE, ViewTag.OPE_ORDER_PAIR, meta={"user": 1})
+    recorder.vote(GW_NAME, "computed", 1, 1)
     recorder.crypto_op(GW_NAME, AEAD_DEC, OPAQUE, 44, {"user": 2})  # fails authentication
     recorder.protocol_error(GW_NAME, "report failed authentication", {"user": 2})
     recorder.crypto_op(GW_NAME, AEAD_ENC, OPAQUE, 34)
@@ -772,12 +776,96 @@ def test_load_makes_no_reference_cycles():
     assert len(events) == text.count("\n")
 
 
+def test_each_gateway_vote_follows_the_values_it_compared(monkeypatch):
+    # churn, lost reports, all three adversary kinds and one tampered report:
+    # the gateway's view holds both OPE values of each comparison, and each
+    # vote counts one comparison; a refused or lost report counts none
+    honest_report = sim_module.su_sense_report
+
+    def tampered_report(su, rss_q, recorder):
+        msg = honest_report(su, rss_q, recorder)
+        if su.uid == 4 and recorder.round == 3:
+            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
+        return msg
+
+    monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+    result = run_simulation(eventful_config())
+    keyed_in = {uid: r.t for r in result.rounds for uid in r.joins}  # the rest at init, round 0
+    seen = {}  # (kind, round, user) -> OPE value, from the gateway's decryptions so far
+    votes = 0
+    for e in result.recorder.events:
+        if e.entity != GW_NAME:
+            continue
+        kind = e.meta.get("kind")
+        if e.direction == "decrypt" and e.tag == ViewTag.OPE_ORDER_PAIR:
+            seen[kind, e.round, e.meta["user"]] = e.meta["value"]
+        elif kind == "vote":
+            votes += 1
+            u = e.meta["user"]
+            rss_ope, tau_ope = ("rss_ope", e.round, u), ("tau_ope", keyed_in.get(u, 0), u)
+            assert rss_ope in seen and tau_ope in seen
+            assert e.meta["bit"] == (0 if seen[rss_ope] < seen[tau_ope] else 1)
+    assert result.recorder.tally.protocol_errors[0]["reason"] == "report failed authentication"
+    compares = json.loads(result.report_json())["op_counts"][GW_NAME][PHASE_SENSING][COMPARE]
+    assert compares == votes == sum(len(r.delivered) for r in result.rounds) - 1
+    assert votes < sum(len(r.roster) for r in result.rounds) - 1  # some reports were lost
+
+
+# The gateway's comparison event, as transcripts written before it was dropped
+# carry it between its decryption and its vote: (rss_ope, tau_ope, user, round).
+OLD_COMPARE_LINE = (
+    '{"direction":"computed","entity":"GW","meta":{"op":"compare","pair":[%d,%d],"user":%d},'
+    '"round":%d,"size_bytes":0,"tag":"OPE_ORDER_PAIR"}\n'
+)
+# The transcript of eventful_config() as it was written with those lines.
+OLD_GOLDEN_TRANSCRIPT_SHA256 = "1a1c95cc3b653ecf6f98ed4413257332801e4e0e8edb43f4648be4c11f688476"
+
+
+def with_compare_lines(recorder: Recorder) -> str:
+    """The run's transcript with a comparison line before each gateway vote."""
+    values = {}  # (kind, user) -> the gateway's last decrypted OPE value
+    lines = []
+    for e, line in zip(recorder.events, dump(recorder).splitlines(keepends=True)):
+        if e.entity == GW_NAME:
+            kind, user = e.meta.get("kind"), e.meta.get("user")
+            if kind == "vote":
+                lines.append(OLD_COMPARE_LINE % (values["rss_ope", user], values["tau_ope", user], user, e.round))
+            elif e.tag == ViewTag.OPE_ORDER_PAIR:
+                values[kind, user] = e.meta["value"]
+        lines.append(line)
+    return "".join(lines)
+
+
+def test_transcripts_with_the_gateways_comparison_events_still_verify(tmp_path, capsys):
+    result = run_simulation(eventful_config())
+    new = dump(result.recorder)
+    old = with_compare_lines(result.recorder)
+    assert hashlib.sha256(old.encode()).hexdigest() == OLD_GOLDEN_TRANSCRIPT_SHA256
+    loaded = load_transcript(io.StringIO(old))
+    compares = [e for e in loaded if e.meta.get("op") == COMPARE]
+    assert len(loaded) == len(result.recorder.events) + len(compares)
+    assert len(compares) == result.recorder.tally.op_totals()[GW_NAME][PHASE_SENSING][COMPARE]
+    assert {(e.entity, e.tag) for e in compares} == {(GW_NAME, ViewTag.OPE_ORDER_PAIR)}
+    # the gateway may see the pair it compares: the verdicts do not move
+    assert check_leakage(loaded) == check_leakage(result.recorder.events) == result.leakage
+    assert result.leakage.conforms
+    outcomes = []
+    for name, text in (("new", new), ("old", old)):
+        path = tmp_path / f"{name}.jsonl"
+        path.write_text(text)
+        code = main(["verify", "--transcript", str(path)])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == 0 and GW_NAME in outcomes[0][1]
+
+
 # Pinned output of one small run with churn, adversaries and lost reports.
 # These hashes change only with a deliberate change to the crypto or to the
 # report or transcript format; such a change records the new values and the
 # reason in CHANGES.md.
 GOLDEN_REPORT_SHA256 = "53f045de2319d68f007bcba60c62e6f7890c4e56a8aadc5651614048dd389be6"
-GOLDEN_TRANSCRIPT_SHA256 = "1a1c95cc3b653ecf6f98ed4413257332801e4e0e8edb43f4648be4c11f688476"
+GOLDEN_TRANSCRIPT_SHA256 = "e5bb7c39248026c2be4f3f30369edb736d7c69088241e9ff80f82a34207ef3fb"
 
 
 def test_golden_report_and_transcript_hashes():

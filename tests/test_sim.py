@@ -105,10 +105,10 @@ class TestDriver:
         assert result.recorder.tally.logical_per_round() == {1: 11}
 
     @pytest.mark.parametrize("n, rounds", [(1, 1), (3, 2), (12, 5)])
-    def test_honest_run_appends_5n_plus_9nR_plus_4R_events(self, n, rounds):
-        # init: 5 per user; each round: 9 per user, 4 for the decision vector
+    def test_honest_run_appends_5n_plus_8nR_plus_4R_events(self, n, rounds):
+        # init: 5 per user; each round: 8 per user, 4 for the decision vector
         result = small_run(n=n, rounds=rounds)
-        assert len(result.recorder.events) == 5 * n + 9 * n * rounds + 4 * rounds
+        assert len(result.recorder.events) == 5 * n + 8 * n * rounds + 4 * rounds
 
     def test_report_determinism(self):
         config = SimulationConfig(
