@@ -232,7 +232,7 @@ def _cmd_costs(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["scheme", "n", "entity", "primitive", "count", "comm_bits"])
+        writer = csv.DictWriter(fh, fieldnames=costs_mod.COST_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out} ({len(rows)} rows over {len(args.schemes)} schemes x {len(args.n)} sizes)")

@@ -3,8 +3,16 @@
 Computation is reported as counts of named primitives per entity; no
 timing is claimed. Communication is reported in bits. The non-voting
 schemes (LPOS, PPSS, PDAFT) are evaluated symbolically only, from their
-published per-period formulas; LP3PSS counts are additionally checkable
-against a measured run (see ``sim.verify_computation_counts``).
+published per-period formulas.
+
+LP3PSS has one model of a round, ``lp3pss_round_ops`` for the operation
+counts and ``round_ciphertexts`` and ``round_wire_bits`` for the traffic.
+The table's LP3PSS rows are that model at full presence, and the
+simulation driver holds every measured round to the same model
+(``sim.verify_computation_counts`` and ``sim.verify_communication_counts``).
+The paper's table, and so the rows, leave out one term: the gateway's
+beta membership decryptions of the joiners' thresholds, which a run
+performs and the check expects.
 
 Primitive names: E / D are one block-cipher authenticated encryption /
 decryption, OPE_E one order-preserving encryption, H a cryptographic
@@ -20,6 +28,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+from lp3pss.recording import (
+    AEAD_DEC, AEAD_ENC, FC_NAME, GW_NAME, OPE_ENC, PHASE_INIT, PHASE_MEMBERSHIP, PHASE_SENSING
+)
 
 LP3PSS = "lp3pss"
 LPOS = "lpos"
@@ -69,13 +81,56 @@ class CostReport:
     comm_bits: float = 0.0
 
 
-def _lp3pss(n: int, p: AnalyticalCostParams) -> CostReport:
-    comp = {
-        "FC": {"D": 1.0, "E": p.beta, "OPE_E": p.beta},
-        "SU": {"OPE_E": 1.0, "E": 1.0},
-        "GW": {"D": float(n), "E": 1.0},
+SU = "SU"  # in a model term: each live user
+
+_PRIMITIVES = {AEAD_DEC: "D", AEAD_ENC: "E", OPE_ENC: "OPE_E"}
+
+
+def lp3pss_round_ops(delivered: int, beta: float, initial: int = 0) -> dict[tuple[str, str, str], float]:
+    """The LP3PSS model of one sensing round's operation counts.
+
+    ``delivered`` is the number of reports the gateway took for
+    decryption and ``beta`` the number of joins. Round 1 also carries
+    initialization's terms: pass ``initial``, the population keyed at
+    initialization, for round 1 only. Maps (entity, phase, op) to the
+    expected count, where the entity ``SU`` stands for each live user.
+    An operation with no term is expected zero times.
+
+    The fusion center decrypts the decision vector and wraps each
+    joiner's threshold (one OPE and one channel encryption); each user
+    OPE-encrypts and encrypts its report; the gateway decrypts every
+    delivered report, encrypts the vector and unwraps each joiner's
+    threshold. Initialization wraps and unwraps every initial user's.
+    The paper's table omits the gateway's membership decryptions.
+    """
+    init = (FC_NAME, PHASE_INIT, OPE_ENC), (FC_NAME, PHASE_INIT, AEAD_ENC), (GW_NAME, PHASE_INIT, AEAD_DEC)
+    return {
+        **dict.fromkeys(init if initial else (), initial),
+        (FC_NAME, PHASE_SENSING, AEAD_DEC): 1,
+        (FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC): beta,
+        (FC_NAME, PHASE_MEMBERSHIP, OPE_ENC): beta,
+        (GW_NAME, PHASE_SENSING, AEAD_DEC): delivered,
+        (GW_NAME, PHASE_SENSING, AEAD_ENC): 1,
+        (GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC): beta,
+        (SU, PHASE_SENSING, OPE_ENC): 1,
+        (SU, PHASE_SENSING, AEAD_ENC): 1,
     }
-    return CostReport(LP3PSS, n, comp, (n + 1) * p.blck_bits)
+
+
+def round_ciphertexts(delivered: int) -> int:
+    """Logical ciphertexts of one sensing round: the delivered reports
+    and the decision vector."""
+    return delivered + 1
+
+
+def _lp3pss(n: int, p: AnalyticalCostParams) -> CostReport:
+    """The round model at full presence: its sensing terms and the fusion
+    center's membership terms, which is the paper's table."""
+    comp: dict[str, dict[str, float]] = {}
+    for (entity, phase, op), count in lp3pss_round_ops(n, p.beta).items():
+        if phase == PHASE_SENSING or (entity == FC_NAME and phase == PHASE_MEMBERSHIP):
+            comp.setdefault(entity, {})[_PRIMITIVES[op]] = float(count)
+    return CostReport(LP3PSS, n, comp, round_ciphertexts(n) * p.blck_bits)
 
 
 def _lpos(n: int, p: AnalyticalCostParams) -> CostReport:
@@ -114,22 +169,37 @@ _EVALUATORS = {LP3PSS: _lp3pss, LPOS: _lpos, PPSS: _ppss, PDAFT: _pdaft}
 
 
 def analytical_cost(scheme: str, n: int, params: AnalyticalCostParams | None = None) -> CostReport:
-    """Evaluate one scheme's per-period cost formulas at population n."""
+    """Evaluate one scheme's per-period cost formulas at population n.
+
+    Raises ``ValueError`` when a formula overflows a float or gives a
+    count or ``comm_bits`` that is not finite; an exact int of any size
+    is kept.
+    """
     if scheme not in _EVALUATORS:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _EVALUATORS[scheme](n, params or AnalyticalCostParams())
+    try:
+        report = _EVALUATORS[scheme](n, params or AnalyticalCostParams())
+        counts = [c for primitives in report.computation.values() for c in primitives.values()]
+        # a comparison, unlike math.isfinite, takes an int of any size
+        if all(-math.inf < c < math.inf for c in [report.comm_bits, *counts]):
+            return report
+    except OverflowError:
+        pass
+    raise ValueError(f"{scheme} cost formulas overflow at n={n}")
+
+
+COST_COLUMNS = ("scheme", "n", "entity", "primitive", "count", "comm_bits")
 
 
 def cost_rows(
     schemes: list[str], populations: list[int], params: AnalyticalCostParams | None = None
 ) -> list[dict[str, object]]:
-    """Long-format rows for the costs CSV.
+    """Long-format rows for the costs CSV, keyed by ``COST_COLUMNS``.
 
-    Columns: scheme, n, entity, primitive, count, comm_bits. Every row
-    repeats the scheme's total communication bits so each (scheme, n)
-    block is self-contained.
+    Every row repeats the scheme's total communication bits so each
+    (scheme, n) block is self-contained.
     """
     rows: list[dict[str, object]] = []
     for scheme in schemes:
@@ -137,16 +207,8 @@ def cost_rows(
             report = analytical_cost(scheme, n, params)
             for entity in sorted(report.computation):
                 for primitive, count in sorted(report.computation[entity].items()):
-                    rows.append(
-                        {
-                            "scheme": scheme,
-                            "n": n,
-                            "entity": entity,
-                            "primitive": primitive,
-                            "count": count,
-                            "comm_bits": report.comm_bits,
-                        }
-                    )
+                    cells = (scheme, n, entity, primitive, count, report.comm_bits)
+                    rows.append(dict(zip(COST_COLUMNS, cells)))
     return rows
 
 
@@ -175,7 +237,7 @@ def decision_vector_wire_bits(n: int) -> int:
     return 8 * (LENGTH_PREFIX_BYTES + NONCE_BYTES + payload + TAG_BYTES)
 
 
-def measured_round_bits_model(n: int, range_bits: int) -> int:
-    """Exact wire bits of one full-presence sensing round: n reports
-    plus one decision vector."""
-    return n * report_wire_bits(range_bits) + decision_vector_wire_bits(n)
+def round_wire_bits(delivered: int, live: int, range_bits: int) -> int:
+    """Exact wire bits of one sensing round: the delivered reports plus
+    the decision vector over the live users."""
+    return delivered * report_wire_bits(range_bits) + decision_vector_wire_bits(live)

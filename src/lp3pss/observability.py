@@ -11,10 +11,10 @@ learn:
 * nobody's view may contain the detection threshold, another user's RSS
   plaintext, or key material of a pair it does not belong to.
 
-``lp3pss verify`` also requires a transcript file to be complete
-(``require_complete``), noting what that takes in the same pass
-(``Completeness``); a run's own stream needs no such check, so a run
-whose every round was aborted still gets a verdict.
+``lp3pss verify`` also requires a transcript file to be complete,
+noting what that takes in the same pass (``Completeness``); a run's own
+stream needs no such check, so a run whose every round was aborted
+still gets a verdict.
 
 The module also hosts a deliberately naive soft-fusion baseline: users
 send their RSS readings to the fusion center, which sums them; it decides
@@ -117,12 +117,14 @@ def _violation_reason(event: ViewEvent) -> str | None:
 
 
 class Completeness:
-    """What ``require_complete`` checks, noted while a stream passes by.
+    """Whether a stream is complete, noted while it passes by.
 
     ``watch`` yields the events it is given, so that another reader, such
     as ``check_leakage``, consumes them in the same pass; it keeps only
     the set of entities and whether a round was decided. ``require`` then
-    raises as ``require_complete`` does.
+    raises ``ValueError`` unless the stream held events of the fusion
+    center, the gateway and a user, and a decided round: a fusion-center
+    decryption that yielded the vote bits (a failed one is opaque).
     """
 
     def __init__(self) -> None:
@@ -150,16 +152,6 @@ class Completeness:
             raise ValueError("incomplete transcript: no user logs")
         if not self.decided:
             raise ValueError("incomplete transcript: no decided round")
-
-
-def require_complete(events: Iterable[ViewEvent]) -> None:
-    """Raise ``ValueError`` unless the stream holds events of the fusion
-    center, the gateway and a user, and a decided round: a fusion-center
-    decryption that yielded the vote bits (a failed one is opaque)."""
-    completeness = Completeness()
-    for _ in completeness.watch(events):
-        pass
-    completeness.require()
 
 
 # Tags whose rule reads only the event's entity, never its ``meta``: within

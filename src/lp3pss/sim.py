@@ -62,11 +62,9 @@ from lp3pss.crypto import derive_pairwise_keys
 from lp3pss.fusion import DetectionProfile
 from lp3pss.observability import LeakageReport, check_leakage
 from lp3pss.recording import (
-    AEAD_DEC,
-    AEAD_ENC,
+    COMPARE,
     FC_NAME,
     GW_NAME,
-    OPE_ENC,
     PHASE_INIT,
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
@@ -594,13 +592,13 @@ class ConformanceVerdict:
 def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
     """Exact per-round operation-count check for every entity.
 
-    Per sensing round with b joins and d delivered reports: the fusion
-    center performs 1 decryption plus b (encryption + OPE encryption);
-    every reporting user 1 OPE encryption + 1 encryption; the gateway d
-    decryptions + 1 encryption, with the b cache refreshes charged to the
-    membership phase. Initialization is checked separately: n wrapped
-    thresholds cost the fusion center n (OPE + encryption) and the
-    gateway n decryptions.
+    Every operation counted in a round (at round 1, initialization's too)
+    must equal its term in ``costs.lp3pss_round_ops``, evaluated at the
+    round's delivered reports and joins, or be zero where the model has
+    no term. The gateway's ``compare`` is not checked: it counts the
+    delivered reports less those refused at unseal, a number the round's
+    record does not carry. ``test_each_gateway_vote_follows_the_values_it_compared``
+    holds it to the votes instead.
 
     The driver checks each round as it ends, before its counts are
     folded into the run totals; this returns what it found.
@@ -611,44 +609,33 @@ def verify_computation_counts(result: SimulationResult) -> ConformanceVerdict:
 def verify_communication_counts(result: SimulationResult) -> ConformanceVerdict:
     """Exact per-round traffic check against the wire-framing model.
 
-    Logical ciphertexts per sensing round must equal delivered + 1; the
-    sensing-phase bytes must equal the framing model exactly. The driver
-    checks each round as it ends; this returns what it found.
+    Logical ciphertexts per sensing round must equal
+    ``costs.round_ciphertexts``, and the sensing-phase bits
+    ``costs.round_wire_bits``, of the round's delivered reports. The
+    driver checks each round as it ends; this returns what it found.
     """
     return ConformanceVerdict(list(result.fold.communication))
 
 
 def _round_op_mismatches(ops: Counter[tuple[int, str, str, str]], r: RoundRecord, n0: int) -> list[str]:
     """One round's part of ``verify_computation_counts``; at round 1, initialization's too."""
-    t, beta, delivered = r.t, r.beta, len(r.delivered)
-    checks = [
-        # (what, round, entity, phase, op, wanted); what names a line only on a mismatch
-        ("FC aead_dec", t, FC_NAME, PHASE_SENSING, AEAD_DEC, 1),
-        ("FC sensing aead_enc", t, FC_NAME, PHASE_SENSING, AEAD_ENC, 0),
-        ("FC sensing ope_enc", t, FC_NAME, PHASE_SENSING, OPE_ENC, 0),
-        ("FC membership aead_enc", t, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC, beta),
-        ("FC membership ope_enc", t, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC, beta),
-        ("GW aead_dec", t, GW_NAME, PHASE_SENSING, AEAD_DEC, delivered),
-        ("GW aead_enc", t, GW_NAME, PHASE_SENSING, AEAD_ENC, 1),
-        ("GW membership aead_dec", t, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC, beta),
-    ]
-    if t == 1:
-        checks[:0] = [
-            ("FC ope_enc", 0, FC_NAME, PHASE_INIT, OPE_ENC, n0),
-            ("FC aead_enc", 0, FC_NAME, PHASE_INIT, AEAD_ENC, n0),
-            ("GW aead_dec", 0, GW_NAME, PHASE_INIT, AEAD_DEC, n0),
-        ]
-    get = ops.get  # most wanted zeros are missing keys: skip Counter.__missing__
+    t = r.t
+    users = [user_name(uid) for uid in r.roster]
+    expected: dict[tuple[int, str, str, str], float] = {}
+    model = costs.lp3pss_round_ops(len(r.delivered), r.beta, n0 if t == 1 else 0)
+    for (entity, phase, op), count in model.items():
+        round_ = 0 if phase == PHASE_INIT else t
+        for name in users if entity == costs.SU else (entity,):
+            expected[round_, name, phase, op] = count
+    get = ops.get  # most expected zeros are missing keys: skip Counter.__missing__
+    wrong = [key for key, count in expected.items() if get(key, 0) != count]
+    wrong += [key for key in ops if key not in expected and key[3] != COMPARE]
     bad = []
-    for what, round_, entity, phase, op, wanted in checks:
-        if (actual := get((round_, entity, phase, op), 0)) != wanted:
-            where = f"round {t}" if round_ else "init"
-            bad.append(f"{where} {what}: measured {actual}, expected {wanted}")
-    for uid in r.roster:  # a message only on a mismatch: n checks per round
-        su = user_name(uid)
-        for op in (OPE_ENC, AEAD_ENC):
-            if (actual := get((t, su, PHASE_SENSING, op), 0)) != 1:
-                bad.append(f"round {t} {su} {op}: measured {actual}, expected 1")
+    for key in wrong:
+        round_, entity, phase, op = key
+        where = f"round {t}" if round_ else "init"
+        what = op if phase in (PHASE_INIT, PHASE_SENSING) else f"{phase} {op}"
+        bad.append(f"{where} {entity} {what}: measured {get(key, 0)}, expected {expected.get(key, 0)}")
     return bad
 
 
@@ -656,13 +643,11 @@ def _round_traffic_mismatches(tally: Tally, r: RoundRecord, range_bits: int) -> 
     """One round's part of ``verify_communication_counts``."""
     bad = []
     delivered = len(r.delivered)
-    logical = tally.logical[r.t]
-    if logical != delivered + 1:
-        bad.append(f"round {r.t}: {logical} logical ciphertexts, expected {delivered + 1}")
+    logical, expected = tally.logical[r.t], costs.round_ciphertexts(delivered)
+    if logical != expected:
+        bad.append(f"round {r.t}: {logical} logical ciphertexts, expected {expected}")
     measured = 8 * tally.sensing_bytes[r.t]
-    expected = delivered * costs.report_wire_bits(range_bits) + costs.decision_vector_wire_bits(
-        len(r.roster)
-    )
+    expected = costs.round_wire_bits(delivered, len(r.roster), range_bits)
     if measured != expected:
         bad.append(f"round {r.t}: {measured} sensing bits, framing model expects {expected}")
     return bad

@@ -21,8 +21,8 @@ from lp3pss.costs import (
     AnalyticalCostParams,
     analytical_cost,
     decision_vector_wire_bits,
-    measured_round_bits_model,
     report_wire_bits,
+    round_wire_bits,
 )
 from lp3pss.crypto import OpeKey, ope_encrypt
 from lp3pss.fusion import (
@@ -127,7 +127,7 @@ def test_c04_communication_conformance(n):
 
     range_bits = config.crypto.range_bits
     measured = 8 * result.recorder.tally.sensing_bytes[1]
-    assert measured == measured_round_bits_model(n, range_bits)
+    assert measured == round_wire_bits(n, n, range_bits)
     # analytical row with blck pinned to the measured report frame differs
     # from the measured bits only by the documented decision-vector delta
     blck = report_wire_bits(range_bits)

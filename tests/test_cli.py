@@ -285,6 +285,25 @@ def test_costs_rejects_bad_value(tmp_path, capsys, flags, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--gamma", "1100"],  # PPSS's 2^(gamma-1) overflows a float
+        ["--n", "1" + "0" * 400],  # too large to convert to a float
+        ["--beta", "1e308", "--schemes", "ppss"],  # a finite beta whose bits are infinite
+    ],
+    ids=["gamma", "n", "beta"],
+)
+def test_costs_refuses_overflowing_parameters(tmp_path, capsys, flags):
+    out = tmp_path / "c.csv"
+    code = main(["costs", "--out", str(out), *flags])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.startswith("config error: ") and "overflow" in err
+    assert not out.exists()
+
+
 def test_verify_clean_and_tampered_transcripts(tmp_path, capsys):
     transcript = tmp_path / "t.jsonl"
     assert main(["simulate", "--n", "5", "--rounds", "3", "--seed", "7",

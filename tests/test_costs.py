@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lp3pss.costs import (
     LP3PSS,
@@ -13,9 +14,11 @@ from lp3pss.costs import (
     analytical_cost,
     cost_rows,
     decision_vector_wire_bits,
-    measured_round_bits_model,
+    lp3pss_round_ops,
     report_wire_bits,
+    round_wire_bits,
 )
+from lp3pss.recording import AEAD_DEC, AEAD_ENC, GW_NAME, OPE_ENC, PHASE_MEMBERSHIP
 
 DEFAULTS = AnalyticalCostParams()
 
@@ -69,6 +72,13 @@ class TestComputationFormulas:
         assert comp["SU"]["PMul_Q"] == pytest.approx(2 * 0.2 * 4)
         assert comp["SU"]["OPE_E"] == 1.0
 
+    def test_overflow_rejected_but_an_exact_int_kept(self):
+        with pytest.raises(ValueError, match="^ppss cost formulas overflow at n=10$"):
+            analytical_cost(PPSS, 10, AnalyticalCostParams(gamma=1100))
+        with pytest.raises(ValueError, match="^pdaft cost formulas overflow at n=7$"):
+            analytical_cost(PDAFT, 7, AnalyticalCostParams(beta=1e308))
+        assert analytical_cost(LP3PSS, 3, AnalyticalCostParams(blck_bits=10**400)).comm_bits == 4 * 10**400
+
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError):
             analytical_cost("paillier", 10)
@@ -92,6 +102,24 @@ class TestCostRows:
             AnalyticalCostParams(gamma=0)
 
 
+OP_OF_PRIMITIVE = {"D": AEAD_DEC, "E": AEAD_ENC, "OPE_E": OPE_ENC}
+
+
+@given(n=st.integers(1, 10**6), beta=st.floats(0.0, 1e6))
+def test_lp3pss_rows_are_the_round_model_at_full_presence(n, beta):
+    # each row is the one term of its entity and op; the paper's table
+    # leaves out the gateway's membership decryptions
+    table = lp3pss_round_ops(n, beta)
+    del table[GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC]
+    printed = {}
+    for row in cost_rows([LP3PSS], [n], AnalyticalCostParams(beta=beta)):
+        op = OP_OF_PRIMITIVE[row["primitive"]]
+        (term,) = [key for key in table if key[0] == row["entity"] and key[2] == op]
+        printed[term] = row["count"]
+        assert row["comm_bits"] == (n + 1) * 256
+    assert printed == table
+
+
 class TestFramingModel:
     def test_report_wire_is_framing_plus_ope_width(self):
         assert report_wire_bits(32) == 8 * (4 + 12 + 4 + 16) == 288
@@ -101,4 +129,5 @@ class TestFramingModel:
         assert decision_vector_wire_bits(100) == 8 * (4 + 12 + 26 + 16)
 
     def test_round_model_composition(self):
-        assert measured_round_bits_model(10, 32) == 10 * 288 + decision_vector_wire_bits(10)
+        assert round_wire_bits(10, 10, 32) == 10 * 288 + decision_vector_wire_bits(10)
+        assert round_wire_bits(7, 10, 32) == 7 * 288 + decision_vector_wire_bits(10)

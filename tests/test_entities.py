@@ -35,7 +35,7 @@ from lp3pss.entities import (
     unpack_decision_vector,
 )
 from lp3pss.fusion import CHANNEL_BUSY, CHANNEL_FREE, DetectionProfile
-from lp3pss.observability import require_complete
+from lp3pss.observability import Completeness
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -315,8 +315,10 @@ class TestDecision:
         failed = [e for e in recorder.view_logs[FC_NAME] if e.meta.get("op") == AEAD_DEC]
         assert len(failed) == recorder.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
         assert failed[0].tag == ViewTag.OPAQUE_CIPHERTEXT
+        completeness = Completeness()
+        list(completeness.watch(recorder.events))
         with pytest.raises(ValueError, match="no decided round"):
-            require_complete(recorder.events)
+            completeness.require()
 
     def test_decision_vector_replayed_next_round_aborts(self, master_seed):
         _, fc, gw, sus, recorder, _ = setup_network(3, master_seed)

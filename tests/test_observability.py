@@ -10,10 +10,10 @@ from lp3pss.observability import (
     AggView,
     build_dlp_scenario,
     check_leakage,
+    Completeness,
     CONFORMS,
     dlp_attack_oracle,
     LeakageReport,
-    require_complete,
     run_baseline,
     srlp_exposure,
     VIOLATES,
@@ -105,14 +105,18 @@ class TestCheckLeakage:
 
     def test_incomplete_transcript_rejected(self):
         events = honest_events()
-        require_complete(events)
+        complete = Completeness()
+        assert list(complete.watch(events)) == events
+        complete.require()
         for missing in (FC_NAME, GW_NAME):
-            partial = [e for e in events if e.entity != missing]
+            partial = Completeness()
+            list(partial.watch(e for e in events if e.entity != missing))
             with pytest.raises(ValueError):
-                require_complete(partial)
-        users_only = [e for e in events if e.entity.startswith("U")]
+                partial.require()
+        users_only = Completeness()
+        list(users_only.watch(e for e in events if e.entity.startswith("U")))
         with pytest.raises(ValueError):
-            require_complete(users_only)
+            users_only.require()
 
     def test_violation_carries_offending_event(self):
         events = inject_event(

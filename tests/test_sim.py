@@ -15,9 +15,11 @@ from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
 from lp3pss.costs import (
     LP3PSS as COST_LP3PSS,
+    SU,
     AnalyticalCostParams,
     analytical_cost,
-    measured_round_bits_model,
+    lp3pss_round_ops,
+    round_wire_bits,
 )
 from lp3pss.entities import ProtocolError
 from lp3pss.recording import (
@@ -27,6 +29,7 @@ from lp3pss.recording import (
     GW_NAME,
     OPE_ENC,
     PHASE_INIT,
+    PHASE_MEMBERSHIP,
     PHASE_SENSING,
     user_name,
 )
@@ -156,6 +159,29 @@ class TestDriver:
         assert result.rounds[-1].result.n_live == 12
 
 
+# One count raised by one at round 1 of a run of 3 users with no churn, and
+# the one mismatch line it must give: first each term of the model, user U2
+# standing for SU, then operations the model does not predict.
+MODEL_MISCOUNTS = [
+    ((0, FC_NAME, PHASE_INIT, OPE_ENC), "init FC ope_enc: measured 4, expected 3"),
+    ((0, FC_NAME, PHASE_INIT, AEAD_ENC), "init FC aead_enc: measured 4, expected 3"),
+    ((0, GW_NAME, PHASE_INIT, AEAD_DEC), "init GW aead_dec: measured 4, expected 3"),
+    ((1, FC_NAME, PHASE_SENSING, AEAD_DEC), "round 1 FC aead_dec: measured 2, expected 1"),
+    ((1, FC_NAME, PHASE_MEMBERSHIP, AEAD_ENC), "round 1 FC membership aead_enc: measured 1, expected 0"),
+    ((1, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC), "round 1 FC membership ope_enc: measured 1, expected 0"),
+    ((1, GW_NAME, PHASE_SENSING, AEAD_DEC), "round 1 GW aead_dec: measured 4, expected 3"),
+    ((1, GW_NAME, PHASE_SENSING, AEAD_ENC), "round 1 GW aead_enc: measured 2, expected 1"),
+    ((1, GW_NAME, PHASE_MEMBERSHIP, AEAD_DEC), "round 1 GW membership aead_dec: measured 1, expected 0"),
+    ((1, "U2", PHASE_SENSING, OPE_ENC), "round 1 U2 ope_enc: measured 2, expected 1"),
+    ((1, "U2", PHASE_SENSING, AEAD_ENC), "round 1 U2 aead_enc: measured 2, expected 1"),
+]
+UNPREDICTED_MISCOUNTS = [
+    ((1, FC_NAME, PHASE_SENSING, AEAD_ENC), "round 1 FC aead_enc: measured 1, expected 0"),
+    ((1, GW_NAME, PHASE_MEMBERSHIP, AEAD_ENC), "round 1 GW membership aead_enc: measured 1, expected 0"),
+    ((1, "U9", PHASE_SENSING, OPE_ENC), "round 1 U9 ope_enc: measured 1, expected 0"),  # not on the roster
+]
+
+
 class TestConformance:
     def test_fc_counts_without_churn(self, round_ops):
         result = small_run(n=50, rounds=3)
@@ -187,7 +213,7 @@ class TestConformance:
         result = small_run(n=25, rounds=4)
         assert verify_communication_counts(result).ok
         measured = 8 * result.recorder.tally.sensing_bytes[1]
-        assert measured == measured_round_bits_model(25, 32)
+        assert measured == round_wire_bits(25, 25, 32)
 
     def test_counter_totals_match_transcript_events(self, monkeypatch, round_ops):
         # audit: one logged event per counted crypto operation, in an honest
@@ -425,6 +451,40 @@ class TestConformance:
             "round 1 FC aead_dec: measured 2, expected 1",
         ]
 
+    @pytest.mark.parametrize(
+        "key, line",
+        MODEL_MISCOUNTS + UNPREDICTED_MISCOUNTS,
+        ids=[line.split(":")[0].replace(" ", "-") for _, line in MODEL_MISCOUNTS + UNPREDICTED_MISCOUNTS],
+    )
+    def test_each_miscounted_op_gives_one_mismatch_line(self, monkeypatch, key, line):
+        honest_end_round = sim_module.RunFold.end_round
+
+        def end_round(fold, record, fc):
+            if record.t == 1:
+                fold.tally.ops[key] += 1
+            honest_end_round(fold, record, fc)
+
+        monkeypatch.setattr(sim_module.RunFold, "end_round", end_round)
+        assert verify_computation_counts(small_run(n=3, rounds=2)).mismatches == [line]
+
+    def test_miscount_cases_cover_every_model_term(self):
+        covered = {(SU if entity == "U2" else entity, phase, op) for (_, entity, phase, op), _ in MODEL_MISCOUNTS}
+        assert covered == set(lp3pss_round_ops(3, 0, 3))
+
+    def test_eventful_run_counts_nothing_outside_the_model(self):
+        # the check flags any counted op without a model term, so both
+        # verdicts being ok means the model leaves no op of this run out
+        config = SimulationConfig(
+            SensingConfig(n=40, rounds=15, seed=11, report_loss_prob=0.2),
+            churn=ChurnConfig(mu=1.0, join_count=CountRange(0, 3), leave_count=CountRange(0, 3)),
+            adversary=AdversaryProfile({1: Behavior(ALWAYS_FLIP), 2: Behavior(STUCK_AT, stuck_bit=0)}),
+        )
+        result = run_simulation(config)
+        assert any(r.joins for r in result.rounds) and any(r.leaves for r in result.rounds)
+        assert any(len(r.delivered) < len(r.roster) for r in result.rounds)
+        assert verify_computation_counts(result).ok
+        assert verify_communication_counts(result).ok
+
     def test_analytical_counts_equal_measured_counts(self, round_ops):
         # the cost-model row and the instrumented run must agree exactly
         beta, n = 3, 20
@@ -549,9 +609,9 @@ behaviors = st.one_of(
 
 
 @st.composite
-def small_configs(draw):
-    n = draw(st.integers(1, 6))
-    rounds = draw(st.integers(1, 6))
+def small_configs(draw, max_n=6, max_rounds=6):
+    n = draw(st.integers(1, max_n))
+    rounds = draw(st.integers(1, max_rounds))
     join_lo = draw(st.integers(0, 2))
     leave_lo = draw(st.integers(0, 2))
     return SimulationConfig(
@@ -569,6 +629,14 @@ def small_configs(draw):
         ),
         adversary=AdversaryProfile(draw(st.dictionaries(st.integers(1, n + 3), behaviors, max_size=3))),
     )
+
+
+@settings(max_examples=40)
+@given(config=small_configs(max_n=8, max_rounds=4))
+def test_small_random_runs_conform_to_the_model(config):
+    result = run_simulation(config)
+    assert verify_computation_counts(result).ok, result.fold.computation[:3]
+    assert verify_communication_counts(result).ok, result.fold.communication[:3]
 
 
 class TestReport:
