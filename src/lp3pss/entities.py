@@ -24,7 +24,9 @@ never sees the threshold in plaintext nor any OPE key; users never see
 the threshold or the voting threshold in any form.
 
 ``seal`` and ``unseal`` are the one place where a message is bound to its
-phase, subject and round, framed with AES-GCM, and logged.
+phase, subject and round, framed with AES-GCM, and logged: every event of
+a message, its encryption and decryption included, is appended there, and
+callers log none of them.
 """
 
 from __future__ import annotations
@@ -127,11 +129,6 @@ class ProtocolMessage:
     body: bytes
 
 
-# fresh event meta of a refused message (the recorder takes it over)
-def _user_meta(subject: int | None) -> dict | None:
-    return None if subject is None else {"user": subject}
-
-
 def seal(
     key: AeadKey,
     sender: str,
@@ -155,11 +152,20 @@ def unseal(
     key: AeadKey,
     msg: ProtocolMessage,
     recorder: Recorder,
+    tag: str,
+    kind: str,
     roster: list[int] | None = None,
     length: int | None = None,
 ) -> bytes:
-    """Log ``msg`` as received and return its payload; the caller has
-    checked its phase and subject and logs what the payload taught it.
+    """Log ``msg`` as received, then the receiver's decryption, and return
+    the payload; the caller has checked its phase and subject.
+
+    The decryption event carries ``tag`` and the meta ``{"kind": kind,
+    "user": subject, "value": value}``, where ``value`` is the payload read
+    as one big-endian integer: the payload of every message with a subject
+    (``INIT_C``, ``REPORT`` and ``BASELINE_REPORT``) is one. A decision
+    vector has no subject, and its meta is ``{"kind": kind}``. Callers log
+    no decryption of their own.
 
     A body that is malformed or fails authentication, or a payload whose
     length is not ``length`` (when given), is refused: the decryption is
@@ -174,11 +180,18 @@ def unseal(
         problem = "is malformed" if isinstance(exc, MalformedCiphertext) else "failed authentication"
     else:
         if length is None or len(payload) == length:
+            if subject is None:
+                meta = {"kind": kind}
+            else:
+                meta = {"kind": kind, "user": subject, "value": int.from_bytes(payload, "big")}
+            recorder.crypto_op(receiver, AEAD_DEC, tag, size, meta)
             return payload
         problem = "has the wrong length"
     reason = f"{_NOUN[phase]} {problem}"
-    recorder.crypto_op(receiver, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size, _user_meta(subject))
-    recorder.protocol_error(receiver, reason, _user_meta(subject))
+    user = {} if subject is None else {"user": subject}
+    # each event takes over its meta, so each gets its own dict
+    recorder.crypto_op(receiver, AEAD_DEC, ViewTag.OPAQUE_CIPHERTEXT, size, dict(user))
+    recorder.protocol_error(receiver, reason, user)
     raise MessageRefused(reason)
 
 
@@ -204,7 +217,8 @@ class SuState:
 class GwState:
     fc_key: AeadKey
     user_keys: dict[int, AeadKey]
-    tau_cache: dict[int, int] = field(default_factory=dict)  # OPE threshold per live user
+    # the OPE threshold of each user whose wrapped threshold was accepted
+    tau_cache: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -311,12 +325,10 @@ def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recor
             recorder.protocol_error(GW_NAME, "duplicate init message", {"user": uid})
             continue
         try:
-            tau_ope = int.from_bytes(unseal(gw.fc_key, msg, recorder), "big")
+            payload = unseal(gw.fc_key, msg, recorder, ViewTag.OPE_ORDER_PAIR, "tau_ope")
         except MessageRefused:
             continue
-        meta = {"kind": "tau_ope", "user": uid, "value": tau_ope}
-        recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, len(msg.body), meta)
-        gw.tau_cache[uid] = tau_ope
+        gw.tau_cache[uid] = int.from_bytes(payload, "big")
 
 
 # ---------------------------------------------------------------------------
@@ -348,32 +360,36 @@ def gw_compare(
     A report votes busy (bit 1) whenever its OPE value is not below the
     user's OPE threshold; equal plaintexts encrypt identically, so a
     reading exactly at the threshold votes busy. A report from an
-    unknown user, or a second one from the same user, is refused before
-    delivery; one that is malformed or fails authentication (a report
-    replayed from another round among them) is delivered, then skipped.
-    Both leave the user absent. Returns the decision vector and the
-    subjects of the delivered reports, in order.
+    unknown user, from a user whose wrapped threshold was refused (so
+    none is cached), or a second one from the same user, is refused
+    before delivery; one that is malformed or fails authentication (a
+    report replayed from another round among them) is delivered, then
+    skipped. Each leaves the user absent. The vector is packed over every
+    keyed user, the fusion center's live roster (``handle_membership``
+    keeps the two equal), so a lost threshold costs only its user's votes.
+    Returns the decision vector and the subjects of the delivered
+    reports, in order.
     """
-    roster = sorted(gw.tau_cache)
+    roster = sorted(gw.user_keys)
     bits: dict[int, int] = {}
     delivered: list[int] = []
     for msg in reports:
         uid = msg.subject
-        if msg.phase != MsgPhase.REPORT or uid not in gw.tau_cache:
+        if msg.phase != MsgPhase.REPORT or uid not in gw.user_keys:
             recorder.protocol_error(GW_NAME, "report from unknown user", {"user": uid})
+            continue
+        if uid not in gw.tau_cache:
+            recorder.protocol_error(GW_NAME, "report from user with no threshold", {"user": uid})
             continue
         if uid in bits:
             recorder.protocol_error(GW_NAME, "duplicate report", {"user": uid})
             continue
         delivered.append(uid)
         try:
-            rss_ope = int.from_bytes(unseal(gw.user_keys[uid], msg, recorder), "big")
+            payload = unseal(gw.user_keys[uid], msg, recorder, ViewTag.OPE_ORDER_PAIR, "rss_ope")
         except MessageRefused:
             continue
-        meta = {"kind": "rss_ope", "user": uid, "value": rss_ope}
-        recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, len(msg.body), meta)
-        tau_ope = gw.tau_cache[uid]
-        bit = bits[uid] = 0 if rss_ope < tau_ope else 1
+        bit = bits[uid] = 0 if int.from_bytes(payload, "big") < gw.tau_cache[uid] else 1
         recorder.vote(GW_NAME, "computed", uid, bit)  # counts the comparison
     vector = pack_decision_vector(roster, bits)
     msg = seal(gw.fc_key, GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, vector, recorder, roster)
@@ -394,12 +410,12 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     if msg.phase != MsgPhase.DECISION_VEC:
         raise ProtocolError(f"not a decision vector: {msg.phase}")
     roster = sorted(fc.live)
+    length = 2 * ((len(roster) + 7) // 8)
     try:
-        payload = unseal(fc.gw_key, msg, recorder, roster, 2 * ((len(roster) + 7) // 8))
+        payload = unseal(fc.gw_key, msg, recorder, ViewTag.PLAINTEXT_BIT, "vote_vector", roster, length)
     except MessageRefused as exc:
         raise RoundAborted(str(exc)) from exc
     bits = unpack_decision_vector(roster, payload)
-    recorder.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_BIT, len(msg.body), {"kind": "vote_vector"})
     present = tuple(bits)
     for uid in present:
         recorder.vote(FC_NAME, "observed", uid, bits[uid])

@@ -304,10 +304,7 @@ def run_baseline(rounds: list[tuple[set[int], dict[int, int]]], master_seed: byt
             me = user_name(uid)
             rec.observe(me, ViewTag.PLAINTEXT_VALUE, "local", {"kind": "rss", "user": uid, "value": rss})
             msg = seal(channel[uid], me, FC_NAME, MsgPhase.BASELINE_REPORT, uid, rss.to_bytes(4, "big"), rec)
-            value = int.from_bytes(unseal(channel[uid], msg, rec), "big")
-            meta = {"kind": "rss", "user": uid, "value": value}
-            rec.crypto_op(FC_NAME, AEAD_DEC, ViewTag.PLAINTEXT_VALUE, len(msg.body), meta)
-            total += value
+            total += int.from_bytes(unseal(channel[uid], msg, rec, ViewTag.PLAINTEXT_VALUE, "rss"), "big")
         rec.observe(FC_NAME, ViewTag.PLAINTEXT_VALUE, "computed", {"kind": "rss_sum", "value": total})
     return rec
 

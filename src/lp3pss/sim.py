@@ -291,7 +291,6 @@ class RoundRecord:
     joins: tuple[int, ...]
     leaves: tuple[int, ...]
     roster: tuple[int, ...]
-    reported_rss: dict[int, int]  # post-adversary values, keyed by user
     delivered: tuple[int, ...]  # users whose report the gateway accepted for decryption
     result: RoundResult
 
@@ -543,11 +542,9 @@ def _run(config: SimulationConfig) -> SimulationResult:
         truth = PU_PRESENT if rngs["truth"].random() < sensing.busy_prob else 0
         roster = sorted(fc.live)
         draws = generate_rss(model, truth, rngs["rss"], len(roster))
-        reported: dict[int, int] = {}
         reports: list[ProtocolMessage] = []
         for uid, rss_q in zip(roster, draws):
             value = apply_malice(config.adversary, uid, rss_q, model, rngs["malice"])
-            reported[uid] = value
             reports.append(su_sense_report(sus[uid], value, recorder))
         if sensing.report_loss_prob > 0.0:
             arrived = [m for m in reports if rngs["loss"].random() >= sensing.report_loss_prob]
@@ -564,7 +561,6 @@ def _run(config: SimulationConfig) -> SimulationResult:
             joins=tuple(joins),
             leaves=tuple(leaves),
             roster=tuple(roster),
-            reported_rss=reported,
             delivered=tuple(sorted(delivered)),
             result=result,
         )

@@ -27,6 +27,16 @@ def inject_event(events, entity: str, tag: str, meta: dict, round_: int = 1) -> 
     return [*events, ViewEvent(round_, entity, "received", tag, 0, meta)]
 
 
+def reported_rss(events) -> dict[tuple[int, int], int]:
+    """Each (round, user)'s reported RSS, after the adversary step: the
+    value of the user's own ``rss`` event."""
+    return {
+        (e.round, e.meta["user"]): e.meta["value"]
+        for e in events
+        if e.direction == "local" and e.meta.get("kind") == "rss"
+    }
+
+
 def flip_tag_bit(wire: bytes) -> bytes:
     """A framed AEAD ciphertext with one bit of its tag (the last byte) flipped."""
     return wire[:-1] + bytes([wire[-1] ^ 1])

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import inject_event
+from conftest import inject_event, reported_rss
 from lp3pss.costs import (
     LP3PSS as COST_LP3PSS,
     PDAFT,
@@ -87,11 +87,12 @@ def test_c02_bit_correctness_under_churn_and_loss():
         churn=ChurnConfig(mu=0.2, join_count=CountRange(0, 2), leave_count=CountRange(0, 2)),
     )
     result = run_simulation(config)
+    reported = reported_rss(result.recorder.events)
     mismatches = 0
     checked = 0
     for record in result.rounds:
         for uid in record.result.present:
-            expected = 1 if record.reported_rss[uid] >= result.tau else 0
+            expected = 1 if reported[record.t, uid] >= result.tau else 0
             mismatches += record.result.bits[uid] != expected
             checked += 1
     assert mismatches == 0

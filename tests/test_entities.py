@@ -18,6 +18,7 @@ from lp3pss.crypto import (
     ope_encrypt,
 )
 from lp3pss.entities import (
+    MessageRefused,
     MsgPhase,
     ProtocolError,
     ProtocolMessage,
@@ -31,8 +32,10 @@ from lp3pss.entities import (
     make_su_states,
     message_assoc,
     pack_decision_vector,
+    seal,
     su_sense_report,
     unpack_decision_vector,
+    unseal,
 )
 from lp3pss.fusion import CHANNEL_BUSY, CHANNEL_FREE, DetectionProfile
 from lp3pss.observability import Completeness
@@ -45,6 +48,7 @@ from lp3pss.recording import (
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
     Recorder,
+    ViewEvent,
     ViewTag,
     user_name,
 )
@@ -337,7 +341,7 @@ class TestDecision:
         # which would credit U2's busy vote to U1
         _, fc, gw, sus, recorder, _ = setup_network(4, master_seed)
         fc.live.discard(4)
-        del gw.tau_cache[1]
+        del gw.user_keys[1], gw.tau_cache[1]
         records_before = copy.deepcopy(fc.records)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
@@ -484,3 +488,51 @@ class TestPacking:
     def test_wrong_size_rejected(self):
         with pytest.raises(ProtocolError):
             unpack_decision_vector([1, 2, 3], b"\x00")
+
+
+class TestUnseal:
+    def sealed(self, master_seed, phase, subject, payload=b"\x01\x02"):
+        keys = derive_pairwise_keys(master_seed, [FC, GW, 3])
+        recorder = Recorder()
+        recorder.start_round(1)
+        msg = seal(keys.fc_gw, GW_NAME, FC_NAME, phase, subject, payload, recorder)
+        return keys.fc_gw, msg, recorder, len(recorder.events)
+
+    @pytest.mark.parametrize(
+        "phase, subject, meta",
+        [
+            (MsgPhase.REPORT, 3, {"kind": "probe", "user": 3, "value": 0x0102, "op": AEAD_DEC}),
+            (MsgPhase.DECISION_VEC, None, {"kind": "probe", "op": AEAD_DEC}),
+        ],
+        ids=["subject", "no-subject"],
+    )
+    def test_opened_message_logs_its_receipt_then_its_decryption(self, master_seed, phase, subject, meta):
+        key, msg, recorder, before = self.sealed(master_seed, phase, subject)
+        assert unseal(key, msg, recorder, ViewTag.PLAINTEXT_BIT, "probe") == b"\x01\x02"
+        received, decrypted = recorder.events[before:]
+        assert (received.entity, received.direction, received.size_bytes) == (FC_NAME, "received", len(msg.body))
+        assert decrypted == ViewEvent(1, FC_NAME, "decrypt", ViewTag.PLAINTEXT_BIT, len(msg.body), meta)
+
+    @pytest.mark.parametrize(
+        "phase, subject, length, reason",
+        [
+            (MsgPhase.REPORT, 3, None, "report failed authentication"),
+            (MsgPhase.DECISION_VEC, None, None, "decision vector failed authentication"),
+            (MsgPhase.DECISION_VEC, None, 4, "decision vector has the wrong length"),
+        ],
+        ids=["subject", "no-subject", "wrong-length"],
+    )
+    def test_refused_message_logs_an_opaque_decryption_and_the_error(
+        self, master_seed, phase, subject, length, reason
+    ):
+        key, msg, recorder, before = self.sealed(master_seed, phase, subject)
+        if length is None:
+            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
+        with pytest.raises(MessageRefused, match=reason):
+            unseal(key, msg, recorder, ViewTag.PLAINTEXT_BIT, "probe", length=length)
+        received, decrypted, error = recorder.events[before:]
+        user = {} if subject is None else {"user": subject}
+        assert (received.entity, received.direction) == (FC_NAME, "received")
+        opaque = ViewTag.OPAQUE_CIPHERTEXT
+        assert decrypted == ViewEvent(1, FC_NAME, "decrypt", opaque, len(msg.body), {**user, "op": AEAD_DEC})
+        assert error == ViewEvent(1, FC_NAME, "error", opaque, 0, {**user, "reason": reason})

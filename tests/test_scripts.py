@@ -138,3 +138,35 @@ def test_output_digests_exit_1_naming_a_run_whose_transcript_reads_back_otherwis
     out, err = capsys.readouterr()
     assert out == "".join(GOLDEN_TINY_DIGESTS.splitlines(keepends=True)[2:4])
     assert "long seed=7:" in err and "long seed=8:" in err
+
+
+# Counted by hand: 6 code lines, the three of the last statement among
+# them. Not counted: the module, class and function docstrings (6 lines),
+# the comment line and the blank lines.
+HAND_COUNTED = '''"""A module docstring
+over two lines."""
+
+import os  # a comment after code is still code
+
+# a comment line
+
+
+class Box:
+    """A one-line class docstring."""
+
+    def total(self):
+        """A function docstring
+        over two lines.
+        """
+        return sum(  # a statement over three lines
+            [1, 2],
+        )
+'''
+
+
+def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(HAND_COUNTED)
+    proc = run_script(["scripts/code_lines.py", str(module)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"6 {module}\n6 total\n"

@@ -8,7 +8,7 @@ import json
 from collections import Counter
 
 import pytest
-from conftest import collection, flip_tag_bit, young_count
+from conftest import collection, flip_tag_bit, reported_rss, young_count
 from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
@@ -89,17 +89,22 @@ def tamper_decision_vector(patch, tamper, round_=None):
     patch.setattr(sim_module, "gw_compare", compare)
 
 
-def tamper_join_init(patch, round_):
-    """Make the wrapped thresholds of round ``round_``'s joiners reach the
+def tamper_init_messages(patch, round_, uid=None):
+    """Make the wrapped threshold of ``uid`` (of every user if None) sent
+    in round ``round_`` (0 is initialization; later, a join) reach the
     gateway with a flipped tag bit."""
     honest_ingest = entities_module.gw_ingest_init
 
     def ingest(gw, messages, recorder):
         if recorder.round == round_:
-            messages = [dataclasses.replace(m, body=flip_tag_bit(m.body)) for m in messages]
+            messages = [
+                dataclasses.replace(m, body=flip_tag_bit(m.body)) if uid in (None, m.subject) else m
+                for m in messages
+            ]
         honest_ingest(gw, messages, recorder)
 
     patch.setattr(entities_module, "gw_ingest_init", ingest)
+    patch.setattr(sim_module, "gw_ingest_init", ingest)
 
 
 class TestDriver:
@@ -130,9 +135,10 @@ class TestDriver:
 
     def test_whitebox_bits_match_plaintext_comparison(self):
         result = small_run(n=20, rounds=10)
+        reported = reported_rss(result.recorder.events)
         for record in result.rounds:
             for uid in record.result.present:
-                expected = 1 if record.reported_rss[uid] >= result.tau else 0
+                expected = 1 if reported[record.t, uid] >= result.tau else 0
                 assert record.result.bits[uid] == expected
 
     def test_adversary_reputation_collapses(self):
@@ -320,11 +326,10 @@ class TestConformance:
 
     def test_tampered_join_init_message_is_recorded(self, monkeypatch):
         # U6 joins in round 2 and its wrapped threshold arrives tampered: the
-        # gateway records the error and never caches U6, so from then on the
-        # gateway and the fusion center pack over different rosters, U6's
-        # reports come from an unknown user, and every later round aborts on
-        # the roster digest bound into the decision vector
-        tamper_join_init(monkeypatch, 2)
+        # gateway records the error and never caches U6, so each of U6's
+        # reports is refused before delivery; both parties still pack over
+        # the same roster, so every round decides without U6
+        tamper_init_messages(monkeypatch, 2)
         config = SimulationConfig(
             SensingConfig(n=5, rounds=4, seed=3),
             churn=ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(0, 0)),
@@ -334,14 +339,11 @@ class TestConformance:
         errors = [(e["round"], e["entity"], e["reason"]) for e in result.recorder.tally.protocol_errors]
         assert errors == [
             (2, GW_NAME, "init message failed authentication"),
-            (2, GW_NAME, "report from unknown user"),
-            (2, FC_NAME, "decision vector failed authentication"),
-            (3, GW_NAME, "report from unknown user"),
-            (3, FC_NAME, "decision vector failed authentication"),
-            (4, GW_NAME, "report from unknown user"),
-            (4, FC_NAME, "decision vector failed authentication"),
+            (2, GW_NAME, "report from user with no threshold"),
+            (3, GW_NAME, "report from user with no threshold"),
+            (4, GW_NAME, "report from user with no threshold"),
         ]
-        assert [r.result.outcome is None for r in result.rounds] == [False, True, True, True]
+        assert [r.result.outcome is None for r in result.rounds] == [False, False, False, False]
         # U6's reports are refused before delivery, so the counts still conform
         assert [r.delivered for r in result.rounds] == [
             (1, 2, 3, 4, 5), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 7), (1, 2, 3, 4, 5, 7, 8)
@@ -352,9 +354,9 @@ class TestConformance:
 
     def test_leaver_whose_threshold_was_refused_leaves_cleanly(self, monkeypatch):
         # U5 joins in round 2 and its wrapped threshold arrives tampered, so
-        # the gateway never caches it; U5 leaves in round 5, with no cache
-        # entry to drop, and from then on the rosters agree again
-        tamper_join_init(monkeypatch, 2)
+        # the gateway never caches it and refuses its reports; U5 leaves in
+        # round 5, with no cache entry to drop, and no round aborts
+        tamper_init_messages(monkeypatch, 2)
         config = SimulationConfig(
             SensingConfig(n=4, rounds=30, seed=3),
             churn=ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(1, 1)),
@@ -366,14 +368,31 @@ class TestConformance:
         errors = [(e["round"], e["entity"], e["reason"]) for e in result.recorder.tally.protocol_errors]
         assert errors == [
             (2, GW_NAME, "init message failed authentication"),
-            (2, GW_NAME, "report from unknown user"),
-            (2, FC_NAME, "decision vector failed authentication"),
-            (3, GW_NAME, "report from unknown user"),
-            (3, FC_NAME, "decision vector failed authentication"),
-            (4, GW_NAME, "report from unknown user"),
-            (4, FC_NAME, "decision vector failed authentication"),
+            (2, GW_NAME, "report from user with no threshold"),
+            (3, GW_NAME, "report from user with no threshold"),
+            (4, GW_NAME, "report from user with no threshold"),
         ]
-        assert [r.result.outcome is None for r in result.rounds] == [False, True, True, True] + [False] * 26
+        assert [r.result.outcome is None for r in result.rounds] == [False] * 30
+        assert verify_computation_counts(result).ok
+        assert verify_communication_counts(result).ok
+        assert result.leakage.conforms
+
+    def test_threshold_refused_at_initialization_costs_only_its_users_votes(self, monkeypatch):
+        # U2's wrapped threshold arrives tampered at initialization, and a
+        # user joins each round: both parties pack over the same roster, so
+        # every round decides, without U2, whose reports are refused
+        tamper_init_messages(monkeypatch, 0, uid=2)
+        config = SimulationConfig(
+            SensingConfig(n=4, rounds=8, seed=3),
+            churn=ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(0, 0)),
+        )
+        result = run_simulation(config)
+        assert all(r.result.outcome is not None for r in result.rounds)
+        assert all(2 in r.roster and 2 not in r.result.present for r in result.rounds)
+        errors = [(e["round"], e["entity"], e["reason"], e["user"]) for e in result.recorder.tally.protocol_errors]
+        assert errors == [(0, GW_NAME, "init message failed authentication", 2)] + [
+            (t, GW_NAME, "report from user with no threshold", 2) for t in range(1, 9)
+        ]
         assert verify_computation_counts(result).ok
         assert verify_communication_counts(result).ok
         assert result.leakage.conforms
