@@ -10,6 +10,11 @@ It also reads each dumped transcript back with ``load_transcript``. If the
 events read differ from the run's, it names the workload and seed on
 standard error and, after printing every line, exits with status 1.
 
+On standard error it also prints, for each run, the number of events the
+run appended and that number per user-round (the sum over rounds of the
+live users), so that a change to the event layout can state its event
+arithmetic; standard output is only the digest lines.
+
 Usage, from the root of the repository:
 
     PYTHONPATH=src python scripts/output_digests.py \\
@@ -33,17 +38,20 @@ from lp3pss.recording import load_transcript  # noqa: E402
 from lp3pss.sim import config_from_dict, run_simulation  # noqa: E402
 
 
-def digests(workload: str, seed: int, size: str) -> tuple[str, str, bool]:
-    """sha256 of the report JSON and of the transcript of one run, and
-    whether the transcript reads back as the run's events."""
+def digests(workload: str, seed: int, size: str) -> tuple[str, str, bool, int, int]:
+    """sha256 of the report JSON and of the transcript of one run, whether
+    the transcript reads back as the run's events, the number of events and
+    the number of user-rounds."""
     result = run_simulation(config_from_dict(make_config(workload, seed, size)))
     fh = io.StringIO()
     result.recorder.dump_transcript(fh)
     text = fh.getvalue()
     report = hashlib.sha256(result.report_json().encode()).hexdigest()
     transcript = hashlib.sha256(text.encode()).hexdigest()
-    reloads = load_transcript(io.StringIO(text)) == result.recorder.events
-    return report, transcript, reloads
+    events = result.recorder.events
+    reloads = load_transcript(io.StringIO(text)) == events
+    user_rounds = sum(r.result.n_live for r in result.rounds)
+    return report, transcript, reloads, len(events), user_rounds
 
 
 def main() -> None:
@@ -55,8 +63,12 @@ def main() -> None:
     failed = False
     for workload in args.workload:
         for seed in args.seed:
-            report, transcript, reloads = digests(workload, seed, args.size)
+            report, transcript, reloads, events, user_rounds = digests(workload, seed, args.size)
             print(f"{workload} seed={seed} report={report} transcript={transcript}")
+            print(
+                f"{workload} seed={seed} events={events} per_user_round={events / user_rounds:.3f}",
+                file=sys.stderr,
+            )
             if not reloads:
                 print(f"{workload} seed={seed}: the transcript reads back as other events", file=sys.stderr)
                 failed = True

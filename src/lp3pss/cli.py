@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -57,6 +59,15 @@ def _path(text: str) -> Path:
     if not text:
         raise argparse.ArgumentTypeError("expected a path, got an empty string")
     return Path(text)
+
+
+def _require_writable(path: Path) -> None:
+    """Raise, naming ``path``, the ``OSError`` that writing it would raise; create nothing."""
+    if path.exists():
+        open(path, "a").close()  # fails on a directory or a read-only file; writes nothing
+    elif not os.access(path.parent, os.W_OK):  # a missing or read-only directory
+        code = errno.EACCES if path.parent.is_dir() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(path))
 
 
 def _scheme_list(text: str) -> list[str]:
@@ -142,12 +153,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     raw["sensing"].setdefault("rounds", 10)
     config = config_from_dict(raw)
     output = raw.get("output", {})
-    result = run_simulation(config)
     out_path = args.out
-    out_path.write_text(result.report_json())
     transcript_path = args.transcript or (
         Path(output["transcript"]) if "transcript" in output else None
     )
+    for path in filter(None, (out_path, transcript_path)):  # found now, not after the run
+        _require_writable(path)
+    result = run_simulation(config)
+    out_path.write_text(result.report_json())
     if transcript_path:
         with open(transcript_path, "w") as fh:
             result.recorder.dump_transcript(fh)

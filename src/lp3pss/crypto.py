@@ -247,7 +247,7 @@ def _kdf(secret: bytes, label: str) -> bytes:
 
 
 def _rank(x: str | int) -> tuple[int, int]:
-    if isinstance(x, int):
+    if type(x) is int and x >= 0:  # not a bool: True would label a user "True"
         return (2, x)
     if x == FC:
         return (0, 0)
@@ -294,7 +294,9 @@ class KeyTable:
         self.fc_gw = pair_channel_key(self.master_seed, FC, GW)
 
     def add_user(self, uid: int) -> None:
-        if not isinstance(uid, int) or uid < 0:
+        """Key ``uid``, a plain non-negative int (not a bool, which is equal
+        to 0 or 1 but would be labelled and named ``True`` or ``False``)."""
+        if type(uid) is not int or uid < 0:
             raise ValueError(f"user id must be a non-negative int, got {uid!r}")
         if uid in self.issued:
             raise ValueError(f"user {uid} already issued keys")
@@ -307,8 +309,8 @@ class KeyTable:
 
     def remove_user(self, uid: int) -> None:
         """Forget the user's keys; its id stays issued."""
-        if uid not in self.gw_user:
-            raise ValueError(f"user {uid} not keyed")
+        if type(uid) is not int or uid not in self.gw_user:  # True would remove user 1
+            raise ValueError(f"user {uid!r} not keyed")
         del self.gw_user[uid]
         del self.ope_user[uid]
 

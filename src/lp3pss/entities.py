@@ -25,8 +25,9 @@ the threshold or the voting threshold in any form.
 
 ``seal`` and ``unseal`` are the one place where a message is bound to its
 phase, subject and round, framed with AES-GCM, and logged: every event of
-a message, its encryption and decryption included, is appended there, and
-callers log none of them.
+a message is appended there, and callers log none of them. The sender's
+event is the send, which counts its encryption; the receiver's are the
+receipt and the decryption, which holds the payload.
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ from lp3pss.fusion import (
 )
 from lp3pss.recording import (
     AEAD_DEC,
-    AEAD_ENC,
     FC_NAME,
     GW_NAME,
     OPE_ENC,
@@ -140,11 +140,11 @@ def seal(
     roster: list[int] | None = None,
 ) -> ProtocolMessage:
     """Encrypt ``payload`` bound to its phase, subject, the current round
-    and ``roster``; log the sender's encryption and the message as sent."""
+    and ``roster``, and log the message as sent: one event, the sender's,
+    with the message's shared header as its meta. It counts the sender's
+    ``AEAD_ENC`` (``Recorder.message_sent``), which has no event of its own."""
     body = aead_encrypt(key, payload, message_assoc(phase, subject, recorder.round, roster))
-    size = len(body)
-    recorder.user_op(sender, AEAD_ENC, ViewTag.OPAQUE_CIPHERTEXT, size, subject)
-    recorder.message_sent(sender, receiver, size, phase, subject)
+    recorder.message_sent(sender, receiver, len(body), phase, subject)
     return ProtocolMessage(sender, receiver, phase, subject, body)
 
 
@@ -164,8 +164,10 @@ def unseal(
     "user": subject, "value": value}``, where ``value`` is the payload read
     as one big-endian integer: the payload of every message with a subject
     (``INIT_C``, ``REPORT`` and ``BASELINE_REPORT``) is one. A decision
-    vector has no subject, and its meta is ``{"kind": kind}``. Callers log
-    no decryption of their own.
+    vector has no subject, and its meta is ``{"kind": kind, "value":
+    value}``: its packed presence mask and vote bits, which
+    ``unpack_decision_vector`` reads once ``value`` is written back as
+    ``length`` big-endian bytes. Callers log no decryption of their own.
 
     A body that is malformed or fails authentication, or a payload whose
     length is not ``length`` (when given), is refused: the decryption is
@@ -180,10 +182,9 @@ def unseal(
         problem = "is malformed" if isinstance(exc, MalformedCiphertext) else "failed authentication"
     else:
         if length is None or len(payload) == length:
-            if subject is None:
-                meta = {"kind": kind}
-            else:
-                meta = {"kind": kind, "user": subject, "value": int.from_bytes(payload, "big")}
+            meta = {"kind": kind, "value": int.from_bytes(payload, "big")}
+            if subject is not None:
+                meta["user"] = subject
             recorder.crypto_op(receiver, AEAD_DEC, tag, size, meta)
             return payload
         problem = "has the wrong length"
@@ -390,7 +391,7 @@ def gw_compare(
         except MessageRefused:
             continue
         bit = bits[uid] = 0 if int.from_bytes(payload, "big") < gw.tau_cache[uid] else 1
-        recorder.vote(GW_NAME, "computed", uid, bit)  # counts the comparison
+        recorder.vote(uid, bit)  # counts the comparison
     vector = pack_decision_vector(roster, bits)
     msg = seal(gw.fc_key, GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, vector, recorder, roster)
     return msg, delivered
@@ -406,6 +407,10 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     authentication (tampered, replayed, or packed over another roster) or
     has the wrong length is refused by ``unseal`` and yields no votes:
     ``RoundAborted`` is raised with the recorded reason.
+
+    The fusion center's view of the votes is its decryption of the vector,
+    whose meta ``unseal`` gives the payload as ``value``: it logs no event
+    per vote.
     """
     if msg.phase != MsgPhase.DECISION_VEC:
         raise ProtocolError(f"not a decision vector: {msg.phase}")
@@ -417,8 +422,6 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
         raise RoundAborted(str(exc)) from exc
     bits = unpack_decision_vector(roster, payload)
     present = tuple(bits)
-    for uid in present:
-        recorder.vote(FC_NAME, "observed", uid, bits[uid])
     lam_round = compute_lambda(len(present), fc.alpha) if present else 1
     outcome = fuse_votes([fc.records[uid].weight for uid in present], list(bits.values()), lam_round)
     records = fc.records = update_reputation(fc.records, bits, outcome.decision)

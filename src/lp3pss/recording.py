@@ -4,12 +4,14 @@ Every observable event of a run is appended here, once, as a
 ``ViewEvent``: messages on each link (logged at both the sender and the
 receiver), every crypto operation at its performer, every plaintext an
 entity learns at a decryption boundary, and every protocol error at the
-entity that detected it. The stream is what the leakage checker reads:
-each event names the entity that could know it. The counts are kept in
-``Recorder.tally`` as the events are appended: operation counts,
-per-link traffic, bytes and logical ciphertexts per sensing round and
-the protocol errors. Operation counts are kept per round until the
-round is folded into run totals (``Tally.fold_ops``).
+entity that detected it. An operation that another event witnesses is
+counted at that event and has none of its own (see ``Recorder``). The
+stream is what the leakage checker reads: each event names the entity
+that could know it. The counts are kept in ``Recorder.tally`` as the
+events are appended: operation counts, per-link traffic, bytes and
+logical ciphertexts per sensing round and the protocol errors.
+Operation counts are kept per round until the round is folded into run
+totals (``Tally.fold_ops``).
 
 Transcript files are JSON lines: one event per line, in stream order,
 the order the events were appended. A line is the compact, sorted-key,
@@ -150,7 +152,7 @@ def _add_ops(totals: dict[tuple[str, str, str], int], ops: Counter[tuple[int, st
 
 
 _PHASES = (PHASE_INIT, PHASE_SENSING, PHASE_MEMBERSHIP)
-_DIRECTION = {OPE_ENC: "encrypt", AEAD_ENC: "encrypt", AEAD_DEC: "decrypt"}
+_DIRECTION = {OPE_ENC: "encrypt", AEAD_DEC: "decrypt"}
 
 
 class Recorder:
@@ -159,18 +161,22 @@ class Recorder:
     It holds the events, the current round and phase, and the ``tally``.
     The driver sets the round and phase; entities report what they do
     through the entry points, each of which appends exactly one event
-    and adds that event's contribution to the tally:
+    and adds that event's contribution to the tally. One event per act:
+    an op that another event already witnesses has no event of its own,
+    and that event counts it.
 
-    * ``crypto_op`` and ``user_op`` each count one operation of their
-      entity, round and phase;
-    * ``vote`` at the gateway counts one ``COMPARE`` of the gateway in
-      its round and phase: the comparison that gave the bit has no event
-      of its own, since its OPE values are in the gateway's decryption
-      events. A vote at any other entity counts nothing;
+    * ``message_sent`` counts the sender's ``AEAD_ENC``: a message is
+      sent sealed, so its encryption is witnessed by the send. The
+      message itself is counted nowhere, since lost messages are not
+      traffic;
+    * ``vote`` counts the gateway's ``COMPARE``: the comparison gave the
+      bit, and the OPE values it compared are in the gateway's
+      decryption events already;
+    * ``crypto_op`` and ``user_op`` each count the op in their meta, one
+      ``OPE_ENC`` or ``AEAD_DEC`` of their entity, round and phase;
     * ``message_delivered`` counts the message and its bytes on its
       link and, in the sensing phase, its bytes and one logical
-      ciphertext in its round; a ``message_sent`` is counted nowhere,
-      since lost messages are not traffic;
+      ciphertext in its round;
     * ``protocol_error`` adds its row to the protocol errors;
     * ``observe`` counts nothing.
 
@@ -178,17 +184,17 @@ class Recorder:
     that carries it, built once per run and kept in a memo keyed by the
     fields that fix it (so it holds a few metas per user ever keyed):
 
-    * ``user_op`` is ``crypto_op`` with ``{"user": user, "op": op}``, or
-      ``{"op": op}`` for no user;
+    * ``user_op`` is ``crypto_op`` with ``{"user": user, "op": op}``;
     * ``message_sent`` and ``message_delivered`` give a message the header
       ``{"phase": phase, "subject": subject, "link": "sender->receiver"}``
       (no ``subject`` when it is None), one per link, phase and subject;
-    * ``vote`` observes a vote bit with ``{"kind": "vote", "user": user,
-      "bit": bit}``.
+    * ``vote`` gives the gateway's vote bit ``{"kind": "vote", "user":
+      user, "bit": bit}``.
 
-    The other entry points take a fresh ``meta`` dict from the caller, or
-    none: the recorder takes it over as the event's ``meta``, adding
-    ``op`` or ``reason`` in place, so the caller must not reuse it. Once
+    ``crypto_op`` takes a fresh ``meta`` dict from the caller, and
+    ``observe`` and ``protocol_error`` one or none: the recorder takes it
+    over as the event's ``meta``, adding ``op`` or ``reason`` in place, so
+    the caller must not reuse it. Once
     recorded, a meta is never written again, shared or fresh: readers of
     the stream must not write to one either.
 
@@ -219,28 +225,18 @@ class Recorder:
 
     # -- event entry points ------------------------------------------------
 
-    def crypto_op(
-        self,
-        entity: str,
-        op: str,
-        tag: str,
-        size_bytes: int = 0,
-        meta: dict | None = None,
-    ) -> None:
-        """``op`` is one of ``OPE_ENC``, ``AEAD_ENC`` and ``AEAD_DEC``; a
-        ``COMPARE`` is counted by ``vote``."""
-        if meta is None:
-            meta = {"op": op}
-        else:
-            meta["op"] = op
+    def crypto_op(self, entity: str, op: str, tag: str, size_bytes: int, meta: dict) -> None:
+        """``op`` is ``OPE_ENC`` or ``AEAD_DEC``; an ``AEAD_ENC`` is counted
+        by ``message_sent`` and a ``COMPARE`` by ``vote``."""
+        meta["op"] = op
         self._append_op(entity, op, _DIRECTION[op], tag, size_bytes, meta)
 
-    def user_op(self, entity: str, op: str, tag: str, size_bytes: int, user: int | None) -> None:
+    def user_op(self, entity: str, op: str, tag: str, size_bytes: int, user: int) -> None:
         """``crypto_op`` with the shared meta of ``user`` and ``op``."""
         try:
             meta = self._shared[user, op]
         except KeyError:
-            meta = self._shared[user, op] = {"op": op} if user is None else {"user": user, "op": op}
+            meta = self._shared[user, op] = {"user": user, "op": op}
         self._append_op(entity, op, _DIRECTION[op], tag, size_bytes, meta)
 
     def _append_op(self, entity: str, op: str, direction: str, tag: str, size_bytes: int, meta: dict) -> None:
@@ -264,11 +260,12 @@ class Recorder:
     def message_sent(
         self, sender: str, receiver: str, size_bytes: int, phase: str, subject: int | None = None
     ) -> None:
+        """Log the sender's view of a message it sealed, counting its ``AEAD_ENC``."""
         try:
             meta = self._shared[sender, receiver, phase, subject]
         except KeyError:
             meta = self._header(sender, receiver, phase, subject)
-        self.events.append(ViewEvent(self.round, sender, "sent", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, meta))
+        self._append_op(sender, AEAD_ENC, "sent", ViewTag.OPAQUE_CIPHERTEXT, size_bytes, meta)
 
     def message_delivered(
         self, sender: str, receiver: str, size_bytes: int, phase: str, subject: int | None = None
@@ -302,10 +299,10 @@ class Recorder:
             meta = {}
         self.events.append(ViewEvent(self.round, entity, direction, tag, 0, meta))
 
-    def vote(self, entity: str, direction: str, user: int, bit: int) -> None:
-        """``observe`` the vote ``bit`` of ``user``, with its shared meta.
+    def vote(self, user: int, bit: int) -> None:
+        """Log the gateway's vote ``bit`` for ``user``, with its shared meta.
 
-        A vote at the gateway is the outcome of its one comparison of OPE
+        The vote is the outcome of the gateway's one comparison of OPE
         values, counted here as a ``COMPARE`` op: the values compared are
         in the gateway's decryption events already, so the comparison has
         no event of its own.
@@ -314,10 +311,7 @@ class Recorder:
             meta = self._shared["vote", user, bit]
         except KeyError:
             meta = self._shared["vote", user, bit] = {"kind": "vote", "user": user, "bit": bit}
-        if entity == GW_NAME:
-            self._append_op(GW_NAME, COMPARE, direction, ViewTag.PLAINTEXT_BIT, 0, meta)
-        else:
-            self.events.append(ViewEvent(self.round, entity, direction, ViewTag.PLAINTEXT_BIT, 0, meta))
+        self._append_op(GW_NAME, COMPARE, "computed", ViewTag.PLAINTEXT_BIT, 0, meta)
 
     def protocol_error(self, entity: str, reason: str, meta: dict | None = None) -> None:
         if meta is None:

@@ -177,6 +177,48 @@ def test_simulate_refuses_an_empty_path_before_the_run(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []  # no report file, no transcript
 
 
+@pytest.mark.parametrize(
+    "flags, config_transcript, named, reason",
+    [
+        (["--out", "nodir/r.json"], None, "nodir/r.json", "No such file or directory"),
+        (["--out", "r.json", "--transcript", "nodir/t.jsonl"], None, "nodir/t.jsonl", "No such file or directory"),
+        (["--out", "r.json", "--transcript", "d"], None, "d", "Is a directory"),
+        (["--out", "d"], None, "d", "Is a directory"),
+        (["--out", "r.json"], "d", "d", "Is a directory"),
+        (["--out", "r.json"], "nodir/t.jsonl", "nodir/t.jsonl", "No such file or directory"),
+    ],
+    ids=["out-no-dir", "transcript-no-dir", "transcript-dir", "out-dir", "config-transcript-dir", "config-no-dir"],
+)
+def test_simulate_refuses_an_unwritable_path_before_the_run(
+    tmp_path, monkeypatch, capsys, flags, config_transcript, named, reason
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    argv = ["simulate", "--n", "3", "--rounds", "2", "--seed", "1", *flags]
+    if config_transcript is not None:
+        (tmp_path / "c.json").write_text(json.dumps({"sensing": {}, "output": {"transcript": config_transcript}}))
+        argv += ["--config", "c.json"]
+    before = sorted(tmp_path.iterdir())
+    ran = []
+    monkeypatch.setattr(cli, "run_simulation", lambda config: ran.append(config))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not ran  # nothing ran
+    assert captured.err.startswith("error: ") and reason in captured.err and repr(named) in captured.err
+    assert sorted(tmp_path.iterdir()) == before  # no report file, no transcript
+    assert list((tmp_path / "d").iterdir()) == []
+
+
+def test_simulate_keeps_an_existing_output_file_until_the_run_writes_it(tmp_path):
+    report = tmp_path / "r.json"
+    report.write_text("old")
+    argv = ["simulate", "--n", "3", "--rounds", "2", "--seed", "1", "--out", str(report)]
+    assert main([*argv, "--transcript", str(tmp_path / "nodir" / "t.jsonl")]) == 2
+    assert report.read_text() == "old"
+    assert main(argv) == 0
+    assert json.loads(report.read_text())["leakage"]["verdict"] == "conforms"
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert main(["simulate", "--n", "5", "--out", "x.json"]) == 2  # no --seed
     assert main(["frobnicate"]) == 2

@@ -251,6 +251,25 @@ class TestKeyTable:
         with pytest.raises(ValueError):
             derive_pairwise_keys(master_seed, [FC, GW, 1, 1])
 
+    @pytest.mark.parametrize("uid", [True, False, -1, 1.0, "1"], ids=["true", "false", "negative", "float", "str"])
+    def test_only_plain_non_negative_ints_are_keyed_as_users(self, master_seed, uid):
+        # True equals 1 but would be keyed under the label "GW|True" and
+        # named UTrue, and would leave 1 refused as already issued
+        with pytest.raises(ValueError, match="non-negative int"):
+            derive_pairwise_keys(master_seed, [FC, GW, uid, 2])
+        table = derive_pairwise_keys(master_seed, [FC, GW, 2])
+        with pytest.raises(ValueError, match="non-negative int"):
+            table.add_user(uid)
+        assert table.issued == {2} and table.user_ids() == [2]
+        table.add_user(1)
+        table.add_user(0)
+        assert table.user_ids() == [0, 1, 2] and table.gw_user[1].label == "GW|1"
+        with pytest.raises(ValueError, match="not keyed"):
+            table.remove_user(uid)
+        assert table.user_ids() == [0, 1, 2]
+        with pytest.raises(ValueError, match="unknown entity id"):
+            pair_channel_key(master_seed, FC, uid)
+
     def test_missing_roles_rejected(self, master_seed):
         with pytest.raises(ValueError):
             derive_pairwise_keys(master_seed, [FC, 1, 2])

@@ -283,28 +283,23 @@ class TestBaseline:
         stream = [(e.round, e.entity, e.direction, e.tag, e.size_bytes, e.meta) for e in recorder.events]
         expected = [
             (1, "U1", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 1, "value": 10}),
-            (1, "U1", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 1, "op": "aead_enc"}),
             (1, "U1", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
             (1, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
             (1, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 1, "value": 10, "op": "aead_dec"}),
             (1, "U2", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 2, "value": 20}),
-            (1, "U2", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 2, "op": "aead_enc"}),
             (1, "U2", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 2, "link": "U2->FC"}),
             (1, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 2, "link": "U2->FC"}),
             (1, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 2, "value": 20, "op": "aead_dec"}),
             (1, "U3", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 3, "value": 30}),
-            (1, "U3", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 3, "op": "aead_enc"}),
             (1, "U3", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
             (1, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
             (1, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 3, "value": 30, "op": "aead_dec"}),
             (1, "FC", "computed", "PLAINTEXT_VALUE", 0, {"kind": "rss_sum", "value": 60}),
             (2, "U1", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 1, "value": 11}),
-            (2, "U1", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 1, "op": "aead_enc"}),
             (2, "U1", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
             (2, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 1, "link": "U1->FC"}),
             (2, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 1, "value": 11, "op": "aead_dec"}),
             (2, "U3", "local", "PLAINTEXT_VALUE", 0, {"kind": "rss", "user": 3, "value": 33}),
-            (2, "U3", "encrypt", "OPAQUE_CIPHERTEXT", 36, {"user": 3, "op": "aead_enc"}),
             (2, "U3", "sent", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
             (2, "FC", "received", "OPAQUE_CIPHERTEXT", 36, {"phase": "BASELINE_REPORT", "subject": 3, "link": "U3->FC"}),
             (2, "FC", "decrypt", "PLAINTEXT_VALUE", 36, {"kind": "rss", "user": 3, "value": 33, "op": "aead_dec"}),

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
 from lp3pss.cli import main
-from lp3pss.entities import MsgPhase
+from lp3pss.entities import MsgPhase, unpack_decision_vector
 from lp3pss.observability import check_leakage
 from lp3pss.recording import (
     AEAD_DEC,
@@ -30,6 +30,7 @@ from lp3pss.recording import (
     PHASE_SENSING,
     Recorder,
     Tally,
+    ViewEvent,
     ViewTag,
     _parse_event,
     compact_json,
@@ -55,12 +56,15 @@ OPAQUE = ViewTag.OPAQUE_CIPHERTEXT
 def fold_event(tally: Tally, phase: str, e) -> None:
     """The reference fold: add one event, appended in ``phase``, to ``tally``.
 
-    Operation counts come from events whose ``meta`` has ``"op"``, and one
-    comparison from each vote at the gateway; traffic from ``"received"``
-    events; protocol errors from ``"error"`` events.
+    Operation counts come from events whose ``meta`` has ``"op"``, one
+    encryption from each ``"sent"`` event and one comparison from each
+    vote at the gateway; traffic from ``"received"`` events; protocol
+    errors from ``"error"`` events.
     """
     op = e.meta.get("op")
-    if op is None and e.entity == GW_NAME and e.meta.get("kind") == "vote":
+    if e.direction == "sent":
+        op = AEAD_ENC
+    elif op is None and e.entity == GW_NAME and e.meta.get("kind") == "vote":
         op = COMPARE
     if op is not None:
         tally.ops[e.round, e.entity, phase, op] += 1
@@ -101,20 +105,19 @@ def test_each_entry_point_appends_one_event_and_nothing_else():
     recorder = Recorder()
     recorder.start_round(3)
     calls = [
-        lambda: recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40),
+        lambda: recorder.crypto_op(FC_NAME, AEAD_DEC, OPAQUE, 34, {}),
         lambda: recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40, {"user": 1}),
-        lambda: recorder.vote(GW_NAME, "computed", 2, 0),
-        lambda: recorder.crypto_op(user_name(1), OPE_ENC, OPAQUE),
+        lambda: recorder.vote(2, 0),
+        lambda: recorder.message_sent(user_name(1), GW_NAME, 44, MsgPhase.REPORT, 1),
         lambda: recorder.user_op(user_name(1), OPE_ENC, OPAQUE, 0, 1),
-        lambda: recorder.user_op(GW_NAME, AEAD_ENC, OPAQUE, 34, None),
+        lambda: recorder.user_op(FC_NAME, OPE_ENC, OPAQUE, 0, 2),
         lambda: recorder.message_sent(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1),
         lambda: recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC),
         lambda: recorder.message_delivered(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1),
         lambda: recorder.message_delivered(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC),
         lambda: recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT),
         lambda: recorder.observe(FC_NAME, ViewTag.PLAINTEXT_BIT, "observed", {"bit": 1}),
-        lambda: recorder.vote(GW_NAME, "computed", 1, 1),
-        lambda: recorder.vote(FC_NAME, "observed", 1, 1),
+        lambda: recorder.vote(1, 1),
         lambda: recorder.protocol_error(FC_NAME, "decision vector failed authentication"),
         lambda: recorder.protocol_error(GW_NAME, "duplicate report", {"user": 1}),
     ]
@@ -135,13 +138,13 @@ def test_each_entry_point_appends_one_event_and_nothing_else():
             before.pop("_shared")
             assert all(recorder._shared[key] is meta for key, meta in shared.items())
             assert {k: v for k, v in recorder.__dict__.items() if k not in ("events", "tally", "_shared")} == before
-    assert [e.direction for e in recorder.events[:4]] == ["encrypt", "decrypt", "computed", "encrypt"]
+    assert [e.direction for e in recorder.events[:4]] == ["decrypt", "decrypt", "computed", "sent"]
 
 
 def test_entry_points_take_over_the_meta_dict_they_are_given():
     recorder = Recorder()
     calls = [
-        (lambda meta: recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, meta), {"op": AEAD_ENC}),
+        (lambda meta: recorder.crypto_op(FC_NAME, AEAD_DEC, OPAQUE, 40, meta), {"op": AEAD_DEC}),
         (lambda meta: recorder.observe(GW_NAME, ViewTag.PLAINTEXT_BIT, "computed", meta), {}),
         (lambda meta: recorder.protocol_error(GW_NAME, "duplicate report", meta), {"reason": "duplicate report"}),
     ]
@@ -162,7 +165,7 @@ def test_shared_entry_points_give_each_key_one_meta():
     expected = [
         {"user": 1, "op": OPE_ENC},
         {"user": 1, "op": OPE_ENC},  # the FC's encryption for U1 has U1's meta
-        {"op": AEAD_ENC},
+        {"user": 2, "op": OPE_ENC},
         report_header,
         report_header,
         vector_header,
@@ -175,14 +178,14 @@ def test_shared_entry_points_give_each_key_one_meta():
         recorder.start_round(round_)
         recorder.user_op(user_name(1), OPE_ENC, OPAQUE, 0, 1)
         recorder.user_op(FC_NAME, OPE_ENC, OPAQUE, 0, 1)
-        recorder.user_op(GW_NAME, AEAD_ENC, OPAQUE, 34, None)
+        recorder.user_op(FC_NAME, OPE_ENC, OPAQUE, 0, 2)
         recorder.message_sent(user_name(1), GW_NAME, 44, MsgPhase.REPORT, 1)
         recorder.message_delivered(user_name(1), GW_NAME, 44, MsgPhase.REPORT, 1)
         recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
         recorder.message_delivered(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
-        recorder.vote(GW_NAME, "computed", 1, 0)
-        recorder.vote(FC_NAME, "observed", 1, 0)
-        recorder.vote(GW_NAME, "computed", 1, 1)
+        recorder.vote(1, 0)
+        recorder.vote(1, 0)
+        recorder.vote(1, 1)
     first, second = recorder.events[:10], recorder.events[10:]
     assert [e.meta for e in first] == expected
     assert all(a.meta is b.meta for a, b in zip(first, second))
@@ -200,34 +203,30 @@ def drive_by_hand() -> PhasedRecorder:
     """Init, a membership change and a sensing round with faults at GW and FC."""
     recorder = PhasedRecorder()
     recorder.start_round(0)
-    recorder.crypto_op(FC_NAME, OPE_ENC, OPAQUE, meta={"user": 1})
-    recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, {"user": 1})
+    recorder.user_op(FC_NAME, OPE_ENC, OPAQUE, 0, 1)
     recorder.message_sent(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1)
     recorder.message_delivered(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 1)
-    recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40)
+    recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40, {"user": 1})
 
     recorder.start_round(1)
     recorder.set_phase(PHASE_MEMBERSHIP)  # U2 joins
-    recorder.crypto_op(FC_NAME, OPE_ENC, OPAQUE, meta={"user": 2})
-    recorder.crypto_op(FC_NAME, AEAD_ENC, OPAQUE, 40, {"user": 2})
+    recorder.user_op(FC_NAME, OPE_ENC, OPAQUE, 0, 2)
     recorder.message_sent(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 2)
     recorder.message_delivered(FC_NAME, GW_NAME, 40, MsgPhase.INIT_C, 2)
-    recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40)
+    recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 40, {"user": 2})
 
     recorder.set_phase(PHASE_SENSING)
     for uid in (1, 2):
-        recorder.crypto_op(user_name(uid), OPE_ENC, OPAQUE)
-        recorder.crypto_op(user_name(uid), AEAD_ENC, OPAQUE, 44)
+        recorder.user_op(user_name(uid), OPE_ENC, OPAQUE, 0, uid)
         recorder.message_sent(user_name(uid), GW_NAME, 44, MsgPhase.REPORT, uid)
         recorder.message_delivered(user_name(uid), GW_NAME, 44, MsgPhase.REPORT, uid)
     recorder.crypto_op(GW_NAME, AEAD_DEC, ViewTag.OPE_ORDER_PAIR, 44, {"user": 1})
-    recorder.vote(GW_NAME, "computed", 1, 1)
+    recorder.vote(1, 1)
     recorder.crypto_op(GW_NAME, AEAD_DEC, OPAQUE, 44, {"user": 2})  # fails authentication
     recorder.protocol_error(GW_NAME, "report failed authentication", {"user": 2})
-    recorder.crypto_op(GW_NAME, AEAD_ENC, OPAQUE, 34)
     recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
     recorder.message_delivered(GW_NAME, FC_NAME, 34, MsgPhase.DECISION_VEC)
-    recorder.crypto_op(FC_NAME, AEAD_DEC, OPAQUE, 34)  # fails authentication
+    recorder.crypto_op(FC_NAME, AEAD_DEC, OPAQUE, 34, {})  # fails authentication
     recorder.protocol_error(FC_NAME, "decision vector failed authentication")
 
     recorder.start_round(2)  # still sensing; one report lost, one from a stranger
@@ -255,6 +254,7 @@ def test_fold_splits_op_counts_by_round_entity_and_phase():
         (1, GW_NAME, PHASE_SENSING, COMPARE): 1,
         (1, GW_NAME, PHASE_SENSING, AEAD_ENC): 1,
         (1, FC_NAME, PHASE_SENSING, AEAD_DEC): 1,
+        (2, "U1", PHASE_SENSING, AEAD_ENC): 1,  # a lost report was still encrypted
     }
     assert tally.op_totals()[FC_NAME] == {
         PHASE_INIT: {AEAD_ENC: 1, OPE_ENC: 1},
@@ -563,10 +563,10 @@ def test_dump_writes_what_json_dumps_writes_whatever_the_value_types():
             recorder.observe(GW_NAME, OPAQUE, "computed", meta)
         if type(value) in (list, dict):
             continue  # the fields of a shared meta key its memo, so they are hashable
-        # None is no user and no subject
+        # None is no subject
         recorder.user_op(GW_NAME, OPE_ENC, OPAQUE, 0, value)
         beside_shared()
-        recorder.vote(GW_NAME, "received", value, value)
+        recorder.vote(value, value)
         beside_shared()
         recorder.message_sent(GW_NAME, FC_NAME, 34, MsgPhase.REPORT, value)
         beside_shared()
@@ -811,53 +811,86 @@ def test_each_gateway_vote_follows_the_values_it_compared(monkeypatch):
     assert votes < sum(len(r.roster) for r in result.rounds) - 1  # some reports were lost
 
 
-# The gateway's comparison event, as transcripts written before it was dropped
-# carry it between its decryption and its vote: (rss_ope, tau_ope, user, round).
-OLD_COMPARE_LINE = (
-    '{"direction":"computed","entity":"GW","meta":{"op":"compare","pair":[%d,%d],"user":%d},'
-    '"round":%d,"size_bytes":0,"tag":"OPE_ORDER_PAIR"}\n'
-)
-# The transcript of eventful_config() as it was written with those lines.
-OLD_GOLDEN_TRANSCRIPT_SHA256 = "1a1c95cc3b653ecf6f98ed4413257332801e4e0e8edb43f4648be4c11f688476"
+def in_older_layout(result, compares: bool = False) -> str:
+    """The run's transcript as older layouts wrote it, rebuilt from its stream.
 
-
-def with_compare_lines(recorder: Recorder) -> str:
-    """The run's transcript with a comparison line before each gateway vote."""
+    Until each send counted its sender's encryption, an ``encrypt`` event
+    preceded every ``sent`` one; until the fusion center's decryption of a
+    decision vector held its ``value``, an ``observed`` vote per present
+    user followed that decryption, in roster order. With ``compares``, the
+    gateway's comparison also precedes each of its votes, as before its
+    vote counted it: ``computed``, ``OPE_ORDER_PAIR``, with the OPE values
+    compared as ``pair`` (``rss_ope``, ``tau_ope``).
+    """
+    rosters = {r.t: r.roster for r in result.rounds}
     values = {}  # (kind, user) -> the gateway's last decrypted OPE value
-    lines = []
-    for e, line in zip(recorder.events, dump(recorder).splitlines(keepends=True)):
-        if e.entity == GW_NAME:
-            kind, user = e.meta.get("kind"), e.meta.get("user")
-            if kind == "vote":
-                lines.append(OLD_COMPARE_LINE % (values["rss_ope", user], values["tau_ope", user], user, e.round))
-            elif e.tag == ViewTag.OPE_ORDER_PAIR:
-                values[kind, user] = e.meta["value"]
-        lines.append(line)
-    return "".join(lines)
+    old = Recorder()  # no shared metas: the dump encodes each meta anew
+    add = old.events.append
+    for e in result.recorder.events:
+        meta = e.meta
+        if e.direction == "sent":
+            subject = meta.get("subject")
+            enc = {"op": AEAD_ENC} if subject is None else {"user": subject, "op": AEAD_ENC}
+            add(ViewEvent(e.round, e.entity, "encrypt", OPAQUE, e.size_bytes, enc))
+        elif e.entity == GW_NAME and meta.get("kind") == "vote" and compares:
+            user = meta["user"]
+            pair = [values["rss_ope", user], values["tau_ope", user]]
+            add(ViewEvent(e.round, GW_NAME, "computed", ViewTag.OPE_ORDER_PAIR, 0,
+                          {"op": COMPARE, "pair": pair, "user": user}))
+        elif e.entity == GW_NAME and e.tag == ViewTag.OPE_ORDER_PAIR:
+            values[meta["kind"], meta["user"]] = meta["value"]
+        elif e.entity == FC_NAME and meta.get("kind") == "vote_vector" and e.tag != OPAQUE:
+            add(ViewEvent(e.round, FC_NAME, "decrypt", e.tag, e.size_bytes, {"kind": "vote_vector", "op": AEAD_DEC}))
+            roster = rosters[e.round]
+            payload = meta["value"].to_bytes(2 * ((len(roster) + 7) // 8), "big")
+            for user, bit in unpack_decision_vector(roster, payload).items():
+                add(ViewEvent(e.round, FC_NAME, "observed", ViewTag.PLAINTEXT_BIT, 0,
+                              {"kind": "vote", "user": user, "bit": bit}))
+            continue
+        add(e)
+    return dump(old)
 
 
-def test_transcripts_with_the_gateways_comparison_events_still_verify(tmp_path, capsys):
+# The transcript of eventful_config() in the layout that had the senders'
+# encryption events and the fusion center's votes, and in the earlier one
+# that also had the gateway's comparison events.
+OLDER_LAYOUT_SHA256 = {
+    "votes": "e5bb7c39248026c2be4f3f30369edb736d7c69088241e9ff80f82a34207ef3fb",
+    "compares": "1a1c95cc3b653ecf6f98ed4413257332801e4e0e8edb43f4648be4c11f688476",
+}
+
+
+def test_transcripts_in_older_layouts_still_read_and_verify_the_same(tmp_path, capsys):
     result = run_simulation(eventful_config())
-    new = dump(result.recorder)
-    old = with_compare_lines(result.recorder)
-    assert hashlib.sha256(old.encode()).hexdigest() == OLD_GOLDEN_TRANSCRIPT_SHA256
-    loaded = load_transcript(io.StringIO(old))
-    compares = [e for e in loaded if e.meta.get("op") == COMPARE]
-    assert len(loaded) == len(result.recorder.events) + len(compares)
-    assert len(compares) == result.recorder.tally.op_totals()[GW_NAME][PHASE_SENSING][COMPARE]
-    assert {(e.entity, e.tag) for e in compares} == {(GW_NAME, ViewTag.OPE_ORDER_PAIR)}
-    # the gateway may see the pair it compares: the verdicts do not move
-    assert check_leakage(loaded) == check_leakage(result.recorder.events) == result.leakage
-    assert result.leakage.conforms
+    events = result.recorder.events
+    sends = sum(e.direction == "sent" for e in events)
+    decided = [r.result for r in result.rounds if r.result.outcome is not None]
+    fc_votes = sum(len(r.present) for r in decided)
+    compares = result.recorder.tally.op_totals()[GW_NAME][PHASE_SENSING][COMPARE]
+    assert sends and fc_votes and compares
+    texts = {
+        "current": dump(result.recorder),
+        "votes": in_older_layout(result),
+        "compares": in_older_layout(result, compares=True),
+    }
+    added = {"current": 0, "votes": sends + fc_votes, "compares": sends + fc_votes + compares}
     outcomes = []
-    for name, text in (("new", new), ("old", old)):
-        path = tmp_path / f"{name}.jsonl"
+    for layout, text in texts.items():
+        if layout in OLDER_LAYOUT_SHA256:
+            assert hashlib.sha256(text.encode()).hexdigest() == OLDER_LAYOUT_SHA256[layout], layout
+        loaded = load_transcript(io.StringIO(text))
+        assert len(loaded) == len(events) + added[layout]
+        # the fusion center may see the votes and the gateway the pair it
+        # compares: the verdicts do not move
+        assert check_leakage(loaded) == result.leakage, layout
+        path = tmp_path / f"{layout}.jsonl"
         path.write_text(text)
         code = main(["verify", "--transcript", str(path)])
         captured = capsys.readouterr()
         outcomes.append((code, captured.out, captured.err))
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
     assert outcomes[0][0] == 0 and GW_NAME in outcomes[0][1]
+    assert result.leakage.conforms
 
 
 # Pinned output of one small run with churn, adversaries and lost reports.
@@ -865,7 +898,7 @@ def test_transcripts_with_the_gateways_comparison_events_still_verify(tmp_path, 
 # report or transcript format; such a change records the new values and the
 # reason in CHANGES.md.
 GOLDEN_REPORT_SHA256 = "53f045de2319d68f007bcba60c62e6f7890c4e56a8aadc5651614048dd389be6"
-GOLDEN_TRANSCRIPT_SHA256 = "e5bb7c39248026c2be4f3f30369edb736d7c69088241e9ff80f82a34207ef3fb"
+GOLDEN_TRANSCRIPT_SHA256 = "5a24e3baabfb5dcbcf8fc4da7c3bbbf77a1ad4435c94c5b5bff0246cd20eb9a7"
 
 
 def test_golden_report_and_transcript_hashes():

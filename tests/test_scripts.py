@@ -96,12 +96,12 @@ def test_script_rejects_bad_argument_with_usage_error(argv, flag):
 # hashes in test_recording.py, and changed only with a deliberate change to
 # the crypto or to the report or transcript format.
 GOLDEN_TINY_DIGESTS = """\
-wide seed=7 report=ee92301f0a56a15cc43f6cc1c5c735ceff84a8e2f237458ba66f5187fa13bae7 transcript=82558319f4a839e4b6e16fa8a0a4354239fa3b61d1e1a270f5208d93e1c2277c
-wide seed=8 report=cb3c602e421f924cef69906a6fef329cb18e9aba547c1498a20387f20e1e029f transcript=82bdc2bd1bd63d67a05fcdf6eb64cc3b742222ce32f2a7390b5f8aae74bb76ab
-long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=8244b5167e8a5a7c8dc1c633abed8b72d6e7436796a159af4735a9295c886ac8
-long seed=8 report=dfdd4c91d3ce8553e0f94c5e213fa6cb2b7db08820416a5987be2abb9516753d transcript=73ea0dfc76fc273715594dd959af73a42844b787764f370b4fdf145443141130
-churn seed=7 report=d8841c7f55e10ff9f30f4e6d5493b466ddd0aa6d8f795ac26eed6012890f2fe5 transcript=fcd59984536ba1eac686f3eb53087cd5217b2df7802fcf3ad7d9bd315a40f061
-churn seed=8 report=89c66ae7914ba59cf1b1e3fc1468bad4949cf289f679650a73e6dd2363de585c transcript=f5ac81d48507dc0526c4437961f1ac9a7536f2a85f8dfac9a0ccbfcc6bb715e0
+wide seed=7 report=ee92301f0a56a15cc43f6cc1c5c735ceff84a8e2f237458ba66f5187fa13bae7 transcript=ab7b7fcaebe1a214600d5edb05604d06143b7a80a003d4c69758edd23e022c0f
+wide seed=8 report=cb3c602e421f924cef69906a6fef329cb18e9aba547c1498a20387f20e1e029f transcript=7a364178a406ac7379e381739d287299afccf34d0c9fc9c23954eef45c38a8b1
+long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=1e005708397c6209564a129d1189fcd0c0510c86d0eefcb14c7961a30bdc0745
+long seed=8 report=dfdd4c91d3ce8553e0f94c5e213fa6cb2b7db08820416a5987be2abb9516753d transcript=6800ddde49b91ac81f2c81f199e260c28124112538b4700d9df5b5386696cfa2
+churn seed=7 report=d8841c7f55e10ff9f30f4e6d5493b466ddd0aa6d8f795ac26eed6012890f2fe5 transcript=f9d566a3debc0d702a041bb946bbe0a2542c02e28eec7bb33eb129f94c8953ec
+churn seed=8 report=89c66ae7914ba59cf1b1e3fc1468bad4949cf289f679650a73e6dd2363de585c transcript=21d3daf6a6221b3f0b701c277d231040144929759d94fadc2178a80e626ec3c4
 """
 
 
@@ -122,6 +122,14 @@ def test_output_digests_print_one_line_of_hashes_per_run():
         assert transcript.startswith("transcript=") and len(transcript) == len("transcript=") + 64
     assert len({line.split()[2] for line in lines}) == 6
     assert runs[0].stdout == GOLDEN_TINY_DIGESTS
+    # standard error states each run's event count; the tiny wide and long
+    # runs are honest: 4 events per user at init, 6 per user-round, 3 per round
+    counts = runs[0].stderr.splitlines()
+    assert [line.split()[:2] for line in counts] == [line.split()[:2] for line in lines]
+    for workload, (n, rounds) in (("wide", (20, 3)), ("long", (6, 12))):
+        events = 4 * n + 6 * n * rounds + 3 * rounds
+        for seed in (7, 8):
+            assert f"{workload} seed={seed} events={events} per_user_round={events / (n * rounds):.3f}" in counts
 
 
 def test_output_digests_exit_1_naming_a_run_whose_transcript_reads_back_otherwise(monkeypatch, capsys):

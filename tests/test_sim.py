@@ -21,7 +21,7 @@ from lp3pss.costs import (
     lp3pss_round_ops,
     round_wire_bits,
 )
-from lp3pss.entities import ProtocolError
+from lp3pss.entities import ProtocolError, unpack_decision_vector
 from lp3pss.recording import (
     AEAD_DEC,
     AEAD_ENC,
@@ -31,6 +31,7 @@ from lp3pss.recording import (
     PHASE_INIT,
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
+    ViewTag,
     user_name,
 )
 from lp3pss.scenario import (
@@ -113,10 +114,10 @@ class TestDriver:
         assert result.recorder.tally.logical_per_round() == {1: 11}
 
     @pytest.mark.parametrize("n, rounds", [(1, 1), (3, 2), (12, 5)])
-    def test_honest_run_appends_5n_plus_8nR_plus_4R_events(self, n, rounds):
-        # init: 5 per user; each round: 8 per user, 4 for the decision vector
+    def test_honest_run_appends_4n_plus_6nR_plus_3R_events(self, n, rounds):
+        # init: 4 per user; each round: 6 per user, 3 for the decision vector
         result = small_run(n=n, rounds=rounds)
-        assert len(result.recorder.events) == 5 * n + 8 * n * rounds + 4 * rounds
+        assert len(result.recorder.events) == 4 * n + 6 * n * rounds + 3 * rounds
 
     def test_report_determinism(self):
         config = SimulationConfig(
@@ -223,7 +224,8 @@ class TestConformance:
 
     def test_counter_totals_match_transcript_events(self, monkeypatch, round_ops):
         # audit: one logged event per counted crypto operation, in an honest
-        # run and in one where a report fails authentication at the gateway
+        # run and in one where a report fails authentication at the gateway;
+        # a message's send is the event of its encryption
         def audit(result):
             ops = round_ops[-1]
             for op in (OPE_ENC, AEAD_ENC, AEAD_DEC):
@@ -232,7 +234,7 @@ class TestConformance:
                     1
                     for log in result.recorder.view_logs.values()
                     for event in log
-                    if event.meta.get("op") == op
+                    if event.meta.get("op") == op or (op == AEAD_ENC and event.direction == "sent")
                 )
                 assert counted == logged, op
 
@@ -274,6 +276,38 @@ class TestConformance:
             # Q_f and Q_m count the three decided rounds only
             rates = estimate_error_rates(result.rounds)
             assert sum(q.trials for q in (rates.q_f, rates.q_m) if q is not None) == 3
+
+    def test_fusion_centers_vector_decryption_holds_the_rounds_votes(self, monkeypatch):
+        # churn, lost reports, all three adversary kinds and one tampered
+        # vector: the fusion center's view of each round's votes is its one
+        # decryption of the vector, whose value unpacks to the round's bits
+        tamper_decision_vector(monkeypatch, flip_tag_bit, 3)
+        config = SimulationConfig(
+            SensingConfig(n=9, rounds=6, seed=11, report_loss_prob=0.1),
+            churn=ChurnConfig(mu=0.8, join_count=CountRange(1, 2), leave_count=CountRange(0, 1)),
+            adversary=AdversaryProfile(
+                {1: Behavior(STUCK_AT, stuck_bit=1), 2: Behavior(ALWAYS_FLIP), 3: Behavior(RANDOM_FLIP, flip_prob=0.5)}
+            ),
+        )
+        result = run_simulation(config)
+        events = result.recorder.events
+        assert any(r.joins or r.leaves for r in result.rounds)
+        assert any(len(r.delivered) < len(r.roster) for r in result.rounds)
+        decryptions = [e for e in events if e.entity == FC_NAME and e.direction == "decrypt"]
+        assert [e.round for e in decryptions] == [r.t for r in result.rounds]
+        for r, e in zip(result.rounds, decryptions):
+            if r.t == 3:
+                assert r.result.outcome is None
+                assert (e.tag, e.meta) == (ViewTag.OPAQUE_CIPHERTEXT, {"op": AEAD_DEC})
+                continue
+            assert e.tag == ViewTag.PLAINTEXT_BIT and e.meta["kind"] == "vote_vector"
+            roster = list(r.roster)
+            payload = e.meta["value"].to_bytes(2 * ((len(roster) + 7) // 8), "big")
+            assert list(unpack_decision_vector(roster, payload).items()) == list(r.result.bits.items())
+        assert {b for r in result.rounds for b in r.result.bits.values()} == {0, 1}
+        # the fusion center logs no vote of its own
+        assert not any(e.entity == FC_NAME and e.meta.get("kind") == "vote" for e in events)
+        assert result.leakage.conforms
 
     def test_truncated_report_is_malformed_and_skipped(self, monkeypatch):
         tamper_reports(monkeypatch, lambda wire: wire[:-1], 2, uid=2)
