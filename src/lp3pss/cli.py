@@ -63,11 +63,17 @@ def _path(text: str) -> Path:
 
 def _require_writable(path: Path) -> None:
     """Raise, naming ``path``, the ``OSError`` that writing it would raise; create nothing."""
+    parent = path.parent
     if path.exists():
         open(path, "a").close()  # fails on a directory or a read-only file; writes nothing
-    elif not os.access(path.parent, os.W_OK):  # a missing or read-only directory
-        code = errno.EACCES if path.parent.is_dir() else errno.ENOENT
-        raise OSError(code, os.strerror(code), str(path))
+        return
+    if not parent.is_dir():  # missing, or a file
+        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+    elif not os.access(parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _scheme_list(text: str) -> list[str]:

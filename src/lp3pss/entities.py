@@ -165,9 +165,11 @@ def unseal(
     as one big-endian integer: the payload of every message with a subject
     (``INIT_C``, ``REPORT`` and ``BASELINE_REPORT``) is one. A decision
     vector has no subject, and its meta is ``{"kind": kind, "value":
-    value}``: its packed presence mask and vote bits, which
-    ``unpack_decision_vector`` reads once ``value`` is written back as
-    ``length`` big-endian bytes. Callers log no decryption of their own.
+    value}``, where ``value`` is the payload in hex: the packed presence
+    mask and vote bits that ``unpack_decision_vector`` reads from
+    ``bytes.fromhex(value)``. Hex, not an integer: a vector over more than
+    about 7 100 users has more decimal digits than ``int`` converts to or
+    from text. Callers log no decryption of their own.
 
     A body that is malformed or fails authentication, or a payload whose
     length is not ``length`` (when given), is refused: the decryption is
@@ -182,9 +184,10 @@ def unseal(
         problem = "is malformed" if isinstance(exc, MalformedCiphertext) else "failed authentication"
     else:
         if length is None or len(payload) == length:
-            meta = {"kind": kind, "value": int.from_bytes(payload, "big")}
-            if subject is not None:
-                meta["user"] = subject
+            if subject is None:
+                meta = {"kind": kind, "value": payload.hex()}
+            else:
+                meta = {"kind": kind, "user": subject, "value": int.from_bytes(payload, "big")}
             recorder.crypto_op(receiver, AEAD_DEC, tag, size, meta)
             return payload
         problem = "has the wrong length"

@@ -186,14 +186,20 @@ def test_simulate_refuses_an_empty_path_before_the_run(tmp_path, monkeypatch, ca
         (["--out", "d"], None, "d", "Is a directory"),
         (["--out", "r.json"], "d", "d", "Is a directory"),
         (["--out", "r.json"], "nodir/t.jsonl", "nodir/t.jsonl", "No such file or directory"),
+        (["--out", "f.txt/r.json"], None, "f.txt/r.json", "Not a directory"),
+        (["--out", "r.json", "--transcript", "f.txt/t.jsonl"], None, "f.txt/t.jsonl", "Not a directory"),
     ],
-    ids=["out-no-dir", "transcript-no-dir", "transcript-dir", "out-dir", "config-transcript-dir", "config-no-dir"],
+    ids=[
+        "out-no-dir", "transcript-no-dir", "transcript-dir", "out-dir", "config-transcript-dir", "config-no-dir",
+        "out-under-file", "transcript-under-file",
+    ],
 )
 def test_simulate_refuses_an_unwritable_path_before_the_run(
     tmp_path, monkeypatch, capsys, flags, config_transcript, named, reason
 ):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
+    (tmp_path / "f.txt").write_text("")
     argv = ["simulate", "--n", "3", "--rounds", "2", "--seed", "1", *flags]
     if config_transcript is not None:
         (tmp_path / "c.json").write_text(json.dumps({"sensing": {}, "output": {"transcript": config_transcript}}))

@@ -502,7 +502,7 @@ class TestUnseal:
         "phase, subject, meta",
         [
             (MsgPhase.REPORT, 3, {"kind": "probe", "user": 3, "value": 0x0102, "op": AEAD_DEC}),
-            (MsgPhase.DECISION_VEC, None, {"kind": "probe", "value": 0x0102, "op": AEAD_DEC}),
+            (MsgPhase.DECISION_VEC, None, {"kind": "probe", "value": "0102", "op": AEAD_DEC}),
         ],
         ids=["subject", "no-subject"],
     )

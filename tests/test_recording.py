@@ -842,8 +842,7 @@ def in_older_layout(result, compares: bool = False) -> str:
         elif e.entity == FC_NAME and meta.get("kind") == "vote_vector" and e.tag != OPAQUE:
             add(ViewEvent(e.round, FC_NAME, "decrypt", e.tag, e.size_bytes, {"kind": "vote_vector", "op": AEAD_DEC}))
             roster = rosters[e.round]
-            payload = meta["value"].to_bytes(2 * ((len(roster) + 7) // 8), "big")
-            for user, bit in unpack_decision_vector(roster, payload).items():
+            for user, bit in unpack_decision_vector(roster, bytes.fromhex(meta["value"])).items():
                 add(ViewEvent(e.round, FC_NAME, "observed", ViewTag.PLAINTEXT_BIT, 0,
                               {"kind": "vote", "user": user, "bit": bit}))
             continue
@@ -893,12 +892,29 @@ def test_transcripts_in_older_layouts_still_read_and_verify_the_same(tmp_path, c
     assert result.leakage.conforms
 
 
+def test_a_roster_past_ints_digit_limit_dumps_reads_and_verifies(tmp_path, capsys):
+    # 7 200 users pack into a 1 800-byte vector: read as one integer it
+    # would have more decimal digits than int converts to or from text
+    result = run_simulation(SimulationConfig(SensingConfig(n=7200, rounds=1, seed=1)))
+    (decryption,) = [e for e in result.recorder.events if e.entity == FC_NAME and e.direction == "decrypt"]
+    with pytest.raises(ValueError, match="integer string conversion"):
+        str(int(decryption.meta["value"], 16))
+    path = tmp_path / "t.jsonl"
+    path.write_text(dump(result.recorder))
+    with open(path) as fh:
+        loaded = load_transcript(fh)
+    assert [e.meta for e in loaded] == [e.meta for e in result.recorder.events]
+    assert check_leakage(loaded) == result.leakage and result.leakage.conforms
+    assert main(["verify", "--transcript", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # Pinned output of one small run with churn, adversaries and lost reports.
 # These hashes change only with a deliberate change to the crypto or to the
 # report or transcript format; such a change records the new values and the
 # reason in CHANGES.md.
 GOLDEN_REPORT_SHA256 = "53f045de2319d68f007bcba60c62e6f7890c4e56a8aadc5651614048dd389be6"
-GOLDEN_TRANSCRIPT_SHA256 = "5a24e3baabfb5dcbcf8fc4da7c3bbbf77a1ad4435c94c5b5bff0246cd20eb9a7"
+GOLDEN_TRANSCRIPT_SHA256 = "1ae5c54f5a1ff600020aef3633feb8c2504e28c7156e687fc529a4dc66e9b9b9"
 
 
 def test_golden_report_and_transcript_hashes():

@@ -96,12 +96,12 @@ def test_script_rejects_bad_argument_with_usage_error(argv, flag):
 # hashes in test_recording.py, and changed only with a deliberate change to
 # the crypto or to the report or transcript format.
 GOLDEN_TINY_DIGESTS = """\
-wide seed=7 report=ee92301f0a56a15cc43f6cc1c5c735ceff84a8e2f237458ba66f5187fa13bae7 transcript=ab7b7fcaebe1a214600d5edb05604d06143b7a80a003d4c69758edd23e022c0f
-wide seed=8 report=cb3c602e421f924cef69906a6fef329cb18e9aba547c1498a20387f20e1e029f transcript=7a364178a406ac7379e381739d287299afccf34d0c9fc9c23954eef45c38a8b1
-long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=1e005708397c6209564a129d1189fcd0c0510c86d0eefcb14c7961a30bdc0745
-long seed=8 report=dfdd4c91d3ce8553e0f94c5e213fa6cb2b7db08820416a5987be2abb9516753d transcript=6800ddde49b91ac81f2c81f199e260c28124112538b4700d9df5b5386696cfa2
-churn seed=7 report=d8841c7f55e10ff9f30f4e6d5493b466ddd0aa6d8f795ac26eed6012890f2fe5 transcript=f9d566a3debc0d702a041bb946bbe0a2542c02e28eec7bb33eb129f94c8953ec
-churn seed=8 report=89c66ae7914ba59cf1b1e3fc1468bad4949cf289f679650a73e6dd2363de585c transcript=21d3daf6a6221b3f0b701c277d231040144929759d94fadc2178a80e626ec3c4
+wide seed=7 report=ee92301f0a56a15cc43f6cc1c5c735ceff84a8e2f237458ba66f5187fa13bae7 transcript=af0bc3db6b89e818866ec134b042a5d6035abee1d530832ec1fd37f1a7742a93
+wide seed=8 report=cb3c602e421f924cef69906a6fef329cb18e9aba547c1498a20387f20e1e029f transcript=85cb47714f623498092f436090242e667c4415353fcc9137a95b3833329db3cd
+long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=4e3566ef7b194cb90e16085fa052a52aaa7218559ef4cc84f34d977c6f9118cf
+long seed=8 report=dfdd4c91d3ce8553e0f94c5e213fa6cb2b7db08820416a5987be2abb9516753d transcript=ae179038eb2accceb080a4478bdc8219b0be928846b28322111481949fc86a59
+churn seed=7 report=d8841c7f55e10ff9f30f4e6d5493b466ddd0aa6d8f795ac26eed6012890f2fe5 transcript=a79c5bb9c988662a2fa14c5c658313ac3dfe361fc5461924569dd6029609f90f
+churn seed=8 report=89c66ae7914ba59cf1b1e3fc1468bad4949cf289f679650a73e6dd2363de585c transcript=f892d55c4c2e2c7e2315b9ffb2c5a1d349a1aeb3bc01362a7b6f5d4b13bae106
 """
 
 

@@ -302,7 +302,8 @@ class TestConformance:
                 continue
             assert e.tag == ViewTag.PLAINTEXT_BIT and e.meta["kind"] == "vote_vector"
             roster = list(r.roster)
-            payload = e.meta["value"].to_bytes(2 * ((len(roster) + 7) // 8), "big")
+            payload = bytes.fromhex(e.meta["value"])
+            assert len(payload) == 2 * ((len(roster) + 7) // 8)
             assert list(unpack_decision_vector(roster, payload).items()) == list(r.result.bits.items())
         assert {b for r in result.rounds for b in r.result.bits.values()} == {0, 1}
         # the fusion center logs no vote of its own
