@@ -4,22 +4,21 @@
 Simulates per-user votes directly from the error profile (bit = 1 with
 probability p_f when the channel is free, 1 - p_m when busy) and prints
 Q_f + Q_m for every threshold, marking the analytic optimum. The votes
-are drawn from ``lp3pss.rng`` one at a time, trial by trial, busy trials
-first: the same doubles, in the same order, as numpy's
-``random((trials, n))`` twice, so the output is numpy's to the byte.
+are drawn from ``random.Random(seed)`` one at a time, trial by trial,
+busy trials first, so a seed gives the same output on every run.
 
 Usage: python scripts/lambda_sweep.py [--n 10] [--pf 0.1] [--pm 0.2]
        [--trials 10000] [--seed 7]
 """
 
 import argparse
+from random import Random
 
 from lp3pss.fusion import DetectionProfile, compute_alpha, compute_lambda
-from lp3pss.rng import default_rng
 
 
 def sweep(n: int, p_f: float, p_m: float, trials: int, seed: int) -> None:
-    rng = default_rng(seed)
+    rng = Random(seed)
     busy_votes = [sum(rng.random() < 1.0 - p_m for _ in range(n)) for _ in range(trials)]
     free_votes = [sum(rng.random() < p_f for _ in range(n)) for _ in range(trials)]
     rates = [

@@ -76,6 +76,15 @@ def _require_writable(path: Path) -> None:
     raise OSError(code, os.strerror(code), str(path))
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two paths name one file, however they are spelled. For a
+    path that does not exist yet, compare where it resolves to; unlike
+    ``Path.resolve``, ``realpath`` does not raise on a symlink loop."""
+    if a.exists() and b.exists():
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def _scheme_list(text: str) -> list[str]:
     schemes = [part.strip().lower() for part in text.split(",") if part.strip()]
     if not schemes:
@@ -163,6 +172,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     transcript_path = args.transcript or (
         Path(output["transcript"]) if "transcript" in output else None
     )
+    # the transcript would overwrite the report
+    if transcript_path and _same_file(out_path, transcript_path):
+        flag = "--transcript" if args.transcript else "output.transcript"
+        print(f"error: --out {str(out_path)!r} and {flag} {str(transcript_path)!r} name one file",
+              file=sys.stderr)
+        return 2
     for path in filter(None, (out_path, transcript_path)):  # found now, not after the run
         _require_writable(path)
     result = run_simulation(config)

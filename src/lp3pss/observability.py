@@ -29,6 +29,7 @@ change in the aggregate. Neither is possible against the voting protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from random import Random
 from typing import Iterable, Iterator
 
 from lp3pss.crypto import pair_channel_key
@@ -42,7 +43,6 @@ from lp3pss.recording import (
     ViewTag,
     user_name,
 )
-from lp3pss.rng import default_rng
 from lp3pss.scenario import ChannelModel
 
 BASELINE = "baseline"
@@ -325,8 +325,8 @@ def build_dlp_scenario(
     """
     if not 1 <= target <= n:
         raise ValueError("target must be one of the n users")
-    rng = default_rng(seed)
-    rss = {uid: rng.integers(0, model.quant.domain_max + 1) for uid in range(1, n + 1)}
+    rng = Random(seed)
+    rss = {uid: rng.randint(0, model.quant.domain_max) for uid in range(1, n + 1)}
     full = set(range(1, n + 1))
     without = full - {target}
     rosters = (full, without) if leave else (without, full)

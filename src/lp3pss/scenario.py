@@ -12,18 +12,16 @@ manipulate only their own report, before encryption, and never see the
 detection threshold, so the flip behaviors reflect about the model
 midpoint as their best guess of it.
 
-Every draw comes from a ``lp3pss.rng.Generator``: numpy 2.x's
-``Generator(PCG64)`` streams, reproduced without numpy, so a seed gives
-the same run whichever numpy (if any) is installed.
+Every draw comes from a named ``random.Random`` stream (``spawn_rngs``),
+seeded from the run seed and the stream's name alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from random import Random
 from statistics import NormalDist
 from typing import Iterable
-
-from lp3pss.rng import Generator, SeedSequence
 
 PU_ABSENT = 0
 PU_PRESENT = 1
@@ -91,9 +89,7 @@ def calibrate_channel(
     return ChannelModel(mu0, mu1, sigma, quant), tau
 
 
-def generate_rss(
-    model: ChannelModel, truth: int, rng: Generator, n: int
-) -> list[int]:
+def generate_rss(model: ChannelModel, truth: int, rng: Random, n: int) -> list[int]:
     """Draw n i.i.d. quantized RSS values under the given hypothesis,
     each rounded half to even and clamped to the domain.
 
@@ -102,14 +98,17 @@ def generate_rss(
     finite draw the result is the same int either way."""
     mean = model.mu1 if truth == PU_PRESENT else model.mu0
     top = model.quant.domain_max
-    return [round(min(max(x, 0), top)) for x in rng.normal(mean, model.sigma, n)]
+    sigma, gauss = model.sigma, rng.gauss
+    return [round(min(max(gauss(mean, sigma), 0), top)) for _ in range(n)]
 
 
 @dataclass(frozen=True)
 class CountRange:
     """Uniform bounded integer distribution; lo == hi pins a constant.
 
-    Bounds are int64 values, as the generator draws them."""
+    Bounds lie in [0, 2^63), as the run seed does: a bound past it is a
+    typo, not a count. As join counts, ``SimulationConfig`` bounds them
+    further, by the users a run may key (``sim.MAX_POPULATION``)."""
 
     lo: int
     hi: int
@@ -118,10 +117,10 @@ class CountRange:
         if not 0 <= self.lo <= self.hi < 2**63:
             raise ValueError("need 0 <= lo <= hi < 2^63")
 
-    def sample(self, rng: Generator) -> int:
+    def sample(self, rng: Random) -> int:
         if self.lo == self.hi:
             return self.lo
-        return rng.integers(self.lo, self.hi + 1)
+        return rng.randint(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class ChurnConfig:
 
 def churn_step(
     cfg: ChurnConfig,
-    rng: Generator,
+    rng: Random,
     t: int,
     live: set[int],
     used: set[int] | None = None,
@@ -167,9 +166,7 @@ def churn_step(
     n_leave = min(n_leave, len(live) - 1)
     next_id = max(used if used is not None else live, default=0) + 1
     joins = list(range(next_id, next_id + n_join))
-    members = sorted(live)
-    leave_idx = rng.choice(len(members), size=n_leave, replace=False) if n_leave else []
-    leaves = sorted(members[i] for i in leave_idx)
+    leaves = sorted(rng.sample(sorted(live), n_leave))
     return joins, leaves
 
 
@@ -213,7 +210,7 @@ def apply_malice(
     uid: int,
     rss_q: int,
     model: ChannelModel,
-    rng: Generator,
+    rng: Random,
 ) -> int:
     """Reported value after the user's behavior is applied to its draw.
 
@@ -233,8 +230,11 @@ def apply_malice(
     return model.quant.domain_max if behavior.stuck_bit == 1 else 0
 
 
-def spawn_rngs(seed: int, names: Iterable[str]) -> dict[str, Generator]:
-    """Independent named RNG streams derived from one seed."""
-    names = list(names)
-    children = SeedSequence(seed).spawn(len(names))
-    return {name: Generator(ss) for name, ss in zip(names, children)}
+def spawn_rngs(seed: int, names: Iterable[str]) -> dict[str, Random]:
+    """Independent named streams derived from one seed.
+
+    Each stream is seeded from the string ``lp3pss|{seed}|{name}``, all of
+    whose bytes, and their SHA-512 digest, ``Random`` turns into its seed.
+    So a stream's draws depend on the seed and its name only: not on the
+    other names, nor on their order."""
+    return {name: Random(f"lp3pss|{seed}|{name}") for name in names}

@@ -94,6 +94,12 @@ class ConfigError(ValueError):
     """Invalid simulation config; the message names the offending field."""
 
 
+# The most users one run may key: its initial users and every join. A
+# user costs about 8 KiB of memory (keys, states and one round's events;
+# see README), so this many take about 0.8 GiB.
+MAX_POPULATION = 100_000
+
+
 @dataclass(frozen=True)
 class SensingConfig:
     n: int
@@ -156,6 +162,16 @@ class SimulationConfig:
     adversary: AdversaryProfile = AdversaryProfile()
     crypto: CryptoParams = CryptoParams()
 
+    def __post_init__(self) -> None:
+        sensing = self.sensing
+        join_hi = self.churn.join_count.hi if self.churn.mu > 0 else 0  # no event, no join
+        worst = sensing.n + (sensing.rounds - 1) * join_hi
+        if worst > MAX_POPULATION:
+            raise ConfigError(
+                f"sensing.n, sensing.rounds, churn.join: up to n + (rounds - 1) * join.hi = {worst} "
+                f"users, more than the {MAX_POPULATION} one run may key"
+            )
+
     def resolve_channel(self) -> tuple[ChannelModel, int]:
         """Concrete channel model and threshold, calibrating as needed."""
         channel = self.channel
@@ -164,6 +180,10 @@ class SimulationConfig:
             if not 0 <= value <= quant.domain_max:
                 raise ConfigError(f"{name}: {value} outside the {quant.domain_bits}-bit grid")
         profile = self.sensing.profile  # unusable rates fail here, naming sensing.p_f/p_m
+        if channel.sigma is None:
+            for name, p in (("sensing.p_f", profile.p_f), ("sensing.p_m", profile.p_m)):
+                if 1.0 - p == 1.0:  # the calibration's quantile at 1 - p would be infinite
+                    raise ConfigError(f"{name}: {p!r} is too small to calibrate the channel from")
         try:
             if channel.sigma is None:
                 model, tau_cal = calibrate_channel(

@@ -96,7 +96,10 @@ def test_c02_bit_correctness_under_churn_and_loss():
             mismatches += record.result.bits[uid] != expected
             checked += 1
     assert mismatches == 0
-    assert checked > 40_000  # the oracle really ran over the bulk of the reports
+    # the oracle ran over every delivered report, and at 10 % loss these are
+    # the bulk of the reports
+    assert checked == sum(len(r.delivered) for r in result.rounds)
+    assert checked >= 0.8 * sum(len(r.roster) for r in result.rounds)
     report_pass("C2 bit correctness", f"{checked} bits over 1000 rounds, 0 mismatches")
 
 

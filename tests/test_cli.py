@@ -4,7 +4,11 @@ import ast
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +23,9 @@ from lp3pss.scenario import (
     ChurnConfig,
     CountRange,
 )
-from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
+from lp3pss.sim import MAX_POPULATION, SensingConfig, SimulationConfig, run_simulation
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_simulate_writes_report_and_transcript(tmp_path):
@@ -140,6 +146,8 @@ def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
         ({"adversary": {"-3": {"kind": "always-flip"}}}, "adversary.-3"),
         ({"output": {"transcirpt": "t.jsonl"}}, "output.transcirpt: unknown field"),
         ({"output": {"transcript": ""}}, "output.transcript"),
+        ({"sensing": {"p_f": 1e-320}}, "sensing.p_f: 1e-320 is too small"),
+        ({"sensing": {"p_m": 1e-17}}, "sensing.p_m: 1e-17 is too small"),
     ],
 )
 def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, field):
@@ -152,6 +160,27 @@ def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, fie
     assert code == 2, err
     assert err.startswith("config error: ") and field in err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "3", "--rounds", "2", "--seed", "1", "--out", "r.json", "--config", "c.json"],
+        ["simulate", "--n", str(MAX_POPULATION + 1), "--rounds", "1", "--seed", "1", "--out", "r.json"],
+        ["bench", "--n", str(MAX_POPULATION + 1), "--beta", "0", "--seed", "1"],
+        ["attack", "--scheme", "lp3pss", "--n", str(MAX_POPULATION + 1)],
+        ["attack", "--scheme", "baseline", "--n", str(MAX_POPULATION + 1)],
+    ],
+    ids=["huge-join", "simulate-n", "bench-n", "attack-lp3pss-n", "attack-baseline-n"],
+)
+def test_a_population_past_the_cap_is_refused_before_the_run(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.json").write_text(json.dumps({"sensing": {}, "churn": {"mu": 1, "join": [0, 100000000000]}}))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("config error: sensing.n, sensing.rounds, churn.join: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["c.json"]  # no report file
 
 
 def test_simulate_rejects_config_that_is_not_utf8(tmp_path, capsys):
@@ -213,6 +242,39 @@ def test_simulate_refuses_an_unwritable_path_before_the_run(
     assert captured.err.startswith("error: ") and reason in captured.err and repr(named) in captured.err
     assert sorted(tmp_path.iterdir()) == before  # no report file, no transcript
     assert list((tmp_path / "d").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flags, config_transcript, named",
+    [
+        (["--out", "same.json", "--transcript", "./same.json"], None, ("same.json", "--transcript")),
+        (["--out", "d/../r.json", "--transcript", "r.json"], None, ("d/../r.json", "--transcript")),
+        (["--out", "./r.json"], "r.json", ("r.json", "output.transcript")),
+        (["--out", "old.json", "--transcript", "link.json"], None, ("old.json", "link.json")),
+    ],
+    ids=["dot-slash", "dot-dot", "config-transcript", "symlink-to-existing"],
+)
+def test_simulate_refuses_one_file_for_report_and_transcript(
+    tmp_path, monkeypatch, capsys, flags, config_transcript, named
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    (tmp_path / "old.json").write_text("old")
+    (tmp_path / "link.json").symlink_to("old.json")
+    argv = ["simulate", "--n", "3", "--rounds", "2", "--seed", "1", *flags]
+    if config_transcript is not None:
+        (tmp_path / "c.json").write_text(json.dumps({"sensing": {}, "output": {"transcript": config_transcript}}))
+        argv += ["--config", "c.json"]
+    before = sorted(tmp_path.iterdir())
+    ran = []
+    monkeypatch.setattr(cli, "run_simulation", lambda config: ran.append(config))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not ran  # nothing ran
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert "name one file" in captured.err and all(name in captured.err for name in named)
+    assert sorted(tmp_path.iterdir()) == before  # no report file, no transcript
+    assert (tmp_path / "old.json").read_text() == "old"
 
 
 def test_simulate_keeps_an_existing_output_file_until_the_run_writes_it(tmp_path):
@@ -570,3 +632,39 @@ def test_verify_gives_the_same_verdicts_on_stream_and_entity_order(tmp_path, cap
         assert [entity for entity in ("FC", "GW", "U4") if f"VIOLATION at {entity} " in out] == (
             ["FC", "GW", "U4"] if injected else []
         )
+
+
+# Every draw a run makes: churn with joins and leaves, three adversary
+# kinds, lost reports, and the baseline attack's scenario.
+NO_NUMPY_RUN = """
+import json, sys
+from pathlib import Path
+from lp3pss.cli import main
+
+out = Path(sys.argv[1])
+config = out / "cfg.json"
+config.write_text(json.dumps({
+    "sensing": {"n": 8, "rounds": 6, "report_loss_prob": 0.2},
+    "churn": {"mu": 1.0, "join": [0, 2], "leave": [1, 2]},
+    "adversary": {"1": {"kind": "always-flip"}, "2": {"kind": "random-flip", "flip_prob": 0.5},
+                  "3": {"kind": "stuck-at", "stuck_bit": 0}},
+}))
+assert main(["simulate", "--config", str(config), "--seed", "3",
+             "--out", str(out / "r.json"), "--transcript", str(out / "t.jsonl")]) == 0
+assert main(["verify", "--transcript", str(out / "t.jsonl")]) == 0
+assert main(["attack", "--scheme", "baseline", "--n", "5", "--seed", "4"]) == 0
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "numpy")))
+"""
+
+
+def test_a_run_never_imports_numpy(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RUN, str(tmp_path)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert report and (tmp_path / "t.jsonl").stat().st_size > 0

@@ -328,16 +328,28 @@ def eventful_config() -> SimulationConfig:
     )
 
 
+def tamper_first_arrival(monkeypatch, round_: int = 3) -> list[int]:
+    """Flip a tag bit of the first report to reach the gateway in ``round_``.
+
+    The report is picked from those that arrive, after loss, so that it
+    is refused by authentication whatever the draws. Returns a list that
+    holds, once the run is made, the user whose report it was."""
+    honest_compare = sim_module.gw_compare
+    tampered: list[int] = []
+
+    def tampered_compare(gw, arrived, recorder):
+        if recorder.round == round_:
+            first, *rest = arrived
+            tampered.append(first.subject)
+            arrived = [dataclasses.replace(first, body=flip_tag_bit(first.body)), *rest]
+        return honest_compare(gw, arrived, recorder)
+
+    monkeypatch.setattr(sim_module, "gw_compare", tampered_compare)
+    return tampered
+
+
 def test_dump_matches_reference_encoding_and_reloads_equal(monkeypatch):
-    honest_report = sim_module.su_sense_report
-
-    def tampered_report(su, rss_q, recorder):
-        msg = honest_report(su, rss_q, recorder)
-        if su.uid == 4 and recorder.round == 3:
-            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
-        return msg
-
-    monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+    tampered = tamper_first_arrival(monkeypatch)
     result = run_simulation(eventful_config())
     recorder = result.recorder
     # the run exercises what it is meant to: a protocol error with its failed
@@ -346,7 +358,7 @@ def test_dump_matches_reference_encoding_and_reloads_equal(monkeypatch):
     assert [(e["round"], e["reason"]) for e in tally.protocol_errors] == [
         (3, "report failed authentication")
     ]
-    failed_decrypt = (3, "decrypt", ViewTag.OPAQUE_CIPHERTEXT, {"op": AEAD_DEC, "user": 4})
+    failed_decrypt = (3, "decrypt", ViewTag.OPAQUE_CIPHERTEXT, {"op": AEAD_DEC, "user": tampered[0]})
     assert any((e.round, e.direction, e.tag, e.meta) == failed_decrypt for e in recorder.view_logs["GW"])
     assert any(len(r.delivered) < len(r.roster) for r in result.rounds)
     assert any(phase == PHASE_MEMBERSHIP for phase in tally.op_totals()["FC"])
@@ -374,15 +386,7 @@ class CopyingList(list):
 
 def test_round_invariant_metas_are_shared_and_never_written(monkeypatch):
     # churn, lost reports, all three adversary kinds and one tampered report
-    honest_report = sim_module.su_sense_report
-
-    def tampered_report(su, rss_q, recorder):
-        msg = honest_report(su, rss_q, recorder)
-        if su.uid == 4 and recorder.round == 3:
-            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
-        return msg
-
-    monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+    tampered = tamper_first_arrival(monkeypatch)
     monkeypatch.setattr(sim_module, "Recorder", CopyingRecorder)
     result = run_simulation(eventful_config())
     events = result.recorder.events
@@ -415,8 +419,10 @@ def test_round_invariant_metas_are_shared_and_never_written(monkeypatch):
     shared_ids = set().union(*headers.values(), *user_ops.values(), *votes.values())
     fresh = [e for e in events if id(e.meta) not in shared_ids]
     assert len({id(e.meta) for e in fresh}) == len(fresh)
-    assert [e.meta for e in fresh if e.direction == "error"] == [{"user": 4, "reason": "report failed authentication"}]
-    assert {"op": AEAD_DEC, "user": 4} in [e.meta for e in fresh if e.tag == OPAQUE]
+    assert [e.meta for e in fresh if e.direction == "error"] == [
+        {"user": tampered[0], "reason": "report failed authentication"}
+    ]
+    assert {"op": AEAD_DEC, "user": tampered[0]} in [e.meta for e in fresh if e.tag == OPAQUE]
     # and no meta was written after it was recorded
     assert len(events.copies) == len(events)
     assert all(kept == e.meta for kept, e in zip(events.copies, events))
@@ -425,15 +431,8 @@ def test_round_invariant_metas_are_shared_and_never_written(monkeypatch):
 def test_online_tally_equals_reference_fold_of_the_stream(monkeypatch, round_ops):
     # churn, lost reports, all three adversary kinds, one tampered report
     # and one tampered join message, counted as they happen and folded after
-    honest_report = sim_module.su_sense_report
     honest_ingest = entities_module.gw_ingest_init
     tampered_joins = []
-
-    def tampered_report(su, rss_q, recorder):
-        msg = honest_report(su, rss_q, recorder)
-        if su.uid == 4 and recorder.round == 3:
-            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
-        return msg
 
     def tampered_ingest(gw, messages, recorder):
         if recorder.phase == PHASE_MEMBERSHIP and not tampered_joins:
@@ -441,7 +440,7 @@ def test_online_tally_equals_reference_fold_of_the_stream(monkeypatch, round_ops
             messages = [dataclasses.replace(m, body=flip_tag_bit(m.body)) for m in messages]
         honest_ingest(gw, messages, recorder)
 
-    monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+    tamper_first_arrival(monkeypatch)
     monkeypatch.setattr(entities_module, "gw_ingest_init", tampered_ingest)
     monkeypatch.setattr(sim_module, "Recorder", PhasedRecorder)
     result = run_simulation(eventful_config())
@@ -780,15 +779,7 @@ def test_each_gateway_vote_follows_the_values_it_compared(monkeypatch):
     # churn, lost reports, all three adversary kinds and one tampered report:
     # the gateway's view holds both OPE values of each comparison, and each
     # vote counts one comparison; a refused or lost report counts none
-    honest_report = sim_module.su_sense_report
-
-    def tampered_report(su, rss_q, recorder):
-        msg = honest_report(su, rss_q, recorder)
-        if su.uid == 4 and recorder.round == 3:
-            msg = dataclasses.replace(msg, body=flip_tag_bit(msg.body))
-        return msg
-
-    monkeypatch.setattr(sim_module, "su_sense_report", tampered_report)
+    tamper_first_arrival(monkeypatch)
     result = run_simulation(eventful_config())
     keyed_in = {uid: r.t for r in result.rounds for uid in r.joins}  # the rest at init, round 0
     seen = {}  # (kind, round, user) -> OPE value, from the gateway's decryptions so far
@@ -854,8 +845,8 @@ def in_older_layout(result, compares: bool = False) -> str:
 # encryption events and the fusion center's votes, and in the earlier one
 # that also had the gateway's comparison events.
 OLDER_LAYOUT_SHA256 = {
-    "votes": "e5bb7c39248026c2be4f3f30369edb736d7c69088241e9ff80f82a34207ef3fb",
-    "compares": "1a1c95cc3b653ecf6f98ed4413257332801e4e0e8edb43f4648be4c11f688476",
+    "votes": "30e8b84840d13789c32716ea4d86ada227e8c7705ef879c48c1468af26a8f15b",
+    "compares": "944bcc44df31b1e66a41c81ee87924bdebd75d3d92a57a8c553b9e058e6f7400",
 }
 
 
@@ -910,11 +901,13 @@ def test_a_roster_past_ints_digit_limit_dumps_reads_and_verifies(tmp_path, capsy
 
 
 # Pinned output of one small run with churn, adversaries and lost reports.
-# These hashes change only with a deliberate change to the crypto or to the
-# report or transcript format; such a change records the new values and the
-# reason in CHANGES.md.
-GOLDEN_REPORT_SHA256 = "53f045de2319d68f007bcba60c62e6f7890c4e56a8aadc5651614048dd389be6"
-GOLDEN_TRANSCRIPT_SHA256 = "1ae5c54f5a1ff600020aef3633feb8c2504e28c7156e687fc529a4dc66e9b9b9"
+# These hashes change only with a deliberate change to the crypto, the random
+# draws, or the report or transcript format; such a change records the new
+# values and the reason in CHANGES.md. They also pin the draws of ``gauss``,
+# ``randint`` and ``sample``, whose sequences Python does not promise to keep
+# across versions: a version that changes them fails here.
+GOLDEN_REPORT_SHA256 = "f8f54ae900dc11086e8f3fe93aa56efa18224d4f11bfacd1b5f059afd6f3e7d0"
+GOLDEN_TRANSCRIPT_SHA256 = "ecc6b0f12dbb3d0ff00acd47401d3be8dd4dc07e00738f701ec1b060c3dfb0c4"
 
 
 def test_golden_report_and_transcript_hashes():

@@ -5,8 +5,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
-import numpy as np
 import pytest
 
 from lp3pss.fusion import DetectionProfile, compute_alpha, compute_lambda
@@ -36,27 +36,32 @@ def test_script_exits_zero(argv):
     assert proc.stdout
 
 
-def numpy_sweep_printout(n: int, p_f: float, p_m: float, trials: int, seed: int) -> str:
-    """What lambda_sweep.py printed when it drew its votes with numpy."""
-    rng = np.random.default_rng(seed)
-    busy_votes = (rng.random((trials, n)) < 1.0 - p_m).sum(axis=1)
-    free_votes = (rng.random((trials, n)) < p_f).sum(axis=1)
+def seeded_sweep_printout(n: int, p_f: float, p_m: float, trials: int, seed: int) -> str:
+    """What lambda_sweep.py prints: ``Random(seed)``'s doubles, all busy
+    trials first, read as rows of n votes each."""
+    rng = Random(seed)
+    doubles = [rng.random() for _ in range(2 * trials * n)]
+    busy, free = doubles[: trials * n], doubles[trials * n :]
+    busy_votes = [sum(u < 1.0 - p_m for u in busy[i : i + n]) for i in range(0, trials * n, n)]
+    free_votes = [sum(u < p_f for u in free[i : i + n]) for i in range(0, trials * n, n)]
+
+    def q_f(lam):
+        return sum(v >= lam for v in free_votes) / trials
+
+    def q_m(lam):
+        return sum(v < lam for v in busy_votes) / trials
+
     lam_opt = compute_lambda(n, compute_alpha(DetectionProfile(p_f, p_m)))
     lines = [
         f"n={n} p_f={p_f} p_m={p_m} trials={trials}  ->  analytic optimum lambda={lam_opt}",
         f"{'lambda':>6}  {'Q_f':>8}  {'Q_m':>8}  {'Q_f+Q_m':>8}",
     ]
-    best = min(
-        range(1, n + 1),
-        key=lambda lam: (free_votes >= lam).mean() + (busy_votes < lam).mean(),
-    )
+    best = min(range(1, n + 1), key=lambda lam: q_f(lam) + q_m(lam))
     for lam in range(1, n + 1):
-        q_f = (free_votes >= lam).mean()
-        q_m = (busy_votes < lam).mean()
         marks = ("  <- empirical argmin" if lam == best else "") + (
             "  (analytic)" if lam == lam_opt else ""
         )
-        lines.append(f"{lam:>6}  {q_f:>8.4f}  {q_m:>8.4f}  {q_f + q_m:>8.4f}{marks}")
+        lines.append(f"{lam:>6}  {q_f(lam):>8.4f}  {q_m(lam):>8.4f}  {q_f(lam) + q_m(lam):>8.4f}{marks}")
     return "\n".join(lines) + "\n"
 
 
@@ -64,11 +69,11 @@ def numpy_sweep_printout(n: int, p_f: float, p_m: float, trials: int, seed: int)
     "n, p_f, p_m, trials, seed",
     [(10, 0.1, 0.2, 2000, 7), (7, 0.05, 0.3, 3000, 123), (25, 0.2, 0.25, 500, 99), (1, 0.1, 0.2, 1, 0)],
 )
-def test_lambda_sweep_prints_what_numpy_draws_give(n, p_f, p_m, trials, seed):
+def test_lambda_sweep_prints_what_seeded_random_draws_give(n, p_f, p_m, trials, seed):
     argv = ["--n", n, "--pf", p_f, "--pm", p_m, "--trials", trials, "--seed", seed]
     proc = run_script(["scripts/lambda_sweep.py", *map(str, argv)])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == numpy_sweep_printout(n, p_f, p_m, trials, seed)
+    assert proc.stdout == seeded_sweep_printout(n, p_f, p_m, trials, seed)
 
 
 @pytest.mark.parametrize(
@@ -94,14 +99,14 @@ def test_script_rejects_bad_argument_with_usage_error(argv, flag):
 
 # What the digests script prints for the tiny sizes: pinned like the golden
 # hashes in test_recording.py, and changed only with a deliberate change to
-# the crypto or to the report or transcript format.
+# the crypto, the random draws, or the report or transcript format.
 GOLDEN_TINY_DIGESTS = """\
-wide seed=7 report=ee92301f0a56a15cc43f6cc1c5c735ceff84a8e2f237458ba66f5187fa13bae7 transcript=af0bc3db6b89e818866ec134b042a5d6035abee1d530832ec1fd37f1a7742a93
-wide seed=8 report=cb3c602e421f924cef69906a6fef329cb18e9aba547c1498a20387f20e1e029f transcript=85cb47714f623498092f436090242e667c4415353fcc9137a95b3833329db3cd
-long seed=7 report=fd2215c3bff98efb0740ec5674abd357abfcd51e41ac738140c3ad5a076bc0ce transcript=4e3566ef7b194cb90e16085fa052a52aaa7218559ef4cc84f34d977c6f9118cf
-long seed=8 report=dfdd4c91d3ce8553e0f94c5e213fa6cb2b7db08820416a5987be2abb9516753d transcript=ae179038eb2accceb080a4478bdc8219b0be928846b28322111481949fc86a59
-churn seed=7 report=d8841c7f55e10ff9f30f4e6d5493b466ddd0aa6d8f795ac26eed6012890f2fe5 transcript=a79c5bb9c988662a2fa14c5c658313ac3dfe361fc5461924569dd6029609f90f
-churn seed=8 report=89c66ae7914ba59cf1b1e3fc1468bad4949cf289f679650a73e6dd2363de585c transcript=f892d55c4c2e2c7e2315b9ffb2c5a1d349a1aeb3bc01362a7b6f5d4b13bae106
+wide seed=7 report=194a22103a155ee0930503a5e5f3e26b38ba33abad535aa27e290428d7ff34c3 transcript=f23e4f31efbe5955fbe569474fa24e8270282a71876520486934c8fac03056cc
+wide seed=8 report=29580e9d9479677314de950d5b5231e5aa40979b7ca3dcdb3005aa33cc6214e0 transcript=0e3f992248be737efa712ac4195dd65362e040ae4f3b480eaf4290c635358590
+long seed=7 report=aa4b2e3ec5fe04e692198933b083dfcda9cfbb83658770d439ceb383ddb5ecb3 transcript=247c60e4e28ff32f8c99fabc327fcef6f0994767ece5828af9b78929e6bae591
+long seed=8 report=f5f9f4d14f45f834cc3b173bcbc2606472d36b9fedbfc396d2c900ec934061e5 transcript=bfcfdee76bff1d601bcb19d6f9b3d2dd41acf6002b98aca19384fad9eb997438
+churn seed=7 report=400089ea1d698cb694e4f7f1ddffc1b7a7865ee7972875003877d02a9cfe3d94 transcript=6c041b84966b02fcb5000e541dd9c64c7d4eb7c83d53a4b530430bbd6ff10f0c
+churn seed=8 report=af2f55e3bffc0657949204c41cfbf2d2151cc3092132fc4e98acb3d41bcaa64c transcript=2cd1ab07c1031c60fe35b21879c69a4e02c107c9f761a14fd555bf97d51cbc9a
 """
 
 

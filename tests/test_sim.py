@@ -44,6 +44,7 @@ from lp3pss.scenario import (
     CountRange,
 )
 from lp3pss.sim import (
+    MAX_POPULATION,
     ChannelSpec,
     ConfigError,
     CryptoParams,
@@ -388,24 +389,22 @@ class TestConformance:
         assert result.leakage.conforms
 
     def test_leaver_whose_threshold_was_refused_leaves_cleanly(self, monkeypatch):
-        # U5 joins in round 2 and its wrapped threshold arrives tampered, so
-        # the gateway never caches it and refuses its reports; U5 leaves in
-        # round 5, with no cache entry to drop, and no round aborts
+        # the user joining in round 2 has its wrapped threshold arrive
+        # tampered, so the gateway never caches it and refuses its reports
+        # until it leaves, with no cache entry to drop, and no round aborts
         tamper_init_messages(monkeypatch, 2)
         config = SimulationConfig(
             SensingConfig(n=4, rounds=30, seed=3),
             churn=ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(1, 1)),
         )
         result = run_simulation(config)
-        assert [(r.joins, r.leaves) for r in result.rounds[1:5]] == [
-            ((5,), (2,)), ((6,), (1,)), ((7,), (3,)), ((8,), (5,))
-        ]
+        assert all((len(r.joins), len(r.leaves)) == (1, 1) for r in result.rounds[1:])
+        (newcomer,) = result.rounds[1].joins
+        left = next(r.t for r in result.rounds if newcomer in r.leaves)
+        assert [r.t for r in result.rounds if newcomer in r.roster] == list(range(2, left))
         errors = [(e["round"], e["entity"], e["reason"]) for e in result.recorder.tally.protocol_errors]
-        assert errors == [
-            (2, GW_NAME, "init message failed authentication"),
-            (2, GW_NAME, "report from user with no threshold"),
-            (3, GW_NAME, "report from user with no threshold"),
-            (4, GW_NAME, "report from user with no threshold"),
+        assert errors == [(2, GW_NAME, "init message failed authentication")] + [
+            (t, GW_NAME, "report from user with no threshold") for t in range(2, left)
         ]
         assert [r.result.outcome is None for r in result.rounds] == [False] * 30
         assert verify_computation_counts(result).ok
@@ -878,3 +877,32 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError):
             config.resolve_channel()
+
+    @pytest.mark.parametrize(
+        "n, rounds, mu, join_hi",
+        [
+            (MAX_POPULATION, 1, 0.0, 0),
+            (MAX_POPULATION - 9 * 7, 10, 0.5, 7),
+            (1, MAX_POPULATION, 1.0, 1),
+            (3, 50, 0.0, 2**63 - 1),  # no change event ever fires: nobody joins
+        ],
+    )
+    def test_a_worst_case_population_at_the_cap_is_accepted(self, n, rounds, mu, join_hi):
+        churn = ChurnConfig(mu=mu, join_count=CountRange(0, join_hi))
+        SimulationConfig(SensingConfig(n=n, rounds=rounds, seed=1), churn=churn)
+
+    @pytest.mark.parametrize(
+        "n, rounds, mu, join_hi",
+        [
+            (MAX_POPULATION + 1, 1, 0.0, 0),
+            (MAX_POPULATION - 9 * 7 + 1, 10, 0.5, 7),
+            (1, MAX_POPULATION + 1, 1.0, 1),
+            (3, 2, 1.0, 10**11),
+        ],
+    )
+    def test_a_worst_case_population_past_the_cap_is_refused(self, n, rounds, mu, join_hi):
+        churn = ChurnConfig(mu=mu, join_count=CountRange(0, join_hi))
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig(SensingConfig(n=n, rounds=rounds, seed=1), churn=churn)
+        assert str(err.value).startswith("sensing.n, sensing.rounds, churn.join: ")
+        assert f"= {n + (rounds - 1) * join_hi} users" in str(err.value)
