@@ -62,18 +62,21 @@ def _path(text: str) -> Path:
 
 
 def _require_writable(path: Path) -> None:
-    """Raise, naming ``path``, the ``OSError`` that writing it would raise; create nothing."""
-    parent = path.parent
-    if path.exists():
-        open(path, "a").close()  # fails on a directory or a read-only file; writes nothing
-        return
-    if not parent.is_dir():  # missing, or a file
-        code = errno.ENOTDIR if parent.exists() else errno.ENOENT
-    elif not os.access(parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code), str(path))
+    """Raise, naming ``path``, the ``OSError`` that writing it would raise;
+    create nothing. A symlink is written through, so it is checked where it
+    leads, and a link loop raises ``ELOOP``."""
+    try:
+        path.stat()  # unlike Path.exists, raises on a link loop
+    except (FileNotFoundError, NotADirectoryError):
+        parent = Path(os.path.realpath(path)).parent
+        if not parent.is_dir():  # missing, or a file
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+        elif not os.access(parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
+        raise OSError(code, os.strerror(code), str(path)) from None
+    open(path, "a").close()  # fails on a directory or a read-only file; writes nothing
 
 
 def _same_file(a: Path, b: Path) -> bool:
@@ -186,7 +189,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         with open(transcript_path, "w") as fh:
             result.recorder.dump_transcript(fh)
     rates = estimate_error_rates(result.rounds).to_dict()
-    print(f"wrote {out_path} ({len(result.rounds)} rounds, n ends at {len(result.fc.live)})")
+    print(f"wrote {out_path} ({len(result.rounds)} rounds, n ends at {len(result.fc.records)})")
     print(f"leakage: {'conforms' if result.leakage.conforms else 'VIOLATES'}; error rates: {rates}")
     return 0 if result.leakage.conforms else 1
 

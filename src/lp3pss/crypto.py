@@ -274,10 +274,11 @@ class KeyTable:
     between the fusion center and each user.
 
     The OPE subkey is expanded from the FC<->user pair secret. The master
-    seed is retained so joining users can be keyed later. Keys are a pure
-    function of (seed, id), and a fresh key restarts its nonce counter, so
-    keying an id twice would reuse AES-GCM nonces: ``issued`` holds every id
-    ever keyed, and no id leaves it.
+    seed is retained so joining users can be keyed later. The table is the
+    one place that chooses user ids: ``add_user`` mints ``last_uid + 1``.
+    Keys are a pure function of (seed, id), and a fresh key restarts its
+    nonce counter, so keying an id twice would reuse AES-GCM nonces; ids
+    only grow, so none is keyed twice, a removed one included.
     """
 
     master_seed: bytes
@@ -286,29 +287,25 @@ class KeyTable:
     fc_gw: AeadKey = field(init=False)
     gw_user: dict[int, AeadKey] = field(default_factory=dict)
     ope_user: dict[int, OpeKey] = field(default_factory=dict)
-    issued: set[int] = field(default_factory=set)
+    last_uid: int = field(default=0, init=False)  # the highest id ever keyed
 
     def __post_init__(self) -> None:
         if len(self.master_seed) != 32:
             raise ValueError("master seed must be 32 bytes")
         self.fc_gw = pair_channel_key(self.master_seed, FC, GW)
 
-    def add_user(self, uid: int) -> None:
-        """Key ``uid``, a plain non-negative int (not a bool, which is equal
-        to 0 or 1 but would be labelled and named ``True`` or ``False``)."""
-        if type(uid) is not int or uid < 0:
-            raise ValueError(f"user id must be a non-negative int, got {uid!r}")
-        if uid in self.issued:
-            raise ValueError(f"user {uid} already issued keys")
-        self.issued.add(uid)
+    def add_user(self) -> int:
+        """Key a new user and return its id, one above every id ever keyed."""
+        uid = self.last_uid = self.last_uid + 1
         fc_secret = _kdf(self.master_seed, f"pair|{pair_label(FC, uid)}")
         self.gw_user[uid] = pair_channel_key(self.master_seed, GW, uid)
         self.ope_user[uid] = OpeKey(
             _kdf(fc_secret, "ope")[:KEY_LEN], self.domain_bits, self.range_bits
         )
+        return uid
 
     def remove_user(self, uid: int) -> None:
-        """Forget the user's keys; its id stays issued."""
+        """Forget the user's keys; no later ``add_user`` mints its id."""
         if type(uid) is not int or uid not in self.gw_user:  # True would remove user 1
             raise ValueError(f"user {uid!r} not keyed")
         del self.gw_user[uid]
@@ -319,23 +316,13 @@ class KeyTable:
 
 
 def derive_pairwise_keys(
-    master_seed: bytes,
-    entity_ids: list[str | int],
-    domain_bits: int = 16,
-    range_bits: int = 32,
+    master_seed: bytes, n_users: int, domain_bits: int = 16, range_bits: int = 32
 ) -> KeyTable:
-    """Derive the full pairwise key table from one 32-byte master seed.
-
-    ``entity_ids`` must contain "FC", "GW" and the (distinct, integer)
-    user ids. Deterministic: the same seed and ids give a byte-identical
-    table.
+    """Derive the pairwise key table of users 1..``n_users`` from one 32-byte
+    master seed. Deterministic: the same seed and count give a
+    byte-identical table.
     """
-    if len(entity_ids) != len(set(entity_ids)):
-        raise ValueError("duplicate entity id")
-    if FC not in entity_ids or GW not in entity_ids:
-        raise ValueError("entity ids must include FC and GW")
-    users = [e for e in entity_ids if e not in (FC, GW)]
     table = KeyTable(master_seed, domain_bits, range_bits)
-    for uid in users:
-        table.add_user(uid)  # type: ignore[arg-type]
+    for _ in range(n_users):
+        table.add_user()
     return table

@@ -201,12 +201,15 @@ def unseal(
 
 @dataclass
 class FcState:
+    """The fusion center's state. ``records`` is also its roster: its keys
+    are the live users, each with its reputation, in the order they were
+    keyed."""
+
     tau: int
     alpha: float
     gw_key: AeadKey
     ope_keys: dict[int, OpeKey]
     records: dict[int, ReputationRecord]
-    live: set[int]
 
 
 @dataclass
@@ -228,9 +231,12 @@ class GwState:
 @dataclass(frozen=True)
 class RoundResult:
     outcome: FusionOutcome | None  # None: the round was aborted
-    present: tuple[int, ...]
-    bits: dict[int, int]
+    bits: dict[int, int]  # the present users' votes, in roster order
     n_live: int
+
+    @property
+    def present(self) -> tuple[int, ...]:
+        return tuple(self.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +308,6 @@ def fc_init(
         gw_key=keys.fc_gw,
         ope_keys=dict(keys.ope_user),
         records={uid: ReputationRecord() for uid in users},
-        live=set(users),
     )
     messages = [_wrap_tau(fc, uid, recorder) for uid in users]
     return fc, messages
@@ -369,8 +374,9 @@ def gw_compare(
     before delivery; one that is malformed or fails authentication (a
     report replayed from another round among them) is delivered, then
     skipped. Each leaves the user absent. The vector is packed over every
-    keyed user, the fusion center's live roster (``handle_membership``
-    keeps the two equal), so a lost threshold costs only its user's votes.
+    keyed user, the fusion center's roster (the keys of its ``records``,
+    which ``handle_membership`` keeps equal to the gateway's keyed users),
+    so a lost threshold costs only its user's votes.
     Returns the decision vector and the subjects of the delivered
     reports, in order.
     """
@@ -417,21 +423,20 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
     """
     if msg.phase != MsgPhase.DECISION_VEC:
         raise ProtocolError(f"not a decision vector: {msg.phase}")
-    roster = sorted(fc.live)
+    roster = sorted(fc.records)
     length = 2 * ((len(roster) + 7) // 8)
     try:
         payload = unseal(fc.gw_key, msg, recorder, ViewTag.PLAINTEXT_BIT, "vote_vector", roster, length)
     except MessageRefused as exc:
         raise RoundAborted(str(exc)) from exc
     bits = unpack_decision_vector(roster, payload)
-    present = tuple(bits)
-    lam_round = compute_lambda(len(present), fc.alpha) if present else 1
-    outcome = fuse_votes([fc.records[uid].weight for uid in present], list(bits.values()), lam_round)
+    lam_round = compute_lambda(len(bits), fc.alpha) if bits else 1
+    outcome = fuse_votes([fc.records[uid].weight for uid in bits], list(bits.values()), lam_round)
     records = fc.records = update_reputation(fc.records, bits, outcome.decision)
     weights = compute_weights([records[uid].phi for uid in roster], len(roster))
     for uid, weight in zip(roster, weights):
         records[uid].weight = weight
-    return RoundResult(outcome, present, bits, n_live=len(roster))
+    return RoundResult(outcome, bits, n_live=len(roster))
 
 
 # ---------------------------------------------------------------------------
@@ -442,47 +447,41 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
 def handle_membership(
     fc: FcState,
     gw: GwState,
-    joins: list[int],
+    n_join: int,
     leaves: list[int],
     keys: KeyTable,
     recorder: Recorder,
 ) -> dict[int, SuState]:
-    """Apply joins and leaves and rekey the joiners.
+    """Remove the leavers, then key ``n_join`` new users and wrap a
+    threshold for each.
 
-    Joins and leaves may arrive in the same period. Every id, joining or
-    leaving, must be a plain non-negative int (a bool is not one: it would
-    name a user ``UFalse`` or remove user 1). A joiner's id must also never
-    have been keyed, since re-keying a departed id would reuse its nonces.
-    Every check runs before any state changes, and a refused change raises
-    ``ProtocolError``. No stored state of any remaining user changes.
-    Returns states for the joining users.
+    Each joiner's id is minted by ``keys.add_user``, so none was keyed
+    before. Each leaving id must be a live user's, given once, as a plain
+    int (a bool is not one: ``True`` would remove user 1), and a change may
+    not empty the network. Every check runs before any state changes, and
+    a refused change raises ``ProtocolError``. No stored state of any
+    remaining user changes. Returns states for the joining users, in the
+    order their ids were minted.
     """
-    for uid in (*joins, *leaves):
-        if type(uid) is not int or uid < 0:
-            raise ProtocolError(f"user id must be a non-negative int, got {uid!r}")
-    if set(joins) & set(leaves):
-        raise ProtocolError("a user cannot both join and leave in one period")
-    if len(set(joins)) != len(joins) or len(set(leaves)) != len(leaves):
-        raise ProtocolError("a user id is repeated in one membership change")
-    for uid in joins:
-        if uid in keys.issued:
-            raise ProtocolError(f"user {uid} already issued keys")
     for uid in leaves:
-        if uid not in fc.live:
+        if type(uid) is not int:
+            raise ProtocolError(f"user id must be an int, got {uid!r}")
+    if len(set(leaves)) != len(leaves):
+        raise ProtocolError("a user id is repeated in one membership change")
+    for uid in leaves:
+        if uid not in fc.records:
             raise ProtocolError(f"user {uid} not live")
-    if len(fc.live) - len(leaves) + len(joins) == 0:
+    if len(leaves) == len(fc.records) and n_join < 1:
         raise ProtocolError("membership change emptied the network")
     for uid in leaves:
         keys.remove_user(uid)
-        fc.live.discard(uid)
         del fc.ope_keys[uid]
         del fc.records[uid]
         del gw.user_keys[uid]
         gw.tau_cache.pop(uid, None)  # absent if the leaver's wrapped threshold was refused
     new_states: dict[int, SuState] = {}
-    for uid in joins:
-        keys.add_user(uid)
-        fc.live.add(uid)
+    for _ in range(n_join):
+        uid = keys.add_user()
         fc.ope_keys[uid] = keys.ope_user[uid]
         fc.records[uid] = ReputationRecord()
         gw.user_keys[uid] = keys.gw_user[uid]

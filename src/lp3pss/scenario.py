@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from random import Random
 from statistics import NormalDist
-from typing import Iterable
+from typing import Collection, Iterable
 
 PU_ABSENT = 0
 PU_PRESENT = 1
@@ -140,34 +140,25 @@ class ChurnConfig:
         return self.join_count.hi > 0 or self.leave_count.hi > 0
 
 
-def churn_step(
-    cfg: ChurnConfig,
-    rng: Random,
-    t: int,
-    live: set[int],
-    used: set[int] | None = None,
-) -> tuple[list[int], list[int]]:
-    """One membership-change draw for period ``t``.
+def churn_step(cfg: ChurnConfig, rng: Random, live: Collection[int]) -> tuple[int, list[int]]:
+    """One membership-change draw: the number of users who join, and the
+    sorted ids, from ``live``, of those who leave.
 
     With probability mu a change event fires; the (join, leave) counts are
     then resampled until non-empty when the config admits any change at
-    all. Leaves never drain the network below one existing member. New
-    ids are minted above every id in ``used`` (defaults to ``live``), so
-    departed users are never re-issued.
+    all. Leaves never drain the network below one existing member. The
+    joiners' ids are not chosen here: ``KeyTable.add_user`` mints them.
     """
     if not live:
         raise ValueError("live set must be non-empty")
     if rng.random() >= cfg.mu or not cfg.can_change:
-        return [], []
+        return 0, []
     n_join, n_leave = 0, 0
     while n_join == 0 and n_leave == 0:
         n_join = cfg.join_count.sample(rng)
         n_leave = cfg.leave_count.sample(rng)
     n_leave = min(n_leave, len(live) - 1)
-    next_id = max(used if used is not None else live, default=0) + 1
-    joins = list(range(next_id, next_id + n_join))
-    leaves = sorted(rng.sample(sorted(live), n_leave))
-    return joins, leaves
+    return n_join, sorted(rng.sample(sorted(live), n_leave))
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,6 @@ from lp3pss.fusion import DetectionProfile
 from lp3pss.observability import LeakageReport, check_leakage
 from lp3pss.recording import (
     COMPARE,
-    FC_NAME,
-    GW_NAME,
     PHASE_INIT,
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
@@ -530,10 +528,7 @@ def _run(config: SimulationConfig) -> SimulationResult:
     rngs = spawn_rngs(sensing.seed, ["truth", "rss", "churn", "malice", "loss"])
 
     keys = derive_pairwise_keys(
-        master_seed_bytes(sensing.seed),
-        [FC_NAME, GW_NAME, *range(1, sensing.n + 1)],
-        config.crypto.domain_bits,
-        config.crypto.range_bits,
+        master_seed_bytes(sensing.seed), sensing.n, config.crypto.domain_bits, config.crypto.range_bits
     )
     recorder = Recorder()
     recorder.start_round(0)
@@ -551,16 +546,17 @@ def _run(config: SimulationConfig) -> SimulationResult:
         leaves: list[int] = []
         if t > 1:
             recorder.set_phase(PHASE_MEMBERSHIP)
-            joins, leaves = churn_step(config.churn, rngs["churn"], t, fc.live, keys.issued)
-            if joins or leaves:
-                new_sus = handle_membership(fc, gw, joins, leaves, keys, recorder)
+            n_join, leaves = churn_step(config.churn, rngs["churn"], fc.records)
+            if n_join or leaves:
+                new_sus = handle_membership(fc, gw, n_join, leaves, keys, recorder)
                 for uid in leaves:
                     del sus[uid]
                 sus.update(new_sus)
+                joins = list(new_sus)
 
         recorder.set_phase(PHASE_SENSING)
         truth = PU_PRESENT if rngs["truth"].random() < sensing.busy_prob else 0
-        roster = sorted(fc.live)
+        roster = sorted(fc.records)
         draws = generate_rss(model, truth, rngs["rss"], len(roster))
         reports: list[ProtocolMessage] = []
         for uid, rss_q in zip(roster, draws):
@@ -574,7 +570,7 @@ def _run(config: SimulationConfig) -> SimulationResult:
         try:
             result = fc_decide(fc, zeta, recorder)
         except RoundAborted:
-            result = RoundResult(None, (), {}, n_live=len(roster))
+            result = RoundResult(None, {}, n_live=len(roster))
         record = RoundRecord(
             t=t,
             truth=truth,

@@ -217,10 +217,14 @@ def test_simulate_refuses_an_empty_path_before_the_run(tmp_path, monkeypatch, ca
         (["--out", "r.json"], "nodir/t.jsonl", "nodir/t.jsonl", "No such file or directory"),
         (["--out", "f.txt/r.json"], None, "f.txt/r.json", "Not a directory"),
         (["--out", "r.json", "--transcript", "f.txt/t.jsonl"], None, "f.txt/t.jsonl", "Not a directory"),
+        # a symlink is checked where it leads: a loop, and a link into a missing directory
+        (["--out", "r.json", "--transcript", "loop"], None, "loop", "Too many levels of symbolic links"),
+        (["--out", "loop"], None, "loop", "Too many levels of symbolic links"),
+        (["--out", "dangling"], None, "dangling", "No such file or directory"),
     ],
     ids=[
         "out-no-dir", "transcript-no-dir", "transcript-dir", "out-dir", "config-transcript-dir", "config-no-dir",
-        "out-under-file", "transcript-under-file",
+        "out-under-file", "transcript-under-file", "transcript-link-loop", "out-link-loop", "out-dangling-link",
     ],
 )
 def test_simulate_refuses_an_unwritable_path_before_the_run(
@@ -229,6 +233,8 @@ def test_simulate_refuses_an_unwritable_path_before_the_run(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     (tmp_path / "f.txt").write_text("")
+    (tmp_path / "loop").symlink_to("loop")
+    (tmp_path / "dangling").symlink_to("nodir/r.json")
     argv = ["simulate", "--n", "3", "--rounds", "2", "--seed", "1", *flags]
     if config_transcript is not None:
         (tmp_path / "c.json").write_text(json.dumps({"sensing": {}, "output": {"transcript": config_transcript}}))
@@ -240,6 +246,7 @@ def test_simulate_refuses_an_unwritable_path_before_the_run(
     captured = capsys.readouterr()
     assert captured.out == "" and not ran  # nothing ran
     assert captured.err.startswith("error: ") and reason in captured.err and repr(named) in captured.err
+    assert "Traceback" not in captured.err
     assert sorted(tmp_path.iterdir()) == before  # no report file, no transcript
     assert list((tmp_path / "d").iterdir()) == []
 

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from lp3pss.crypto import (
     FC,
-    GW,
     NONCE_LEN,
     TAG_LEN,
     AeadKey,
@@ -230,52 +229,42 @@ class TestAead:
 class TestKeyTable:
     def test_single_user_yields_three_pairs(self, master_seed):
         # FC<->GW and GW<->U1 channels, and the FC<->U1 OPE subkey
-        table = derive_pairwise_keys(master_seed, [FC, GW, 1])
+        table = derive_pairwise_keys(master_seed, 1)
         assert 1 + len(table.gw_user) + len(table.ope_user) == 3
         assert set(table.gw_user) == set(table.ope_user) == {1}
         assert table.user_ids() == [1]
 
     def test_deterministic(self, master_seed):
-        ids = [FC, GW, 1, 2, 3]
-        t1 = derive_pairwise_keys(master_seed, ids)
-        t2 = derive_pairwise_keys(master_seed, ids)
+        t1 = derive_pairwise_keys(master_seed, 3)
+        t2 = derive_pairwise_keys(master_seed, 3)
         assert t1.fc_gw.key_bytes == t2.fc_gw.key_bytes
         assert all(t1.gw_user[u].key_bytes == t2.gw_user[u].key_bytes for u in (1, 2, 3))
         assert all(t1.ope_user[u].key_bytes == t2.ope_user[u].key_bytes for u in (1, 2, 3))
 
     def test_fifty_users_yield_101_pairs(self, master_seed):
-        table = derive_pairwise_keys(master_seed, [FC, GW, *range(1, 51)])
+        table = derive_pairwise_keys(master_seed, 50)
         assert 1 + len(table.gw_user) + len(table.ope_user) == 2 * 50 + 1
 
-    def test_duplicate_id_rejected(self, master_seed):
-        with pytest.raises(ValueError):
-            derive_pairwise_keys(master_seed, [FC, GW, 1, 1])
+    def test_users_are_minted_in_order_from_one(self, master_seed):
+        table = derive_pairwise_keys(master_seed, 3)
+        assert table.user_ids() == [1, 2, 3] and table.last_uid == 3
+        assert [table.add_user(), table.add_user()] == [4, 5]
+        assert table.user_ids() == [1, 2, 3, 4, 5] and table.gw_user[4].label == "GW|4"
+        # a user keyed later holds the keys derivation gives its id
+        assert table.ope_user[5].key_bytes == derive_pairwise_keys(master_seed, 5).ope_user[5].key_bytes
 
     @pytest.mark.parametrize("uid", [True, False, -1, 1.0, "1"], ids=["true", "false", "negative", "float", "str"])
     def test_only_plain_non_negative_ints_are_keyed_as_users(self, master_seed, uid):
-        # True equals 1 but would be keyed under the label "GW|True" and
-        # named UTrue, and would leave 1 refused as already issued
-        with pytest.raises(ValueError, match="non-negative int"):
-            derive_pairwise_keys(master_seed, [FC, GW, uid, 2])
-        table = derive_pairwise_keys(master_seed, [FC, GW, 2])
-        with pytest.raises(ValueError, match="non-negative int"):
-            table.add_user(uid)
-        assert table.issued == {2} and table.user_ids() == [2]
-        table.add_user(1)
-        table.add_user(0)
-        assert table.user_ids() == [0, 1, 2] and table.gw_user[1].label == "GW|1"
+        # True equals 1 but would remove user 1, or label a pair "GW|True"
+        table = derive_pairwise_keys(master_seed, 2)
         with pytest.raises(ValueError, match="not keyed"):
             table.remove_user(uid)
-        assert table.user_ids() == [0, 1, 2]
+        assert table.user_ids() == [1, 2]
         with pytest.raises(ValueError, match="unknown entity id"):
             pair_channel_key(master_seed, FC, uid)
 
-    def test_missing_roles_rejected(self, master_seed):
-        with pytest.raises(ValueError):
-            derive_pairwise_keys(master_seed, [FC, 1, 2])
-
     def test_all_keys_distinct(self, master_seed):
-        table = derive_pairwise_keys(master_seed, [FC, GW, *range(1, 20)])
+        table = derive_pairwise_keys(master_seed, 19)
         raws = [table.fc_gw.key_bytes]
         raws += [pair_channel_key(master_seed, FC, u).key_bytes for u in range(1, 20)]
         raws += [k.key_bytes for k in table.gw_user.values()]
@@ -283,13 +272,13 @@ class TestKeyTable:
         assert len(set(raws)) == len(raws)
 
     def test_key_separation_between_users(self, master_seed):
-        table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2])
+        table = derive_pairwise_keys(master_seed, 2)
         ct = aead_encrypt(table.gw_user[1], b"for user 1 channel", b"")
         with pytest.raises(AuthenticationFailure):
             aead_decrypt(table.gw_user[2], ct, b"")
 
     def test_departed_user_keys_removed(self, master_seed):
-        table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2])
+        table = derive_pairwise_keys(master_seed, 2)
         table.remove_user(1)
         assert 1 not in table.gw_user and 1 not in table.ope_user
         assert table.user_ids() == [2]
@@ -300,19 +289,18 @@ class TestKeyTable:
     def test_departed_user_id_is_never_keyed_again(self, master_seed):
         # derivation is a pure function of (seed, id) and a fresh key starts
         # its nonce counter at 0, so re-keying an id would reuse its nonces
-        table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2])
+        table = derive_pairwise_keys(master_seed, 2)
         table.remove_user(1)
-        assert table.issued == {1, 2}
-        with pytest.raises(ValueError, match="already issued"):
-            table.add_user(1)
-        with pytest.raises(ValueError, match="already issued"):
-            table.add_user(2)
-        assert table.user_ids() == [2] and 1 not in table.ope_user
+        assert table.add_user() == 3
+        table.remove_user(3)  # the highest id ever keyed leaves too
+        table.remove_user(2)
+        assert [table.add_user(), table.add_user()] == [4, 5]
+        assert table.user_ids() == [4, 5] and table.last_uid == 5
 
     def test_derived_key_bytes_are_pinned(self, master_seed):
         # the FC<->GW, GW<->user and OPE keys and the baseline's FC<->user
         # channel keys, as derived since the key table was introduced
-        table = derive_pairwise_keys(master_seed, [FC, GW, 1, 2, 3])
+        table = derive_pairwise_keys(master_seed, 3)
         raws = [table.fc_gw.key_bytes]
         raws += [table.gw_user[u].key_bytes for u in (1, 2, 3)]
         raws += [table.ope_user[u].key_bytes for u in (1, 2, 3)]

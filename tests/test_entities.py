@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 
 from lp3pss import entities
 from lp3pss.crypto import (
-    FC,
-    GW,
     OpeKey,
     aead_decrypt,
     aead_encrypt,
@@ -58,7 +56,7 @@ TAU = 3000
 
 
 def setup_network(n: int, master_seed: bytes, tau: int = TAU):
-    keys = derive_pairwise_keys(master_seed, [FC, GW, *range(1, n + 1)])
+    keys = derive_pairwise_keys(master_seed, n)
     recorder = Recorder()
     recorder.start_round(0)
     fc, msgs = fc_init(tau, PROFILE, keys, recorder)
@@ -97,7 +95,7 @@ class TestInit:
         assert ope_encrypt(keys.ope_user[1], TAU) != ope_encrypt(keys.ope_user[2], TAU)
 
     def test_tau_out_of_domain_rejected(self, master_seed):
-        keys = derive_pairwise_keys(master_seed, [FC, GW, 1])
+        keys = derive_pairwise_keys(master_seed, 1)
         with pytest.raises(ValueError):
             fc_init(1 << 16, PROFILE, keys, Recorder())
 
@@ -148,7 +146,7 @@ class TestSensing:
 
     def test_comparison_bits(self, master_seed):
         # tau=120 on plaintexts (100,130,120,119): equality votes busy
-        keys = derive_pairwise_keys(master_seed, [FC, GW, 1, 2, 3, 4])
+        keys = derive_pairwise_keys(master_seed, 4)
         recorder = Recorder()
         fc, msgs = fc_init(120, PROFILE, keys, recorder)
         gw = gw_init(keys)
@@ -175,7 +173,7 @@ class TestSensing:
 
     def test_unknown_sender_skipped(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
-        stranger_keys = derive_pairwise_keys(bytes(32), [FC, GW, 9])
+        stranger_keys = derive_pairwise_keys(bytes(32), 9)
         stranger = make_su_states(stranger_keys)[9]
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
@@ -263,7 +261,7 @@ class TestSensing:
         assert len(recorder.events) == events + 1  # the error alone: not received, not decrypted
 
     def test_malformed_init_message_leaves_its_user_uncached(self, master_seed):
-        keys = derive_pairwise_keys(master_seed, [FC, GW, 1, 2, 3])
+        keys = derive_pairwise_keys(master_seed, 3)
         recorder = Recorder()
         _, msgs = fc_init(TAU, PROFILE, keys, recorder)
         msgs[1] = dataclasses.replace(msgs[1], body=msgs[1].body[:-1])
@@ -285,7 +283,7 @@ class TestDecision:
         assert result.outcome.decision == CHANNEL_BUSY
 
     def test_or_rule_single_vote(self, master_seed):
-        keys = derive_pairwise_keys(master_seed, [FC, GW, *range(1, 6)])
+        keys = derive_pairwise_keys(master_seed, 5)
         recorder = Recorder()
         # p_f << p_m pushes alpha high enough that lambda = 1 (OR rule)
         fc, msgs = fc_init(TAU, DetectionProfile(0.01, 0.55), keys, recorder)
@@ -340,7 +338,7 @@ class TestDecision:
         # same size, one id swapped: GW packs over [2, 3, 4], the FC reads [1, 2, 3],
         # which would credit U2's busy vote to U1
         _, fc, gw, sus, recorder, _ = setup_network(4, master_seed)
-        fc.live.discard(4)
+        del fc.records[4]
         del gw.user_keys[1], gw.tau_cache[1]
         records_before = copy.deepcopy(fc.records)
         recorder.start_round(1)
@@ -372,10 +370,10 @@ class TestMembership:
         assert_unshared()
         recorder.start_round(1)
         recorder.set_phase(PHASE_MEMBERSHIP)
-        sus.update(handle_membership(fc, gw, [5, 6], [1], keys, recorder))
+        sus.update(handle_membership(fc, gw, 2, [1], keys, recorder))
         assert_unshared()
         for t, drop in ((2, {5, 6}), (3, {2}), (4, set())):
-            run_round(fc, gw, sus, recorder, {u: 4000 if u % 2 else 100 for u in fc.live}, t, drop)
+            run_round(fc, gw, sus, recorder, {u: 4000 if u % 2 else 100 for u in fc.records}, t, drop)
             assert_unshared()
         # fc_decide writes weights in place: a write must reach its own user only
         others = {uid: record.weight for uid, record in fc.records.items() if uid != 5}
@@ -387,7 +385,7 @@ class TestMembership:
         su_snapshot = copy.deepcopy(sus)
         recorder.start_round(1)
         recorder.set_phase(PHASE_MEMBERSHIP)
-        new_states = handle_membership(fc, gw, [11, 12], [], keys, recorder)
+        new_states = handle_membership(fc, gw, 2, [], keys, recorder)
         assert set(new_states) == {11, 12}
         ops = recorder.tally.ops
         assert ops[1, FC_NAME, PHASE_MEMBERSHIP, OPE_ENC] == 2
@@ -403,72 +401,65 @@ class TestMembership:
 
     def test_leave_recomputes_lambda(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(10, master_seed)
-        handle_membership(fc, gw, [], [7], keys, recorder)
-        assert 7 not in fc.live and 7 not in set(gw.tau_cache)
+        handle_membership(fc, gw, 0, [7], keys, recorder)
+        assert 7 not in fc.records and 7 not in set(gw.tau_cache)
         assert 7 not in keys.gw_user and 7 not in keys.ope_user
-        result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.live})
+        result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.records})
         assert result.outcome.lam == 5  # ceil(9/2) with symmetric profile
 
     def test_simultaneous_join_and_leave(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(5, master_seed)
-        new_states = handle_membership(fc, gw, [6, 7], [1], keys, recorder)
-        assert fc.live == {2, 3, 4, 5, 6, 7}
-        assert set(gw.tau_cache) == fc.live
+        new_states = handle_membership(fc, gw, 2, [1], keys, recorder)
+        assert list(new_states) == [6, 7]
+        assert list(fc.records) == [2, 3, 4, 5, 6, 7]
+        assert set(gw.tau_cache) == set(fc.records)
         sus.update(new_states)
         del sus[1]
-        result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.live})
+        result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.records})
         assert result.outcome.lam == 3  # computed over the n=6 present users
         assert result.outcome.decision == CHANNEL_BUSY
 
-    def test_join_of_existing_id_rejected(self, master_seed):
+    def test_joiner_id_follows_the_highest_id_ever_keyed(self, master_seed):
         keys, fc, gw, _, recorder, _ = setup_network(3, master_seed)
-        with pytest.raises(ProtocolError):
-            handle_membership(fc, gw, [2], [], keys, recorder)
+        assert list(handle_membership(fc, gw, 1, [], keys, recorder)) == [4]
+        handle_membership(fc, gw, 0, [3, 4], keys, recorder)  # the two highest ids leave
+        assert list(handle_membership(fc, gw, 2, [], keys, recorder)) == [5, 6]
+        assert list(fc.records) == sorted(gw.user_keys) == keys.user_ids() == [1, 2, 5, 6]
 
     @pytest.mark.parametrize(
-        "joins, leaves, reason",
+        "n_join, leaves, reason",
         [
-            ([5, 3], [1], "user 3 already issued keys"),  # U3 left before
-            ([5, 5], [], "repeated"),
-            ([], [2, 2], "repeated"),
-            ([], [1, 2, 4], "emptied the network"),
-            # a join id KeyTable.add_user refuses, alongside a valid leave
-            ([-1], [2], "non-negative int, got -1"),
-            (["5"], [2], "non-negative int, got '5'"),
-            # leave ids are checked as join ids are, and a bool is no user id
-            ([], [[1]], r"non-negative int, got \[1\]"),
-            ([False], [], "non-negative int, got False"),
-            ([], [True], "non-negative int, got True"),
+            (0, [2, 2], "repeated"),
+            (2, [2, 2], "repeated"),  # refused before any joiner is keyed
+            (0, [3], "user 3 not live"),  # U3 left before
+            (0, [-1], "user -1 not live"),
+            (0, [1, 2, 4], "emptied the network"),
+            # ill-typed ids: a list, and a bool, which equals 0 or 1 but is no user id
+            (0, [[1]], r"must be an int, got \[1\]"),
+            (0, [True], "must be an int, got True"),
         ],
-        ids=[
-            "rejoin", "repeated-join", "repeated-leave", "emptied", "negative-join", "str-join",
-            "list-leave", "bool-join", "bool-leave",
-        ],
+        ids=["repeated-leave", "repeated-leave-with-joins", "departed-leave", "negative-leave", "emptied",
+             "list-leave", "bool-leave"],
     )
-    def test_refused_change_leaves_every_state_alone(self, master_seed, joins, leaves, reason):
+    def test_refused_change_leaves_every_state_alone(self, master_seed, n_join, leaves, reason):
         keys, fc, gw, _, recorder, _ = setup_network(4, master_seed)
-        handle_membership(fc, gw, [], [3], keys, recorder)
+        handle_membership(fc, gw, 0, [3], keys, recorder)
         snapshot = copy.deepcopy((fc, gw, keys))
         events_before = list(recorder.events)
         with pytest.raises(ProtocolError, match=reason):
-            handle_membership(fc, gw, joins, leaves, keys, recorder)
+            handle_membership(fc, gw, n_join, leaves, keys, recorder)
         assert (fc, gw, keys) == snapshot
-        assert keys.issued == {1, 2, 3, 4}
+        assert keys.last_uid == 4
         assert recorder.events == events_before
 
     def test_leave_of_unknown_id_rejected(self, master_seed):
         keys, fc, gw, _, recorder, _ = setup_network(3, master_seed)
         with pytest.raises(ProtocolError):
-            handle_membership(fc, gw, [], [9], keys, recorder)
-
-    def test_join_and_leave_overlap_rejected(self, master_seed):
-        keys, fc, gw, _, recorder, _ = setup_network(3, master_seed)
-        with pytest.raises(ProtocolError):
-            handle_membership(fc, gw, [5], [5], keys, recorder)
+            handle_membership(fc, gw, 0, [9], keys, recorder)
 
     def test_joiner_can_report_next_round(self, master_seed):
         keys, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
-        sus.update(handle_membership(fc, gw, [3], [], keys, recorder))
+        sus.update(handle_membership(fc, gw, 1, [], keys, recorder))
         result = run_round(fc, gw, sus, recorder, {1: 100, 2: 100, 3: 4000})
         assert result.bits[3] == 1
 
@@ -492,7 +483,7 @@ class TestPacking:
 
 class TestUnseal:
     def sealed(self, master_seed, phase, subject, payload=b"\x01\x02"):
-        keys = derive_pairwise_keys(master_seed, [FC, GW, 3])
+        keys = derive_pairwise_keys(master_seed, 3)
         recorder = Recorder()
         recorder.start_round(1)
         msg = seal(keys.fc_gw, GW_NAME, FC_NAME, phase, subject, payload, recorder)

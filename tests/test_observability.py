@@ -266,7 +266,7 @@ class TestDlp:
         config = SimulationConfig(SensingConfig(n=6, rounds=2, seed=3))
         result = run_simulation(config)
         events = result.recorder.events
-        roster = set(result.fc.live)
+        roster = set(result.fc.records)
         before = agg_view_from_logs(events, 1, roster)
         after = agg_view_from_logs(events, 2, roster - {1})
         outcome = dlp_attack_oracle(before, after, 1)
@@ -350,12 +350,12 @@ class TestCompleteness:
         # two RSS assignments inducing identical per-user comparisons give
         # the gateway the same tag sequence and the same bit vector
         def gw_trace(rss_by_user):
-            from lp3pss.crypto import derive_pairwise_keys, FC, GW
+            from lp3pss.crypto import derive_pairwise_keys
             from lp3pss.entities import fc_init, gw_init, gw_ingest_init, make_su_states, su_sense_report, gw_compare
             from lp3pss.recording import Recorder
             from lp3pss.fusion import DetectionProfile
 
-            keys = derive_pairwise_keys(bytes(32), [FC, GW, 1, 2, 3])
+            keys = derive_pairwise_keys(bytes(32), 3)
             recorder = Recorder()
             fc, msgs = fc_init(3000, DetectionProfile(0.1, 0.1), keys, recorder)
             gw = gw_init(keys)

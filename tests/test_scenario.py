@@ -137,54 +137,43 @@ class TestChurn:
     def test_zero_mu_never_changes(self):
         cfg = ChurnConfig(mu=0.0, join_count=CountRange(1, 3), leave_count=CountRange(1, 3))
         rng = Random(0)
-        for t in range(1000):
-            assert churn_step(cfg, rng, t, {1, 2, 3}) == ([], [])
+        for _ in range(1000):
+            assert churn_step(cfg, rng, {1, 2, 3}) == (0, [])
 
     def test_forced_joins_give_constant_beta(self):
         cfg = ChurnConfig(mu=1.0, join_count=CountRange(5, 5), leave_count=CountRange(0, 0))
         rng = Random(0)
-        live = {1, 2}
-        for t in range(20):
-            joins, leaves = churn_step(cfg, rng, t, live)
-            assert len(joins) == 5 and leaves == []
-            live |= set(joins)
+        for _ in range(20):
+            assert churn_step(cfg, rng, {1, 2}) == (5, [])
 
     def test_event_rate_matches_mu(self):
         cfg = ChurnConfig(mu=0.2, join_count=CountRange(1, 3), leave_count=CountRange(0, 2))
         rng = Random(11)
         live = set(range(1, 30))
-        used = set(live)
+        next_id = 30
         events = 0
-        for t in range(10_000):
-            joins, leaves = churn_step(cfg, rng, t, live, used)
-            if joins or leaves:
+        for _ in range(10_000):
+            n_join, leaves = churn_step(cfg, rng, live)
+            if n_join or leaves:
                 events += 1
-            live |= set(joins)
+            live |= set(range(next_id, next_id + n_join))
+            next_id += n_join
             live -= set(leaves)
-            used |= set(joins)
         assert events / 10_000 == pytest.approx(0.2, abs=0.02)
 
     def test_never_empties_network(self):
         cfg = ChurnConfig(mu=1.0, join_count=CountRange(0, 0), leave_count=CountRange(5, 5))
         rng = Random(2)
-        live = {4}
-        joins, leaves = churn_step(cfg, rng, 1, live)
-        assert leaves == [] and joins == []
-        joins, leaves = churn_step(cfg, rng, 2, {4, 9})
-        assert len(leaves) == 1
-
-    def test_departed_ids_not_reissued(self):
-        cfg = ChurnConfig(mu=1.0, join_count=CountRange(1, 1), leave_count=CountRange(0, 0))
-        rng = Random(5)
-        joins, _ = churn_step(cfg, rng, 1, live={1, 2}, used={1, 2, 3, 4})
-        assert joins == [5]
+        assert churn_step(cfg, rng, {4}) == (0, [])
+        n_join, leaves = churn_step(cfg, rng, {4, 9})
+        assert n_join == 0 and len(leaves) == 1
 
     def test_leavers_come_from_live_set(self):
         cfg = ChurnConfig(mu=1.0, join_count=CountRange(0, 0), leave_count=CountRange(2, 2))
         rng = Random(9)
         live = {3, 8, 12, 20}
-        _, leaves = churn_step(cfg, rng, 1, live)
-        assert set(leaves) <= live and len(leaves) == 2
+        _, leaves = churn_step(cfg, rng, live)
+        assert set(leaves) <= live and len(leaves) == 2 and leaves == sorted(leaves)
 
 
 class TestAdversaries:

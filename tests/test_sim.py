@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 from conftest import collection, flip_tag_bit, reported_rss, young_count
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
@@ -36,6 +36,7 @@ from lp3pss.recording import (
 )
 from lp3pss.scenario import (
     ALWAYS_FLIP,
+    HONEST,
     RANDOM_FLIP,
     STUCK_AT,
     AdversaryProfile,
@@ -165,6 +166,21 @@ class TestDriver:
         result = run_simulation(config)
         assert [r.beta for r in result.rounds] == [0] + [1] * 7
         assert result.rounds[-1].result.n_live == 12
+
+    def test_each_joiner_is_minted_above_every_id_before_it(self):
+        config = SimulationConfig(
+            SensingConfig(n=3, rounds=12, seed=5),
+            churn=ChurnConfig(mu=0.8, join_count=CountRange(0, 2), leave_count=CountRange(0, 3)),
+        )
+        result = run_simulation(config)
+        roster, highest = [1, 2, 3], 3
+        for record in result.rounds:
+            assert list(record.joins) == list(range(highest + 1, highest + 1 + record.beta))
+            highest += record.beta
+            roster = sorted(set(roster) - set(record.leaves) | set(record.joins))
+            assert list(record.roster) == roster
+        assert any(r.joins for r in result.rounds) and any(r.leaves for r in result.rounds)
+        assert sorted(result.fc.records) == roster
 
 
 # One count raised by one at round 1 of a run of 3 users with no churn, and
@@ -688,6 +704,90 @@ def small_configs(draw, max_n=6, max_rounds=6):
 @given(config=small_configs(max_n=8, max_rounds=4))
 def test_small_random_runs_conform_to_the_model(config):
     result = run_simulation(config)
+    assert verify_computation_counts(result).ok, result.fold.computation[:3]
+    assert verify_communication_counts(result).ok, result.fold.communication[:3]
+
+
+# one field each, set to a value outside its range or of the wrong type
+_BAD_FIELDS = [
+    ("sensing", "n", 0),
+    ("sensing", "n", True),
+    ("sensing", "rounds", 0),
+    ("sensing", "rounds", 2.0),
+    ("sensing", "seed", -1),
+    ("sensing", "seed", 2**63),
+    ("sensing", "p_f", 0.0),
+    ("sensing", "p_f", 1e-320),
+    ("sensing", "p_m", 1.0),
+    ("sensing", "tau", -1),
+    ("sensing", "tau", 65536),
+    ("sensing", "busy_prob", 1.5),
+    ("sensing", "report_loss_prob", 1.0),
+    ("churn", "mu", 1.5),
+    ("churn", "join", [3, 1]),
+    ("churn", "leave", [0]),
+    ("channel", "mu1", 70000),
+    ("channel", "sigma", 0.0),
+    ("crypto", "domain_bits", 33),
+    ("crypto", "range_bits", 64),
+    ("adversary", "0", {"kind": HONEST}),
+    ("adversary", "2", {"kind": RANDOM_FLIP, "flip_prob": 2.0}),
+]
+
+
+@st.composite
+def small_raw_configs(draw):
+    """A JSON config document of at most 6 users and 4 rounds. Each field is
+    left out or drawn from its range, with leaves past ``n``, adversaries on
+    ids that may never be keyed and every behaviour, OPE widths and
+    channels that do not fit together among them; half of the documents
+    then get one field from ``_BAD_FIELDS``."""
+    pair = st.tuples(st.integers(0, 4), st.integers(0, 4)).map(sorted)
+    behavior = st.fixed_dictionaries(
+        {"kind": st.sampled_from([HONEST, ALWAYS_FLIP, RANDOM_FLIP, STUCK_AT])},
+        optional={"flip_prob": st.sampled_from([0.0, 0.5, 1.0]), "stuck_bit": st.sampled_from([0, 1])},
+    )
+    domain_bits = draw(st.sampled_from([8, 12, 16, 32]))
+    raw = {
+        "sensing": draw(st.fixed_dictionaries(
+            {"n": st.integers(1, 6), "rounds": st.integers(1, 4), "seed": st.sampled_from([0, 7, 2**63 - 1])},
+            optional={
+                "p_f": st.sampled_from([0.01, 0.1, 0.3]),
+                "p_m": st.sampled_from([0.1, 0.45, 0.6]),
+                "tau": st.sampled_from([0, 1500, 3000, 4095, None]),
+                "busy_prob": st.sampled_from([0.0, 0.5, 1.0]),
+                "report_loss_prob": st.sampled_from([0.0, 0.3, 0.99]),
+            },
+        )),
+        "churn": draw(st.fixed_dictionaries(
+            {}, optional={"mu": st.sampled_from([0.0, 0.5, 1.0]), "join": pair, "leave": pair.map(lambda p: [p[0], 2 * p[1]])}
+        )),
+        "channel": draw(st.fixed_dictionaries(
+            {}, optional={"mu0": st.just(100), "mu1": st.just(4000), "sigma": st.sampled_from([None, 5.0, 800.0, 1e300])}
+        )),
+        "crypto": draw(st.fixed_dictionaries(
+            {}, optional={"domain_bits": st.just(domain_bits), "range_bits": st.integers(domain_bits + 8, 63)}
+        )),
+        "adversary": draw(st.dictionaries(st.sampled_from(["1", "2", "5", "9"]), behavior, max_size=3)),
+    }
+    if draw(st.booleans()):
+        section, key, value = draw(st.sampled_from(_BAD_FIELDS))
+        raw[section][key] = value
+    return raw
+
+
+@settings(max_examples=50)
+@given(raw=small_raw_configs())
+def test_every_small_config_is_refused_or_runs_to_its_end(raw):
+    try:
+        config = config_from_dict(raw)
+        config.resolve_channel()  # run_simulation's first step, where the channel is checked
+    except ConfigError as exc:
+        event(f"refused: {str(exc).split(':')[0]}")
+        return
+    event("ran")
+    result = run_simulation(config)
+    assert len(result.rounds) == config.sensing.rounds
     assert verify_computation_counts(result).ok, result.fold.computation[:3]
     assert verify_communication_counts(result).ok, result.fold.communication[:3]
 
