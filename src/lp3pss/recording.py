@@ -36,10 +36,13 @@ the writer writes them:
 ``direction`` strings, ``meta`` an object and ``tag`` one of the
 ``ViewTag`` strings. Other fields are ignored. A line that repeats a line
 of the previous round but for its round digits is read without a decode,
-and its event shares that line's meta (``iter_transcript`` says when this
-holds and why it reads what a decode would). So loaded metas, like
-recorded ones, may be shared and must not be written. Reading holds one
-line, its event and the line shapes of two rounds.
+and its event shares that line's meta. So is a line that differs from one
+of the previous round only in its round and in the integer ``value`` that
+ends its meta; its event gets its own copy of that meta, with the new
+value, holding the same key and string objects (``iter_transcript`` says
+when each holds and why it reads what a decode would). So loaded metas,
+like recorded ones, may be shared and must not be written. Reading holds
+one line, its event and the line shapes of two rounds.
 """
 
 from __future__ import annotations
@@ -480,6 +483,10 @@ _WRITER_TAIL = re.compile(r'"size_bytes":[0-9]+,"tag":"[A-Z_]+"}').fullmatch
 # A round text that is one JSON number token and that int() reads as the
 # decoder does: ASCII digits, no leading zero, fewer than 19 digits.
 _CANONICAL_ROUND = re.compile(r"0|[1-9][0-9]{0,17}").fullmatch
+# What ends a head after its last colon when the meta's last member is an
+# integer ``value``: one JSON integer token that int() reads as the decoder
+# does, of at most 19 digits (every 63-bit OPE value), and the meta's ``}``.
+_VALUE_END = re.compile(r"(-?(?:0|[1-9][0-9]{0,18}))}").fullmatch
 
 
 def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
@@ -498,9 +505,22 @@ def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
     entity, direction, tag, size and meta, is kept under its head for the
     round whose digits it carries and the round after; a line of the next
     round with the same head and rest is built from that shape, with no
-    decode, and its meta is the same object. Every other line is decoded
-    by ``_parse_event``. So events loaded may share metas, and a caller
-    must not write to a loaded meta, as to a recorded one.
+    decode, and its meta is the same object. So events loaded may share
+    metas, and a caller must not write to a loaded meta, as to a recorded
+    one.
+
+    Most other lines differ from a line of the previous round only in
+    their round and in the integer ``value`` that ends their meta: each
+    user's reading and the gateway's decryption of it. A shape is also
+    kept, in a second table, under its head up to the last colon, when the
+    head ends with ``,"meta":`` and ``compact_json`` of the line's meta,
+    and that meta's last member is an integer ``value``. A line of the next
+    round whose head, cut at its last colon, finds such a shape, whose
+    rest is the shape's and whose head ends, after that colon, in one
+    integer token and ``}`` (``_VALUE_END``), is built from the shape with
+    a copy of its meta whose ``value`` is that integer, with no decode.
+    Its meta is its own dict, holding the decoded line's keys and strings.
+    Every other line is decoded by ``_parse_event``.
 
     Why a hit decodes to the same record but for its round. A shape is
     kept only from a line that decoded, whose round digits are canonical
@@ -514,11 +534,28 @@ def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
     top-level one, and the tail holds no later ``round`` key that the
     decoder would read instead. A line with the same head and rest and
     other canonical digits differs in that one number token only.
+
+    Why a value hit decodes to the same record but for its round and its
+    meta's ``value``. By the argument above, ``,"meta":`` is a member key
+    too, and the text after it, ``compact_json`` of the decoded meta, is
+    one whole JSON value; the member that follows it is the top-level
+    ``round``, so this ``meta`` is a member of the top-level object and the
+    last one, the one the decoder reads. That text has no duplicate keys
+    and ends in its last member, ``"value":``, the integer's digits (no
+    colon among them) and ``}``. So the head's last colon is that
+    member's, and what follows it up to the ``}`` is the integer token of
+    the meta's ``value``, not of a field the reader ignores. A line with
+    the same text up to that colon and the same rest, and other canonical
+    round digits and integer token, differs in those two number tokens
+    only; its meta is the kept one with ``value`` set, in the same place.
     """
     # head -> (rest, entity, direction, tag, size_bytes, meta) of the
     # previous and the current round: one shape per head, the last kept
     prev: dict[str, tuple] = {}
     cur: dict[str, tuple] = {}
+    # head up to its last colon -> shape, for lines that end in a value
+    prev_values: dict[str, tuple] = {}
+    cur_values: dict[str, tuple] = {}
     tails: dict[str, bool] = {}  # this round's rests: each the writer's tail or not
     round_text: str | None = None
     round_: int | None = None
@@ -533,9 +570,10 @@ def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
             if _CANONICAL_ROUND(digits):
                 round_ = int(digits)
                 prev, cur, tails = cur, {}, {}
+                prev_values, cur_values = cur_values, {}
             else:  # no shape is found or kept until the digits are canonical
                 round_ = None
-                prev = cur = {}
+                prev = cur = prev_values = cur_values = {}
         shape = prev.get(head)
         if shape is not None:
             known, entity, direction, tag, size_bytes, meta = shape
@@ -543,6 +581,16 @@ def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
                 cur[head] = shape
                 yield ViewEvent(round_, entity, direction, tag, size_bytes, meta)
                 continue
+        else:
+            stem, _, end = head.rpartition(":")
+            shape = prev_values.get(stem)
+            if shape is not None and shape[0] == rest:
+                value = _VALUE_END(end)
+                if value is not None:
+                    cur_values[stem] = shape
+                    _, entity, direction, tag, size_bytes, meta = shape
+                    yield ViewEvent(round_, entity, direction, tag, size_bytes, {**meta, "value": int(value[1])})
+                    continue
         try:
             event = _parse_event(line)
         except (ValueError, RecursionError) as exc:
@@ -552,7 +600,14 @@ def iter_transcript(lines: Iterable[str]) -> Iterator[ViewEvent]:
             if writers is None:
                 writers = tails[rest] = _WRITER_TAIL(rest) is not None
             if writers:
-                cur[head] = (rest, event.entity, event.direction, event.tag, event.size_bytes, event.meta)
+                meta = event.meta
+                shape = cur[head] = (rest, event.entity, event.direction, event.tag, event.size_bytes, meta)
+                if (
+                    type(meta.get("value")) is int
+                    and next(reversed(meta)) == "value"
+                    and head.endswith(',"meta":' + compact_json(meta))
+                ):
+                    cur_values[head.rpartition(":")[0]] = shape
         yield event
 
 
@@ -600,9 +655,11 @@ def load_transcript(lines: Iterable[str]) -> list[ViewEvent]:
     a list, read in full before returning, and stays so: callers such as
     ``perfbench/worker.py`` check it after closing the file. Events read
     from lines that repeat a line of the previous round but for the round
-    share that line's meta object (see ``iter_transcript``): a caller must
-    not write to a loaded meta. Beyond the list, memory holds one line and
-    the line shapes of two rounds.
+    share that line's meta object, and events read from lines that also
+    differ in their meta's integer ``value`` hold a copy of it, sharing its
+    keys and strings (see ``iter_transcript``): a caller must not write to
+    a loaded meta. Beyond the list, memory holds one line and the line
+    shapes of two rounds.
 
     The read runs under ``collection_paused``: automatic garbage
     collection is paused while the events are built, and on return or

@@ -151,6 +151,10 @@ class ChannelSpec:
     min_dbm: float = -110.0
     step_dbm: float = 0.01
 
+    def __post_init__(self) -> None:
+        if not self.step_dbm > 0:  # the grid reads min_dbm + step_dbm * value
+            raise ConfigError("channel.step_dbm: must be > 0")
+
 
 @dataclass(frozen=True)
 class SimulationConfig:

@@ -148,6 +148,8 @@ def test_simulate_rejects_misshapen_config(tmp_path, capsys, doc, flags):
         ({"output": {"transcript": ""}}, "output.transcript"),
         ({"sensing": {"p_f": 1e-320}}, "sensing.p_f: 1e-320 is too small"),
         ({"sensing": {"p_m": 1e-17}}, "sensing.p_m: 1e-17 is too small"),
+        ({"channel": {"step_dbm": -5}}, "channel.step_dbm: must be > 0"),
+        ({"channel": {"step_dbm": 0}}, "channel.step_dbm: must be > 0"),
     ],
 )
 def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, field):
@@ -158,7 +160,7 @@ def test_simulate_rejects_ill_typed_or_unusable_field(tmp_path, capsys, doc, fie
                  "--out", str(tmp_path / "r.json")])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert err.startswith("config error: ") and field in err
+    assert err.startswith("config error: ") and field in err and "Traceback" not in err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lp3pss import entities as entities_module
+from lp3pss import recording as recording_module
 from lp3pss import sim as sim_module
 from lp3pss.cli import main
 from lp3pss.entities import MsgPhase, unpack_decision_vector
@@ -669,22 +670,49 @@ def with_round(line: str, text: str) -> str:
 
 
 def record_text(items: list[tuple[str, object]]) -> str:
-    return "{" + ",".join(f"{json.dumps(k)}:{compact_json(v)}" for k, v in items) + "}"
+    return fields_text([(k, compact_json(v)) for k, v in items])
+
+
+def fields_text(fields: list[tuple[str, str]]) -> str:
+    """An object's text from its keys and the texts of its members, in order."""
+    return "{" + ",".join(f"{json.dumps(k)}:{text}" for k, text in fields) + "}"
+
+
+def with_value(line: str, text: str) -> str:
+    """The line with what follows the last colon before its last ``,"round":``,
+    up to that round, replaced by ``text`` and a ``}``: for a line whose meta
+    ends in an integer ``value``, that value's token."""
+    head, key, after = line.rpartition(',"round":')
+    stem, colon, _ = head.rpartition(":")
+    return stem + colon + text + "}" + key + after
+
+
+def ends_in_int_value(line: str) -> bool:
+    meta = json.loads(line)["meta"]
+    return type(meta.get("value")) is int and list(meta)[-1] == "value"
 
 
 SMALL_TRANSCRIPT = dump(run_simulation(SimulationConfig(SensingConfig(n=2, rounds=3, seed=1))).recorder)
 # text that makes a round the writer never writes, or no JSON integer at all
 ODD_ROUNDS = ["01", "-1", "1.0", "1e2", " 1", "1234567890123456789", "١"]
+# text in place of a meta's integer value: the odd rounds, other JSON values,
+# the largest 63-bit integer and an integer of 20 digits, one more than a
+# value read without a decode may have
+ODD_VALUE_TEXTS = [*ODD_ROUNDS, "true", "1.5", '"7"', "9223372036854775807", "12345678901234567890"]
 
 
 @st.composite
 def mutated_copy(draw, line: str, t: int) -> str:
     """A copy of a round-t line for round t+1, mutated so that a reader which
-    trusted the text around its round could misread it."""
+    trusted the text around its round, or around its meta's value, could
+    misread it."""
     record = json.loads(line)
     record["round"] = t + 1
     items = sorted(record.items())
-    kind = draw(st.sampled_from(["round", "second round", "meta last", "whitespace", "reorder", "trailing"]))
+    kind = draw(st.sampled_from([
+        "round", "second round", "meta last", "whitespace", "reorder", "trailing",
+        "value", "second value", "value not last", "value outside the meta",
+    ]))
     if kind == "round":
         return with_round(line, draw(st.sampled_from(ODD_ROUNDS)))
     if kind == "second round":
@@ -695,6 +723,28 @@ def mutated_copy(draw, line: str, t: int) -> str:
         tail = [("round", t), ("size_bytes", record["size_bytes"]), ("tag", record["tag"])]
         meta = record_text([*sorted(record["meta"].items()), *tail])
         return record_text([(k, v) for k, v in items if k != "meta"])[:-1] + ',"meta":' + meta + "}"
+    if kind == "value":
+        return with_value(with_round(line, str(t + 1)), draw(st.sampled_from(ODD_VALUE_TEXTS)))
+    meta = sorted(record["meta"].items())
+    value = [(k, v) for k, v in meta if k == "value"] or [("value", 5)]
+    others = [(k, v) for k, v in meta if k != "value"]
+    extra: list = []
+    if kind == "second value":
+        second = [("value", draw(st.integers(0, 9)))]
+        meta = [*second, *meta] if draw(st.booleans()) else [*meta, *second]
+    elif kind == "value not last":
+        # first, or before a key that sorts after it
+        meta = [*value, *others] if draw(st.booleans()) else [*meta, ("w", draw(st.integers(0, 9)))]
+    elif kind == "value outside the meta":
+        # the value, moved or copied, into a field the reader ignores, whose
+        # text ends as such a meta's would, just before the round
+        extra = [("x", record_text([("a", 1), *value]))]
+        if draw(st.booleans()):
+            meta = others
+    if kind in ("second value", "value not last", "value outside the meta"):
+        fields = [(k, record_text(meta) if k == "meta" else compact_json(v)) for k, v in items]
+        at = [k for k, _ in fields].index("round")
+        return fields_text([*fields[:at], *extra, *fields[at:]])
     text = record_text(items)
     if kind == "whitespace":
         at = draw(st.integers(1, len(text) - 1))
@@ -704,16 +754,22 @@ def mutated_copy(draw, line: str, t: int) -> str:
     return text + draw(st.sampled_from(["x", " ", "{}", ",", '"', "\\", ',"round":1']))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(st.data())
 def test_reader_reads_what_the_strict_parse_reads(data):
     lines = SMALL_TRANSCRIPT.splitlines(keepends=True)
-    # a line of round 1 or later: the next round's copy would find its shape
-    at = data.draw(st.sampled_from([i for i, line in enumerate(lines) if json.loads(line)["round"] >= 1]))
+    # a line of round 1 or later: the next round's copy would find its shape;
+    # half of the time one whose meta ends in an integer value
+    later = [i for i, line in enumerate(lines) if json.loads(line)["round"] >= 1]
+    valued = [i for i in later if ends_in_int_value(lines[i])]
+    at = data.draw(st.sampled_from(data.draw(st.sampled_from([later, valued]))))
     t = json.loads(lines[at])["round"]
     copy_ = data.draw(mutated_copy(lines[at].rstrip("\n"), t))
-    # then the copy and the line again, each with the next round's digits
+    # then the copy and the line again, each with the next round's digits,
+    # and each once more with another integer after its last colon
     again = [with_round(copy_, str(t + 2)) + "\n", with_round(lines[at], str(t + 2))]
+    other = str(data.draw(st.integers(-3, 10**6)))
+    again += [with_value(line.rstrip("\n"), other) + "\n" for line in again]
     stream = [*lines[: at + 1], copy_ + "\n", *again, *lines[at + 1 :]]
     assert read(stream) == strict_read(stream)
 
@@ -734,6 +790,41 @@ def test_loaded_events_of_one_shape_share_one_meta():
     assert len(every_round) >= 4 * 3  # each user's two operations and report, at least
     for shape_events in every_round:
         assert len({id(e.meta) for e in shape_events}) == 1, shape_events[0]
+
+
+def test_events_read_from_value_repeats_share_their_decoded_lines_keys_and_strings(monkeypatch):
+    # churn, lost reports and all three adversary kinds; the lines decoded
+    # are those the strict parse was called on
+    result = run_simulation(eventful_config())
+    decoded: list = []
+
+    def parse(line):
+        decoded.append(_parse_event(line))
+        return decoded[-1]
+
+    monkeypatch.setattr(recording_module, "_parse_event", parse)
+    events = load_transcript(io.StringIO(dump(result.recorder)))
+    assert events == result.recorder.events
+    decoded_ids = {id(e) for e in decoded}
+    decoded_metas = {id(e.meta) for e in decoded}
+    # an event neither decoded nor sharing a decoded line's meta was built
+    # from a value repeat
+    built = [e for e in events if id(e) not in decoded_ids and id(e.meta) not in decoded_metas]
+    assert len(built) > 2 * len(result.rounds)
+    assert len({id(e.meta) for e in built}) == len(built)
+
+    def shape(e) -> tuple:
+        return (e.entity, e.direction, e.tag, e.size_bytes, [m for m in e.meta.items() if m[0] != "value"])
+
+    source: dict = {}  # shape -> the last decoded event of that shape, so far
+    for e in events:
+        if id(e) in decoded_ids:
+            source[repr(shape(e))] = e
+        elif id(e.meta) not in decoded_metas:
+            kept = source[repr(shape(e))].meta
+            assert list(e.meta)[-1] == "value" and type(e.meta["value"]) is int
+            assert all(a is b for a, b in zip(e.meta, kept, strict=True))
+            assert all(e.meta[k] is kept[k] for k in e.meta if k != "value")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -1,7 +1,10 @@
 """The experiment scripts README documents run to completion at tiny sizes."""
 
 import importlib.util
+import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -183,3 +186,41 @@ def test_code_lines_counts_only_the_lines_that_hold_code(tmp_path):
     proc = run_script(["scripts/code_lines.py", str(module)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"6 {module}\n6 total\n"
+
+
+def checkout_copy(to: Path) -> Path:
+    """What a benchmark run reads of a checkout: the package, perfbench/ and BENCHMARK.json."""
+    for part in ("src", "perfbench"):
+        shutil.copytree(ROOT / part, to / part, ignore=shutil.ignore_patterns("__pycache__", ".perfbench_out"))
+    shutil.copy(ROOT / "BENCHMARK.json", to / "BENCHMARK.json")
+    return to
+
+
+def test_ab_pairs_prints_each_end_to_end_metric_of_the_pairs(tmp_path):
+    parent, change = checkout_copy(tmp_path / "a"), checkout_copy(tmp_path / "b")
+    argv = [
+        "scripts/ab_pairs.py", str(parent), str(change),
+        "--workload", "long", "--pairs", "1", "--seconds", "0.1", "--seed", "3", "--size", "tiny",
+    ]
+    proc = run_script(argv)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header == "long, 1 pairs of 0.1 s, seeds 3-3"
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert len(lines) == len(metrics)
+    for metric, line in zip(metrics, lines):
+        assert re.fullmatch(
+            rf"{metric['name']} \({re.escape(metric['unit'])}, {metric['better']} is better\): "
+            r"parent (\S+) \[\1, \1\], change \S+, [+-]\S+ %, change better in [01] of 1 pairs",
+            line,
+        ), line
+
+
+def test_ab_pairs_refuses_checkouts_whose_paths_differ_in_length(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "bb").mkdir()
+    argv = ["scripts/ab_pairs.py", str(tmp_path / "a"), str(tmp_path / "bb"),
+            "--workload", "long", "--pairs", "1", "--seconds", "1", "--seed", "1"]
+    proc = run_script(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "differ in length" in proc.stderr

@@ -728,6 +728,7 @@ _BAD_FIELDS = [
     ("churn", "leave", [0]),
     ("channel", "mu1", 70000),
     ("channel", "sigma", 0.0),
+    ("channel", "step_dbm", 0),
     ("crypto", "domain_bits", 33),
     ("crypto", "range_bits", 64),
     ("adversary", "0", {"kind": HONEST}),
@@ -968,6 +969,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             config_from_dict(raw)
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("step", [0, 0.0, -0.0, -5, -1e-300])
+    def test_a_non_positive_dbm_step_is_refused(self, step):
+        raw = {"sensing": {"n": 1, "rounds": 1, "seed": 1}, "channel": {"step_dbm": step}}
+        with pytest.raises(ConfigError) as err:
+            config_from_dict(raw)
+        assert str(err.value) == "channel.step_dbm: must be > 0"
+        config_from_dict({**raw, "channel": {"step_dbm": 5e-324}})  # the least positive step is a grid
 
     def test_tau_must_fit_domain(self):
         config = SimulationConfig(
