@@ -13,7 +13,11 @@ standard error and, after printing every line, exits with status 1.
 On standard error it also prints, for each run, the number of events the
 run appended and that number per user-round (the sum over rounds of the
 live users), so that a change to the event layout can state its event
-arithmetic; standard output is only the digest lines.
+arithmetic, and how many of the transcript's lines ``load_transcript``
+decoded, out of how many: the reader builds the others from lines it
+decoded before. It counts the decodes by wrapping
+``recording._parse_event`` while it reads. Standard output is only the
+digest lines.
 
 Usage, from the root of the repository:
 
@@ -34,14 +38,32 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 from workloads import SIZES, make_config  # noqa: E402
 
+from lp3pss import recording  # noqa: E402
 from lp3pss.recording import load_transcript  # noqa: E402
 from lp3pss.sim import config_from_dict, run_simulation  # noqa: E402
 
 
-def digests(workload: str, seed: int, size: str) -> tuple[str, str, bool, int, int]:
+def load_counting_decodes(text: str) -> tuple[list, int]:
+    """``load_transcript`` of ``text``, and how many of its lines it decoded."""
+    parse = recording._parse_event
+    decoded = 0
+
+    def counted(line: str):
+        nonlocal decoded
+        decoded += 1
+        return parse(line)
+
+    recording._parse_event = counted
+    try:
+        return load_transcript(io.StringIO(text)), decoded
+    finally:
+        recording._parse_event = parse
+
+
+def digests(workload: str, seed: int, size: str) -> tuple[str, str, bool, int, int, int]:
     """sha256 of the report JSON and of the transcript of one run, whether
-    the transcript reads back as the run's events, the number of events and
-    the number of user-rounds."""
+    the transcript reads back as the run's events, the number of events,
+    the number of user-rounds and the number of transcript lines decoded."""
     result = run_simulation(config_from_dict(make_config(workload, seed, size)))
     fh = io.StringIO()
     result.recorder.dump_transcript(fh)
@@ -49,9 +71,10 @@ def digests(workload: str, seed: int, size: str) -> tuple[str, str, bool, int, i
     report = hashlib.sha256(result.report_json().encode()).hexdigest()
     transcript = hashlib.sha256(text.encode()).hexdigest()
     events = result.recorder.events
-    reloads = load_transcript(io.StringIO(text)) == events
+    loaded, decoded = load_counting_decodes(text)
+    reloads = loaded == events
     user_rounds = sum(r.result.n_live for r in result.rounds)
-    return report, transcript, reloads, len(events), user_rounds
+    return report, transcript, reloads, len(events), user_rounds, decoded
 
 
 def main() -> None:
@@ -63,10 +86,12 @@ def main() -> None:
     failed = False
     for workload in args.workload:
         for seed in args.seed:
-            report, transcript, reloads, events, user_rounds = digests(workload, seed, args.size)
+            report, transcript, reloads, events, user_rounds, decoded = digests(workload, seed, args.size)
             print(f"{workload} seed={seed} report={report} transcript={transcript}")
+            # the transcript has one line per event
             print(
-                f"{workload} seed={seed} events={events} per_user_round={events / user_rounds:.3f}",
+                f"{workload} seed={seed} events={events} per_user_round={events / user_rounds:.3f}"
+                f" decoded_lines={decoded}/{events}",
                 file=sys.stderr,
             )
             if not reloads:

@@ -55,7 +55,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _path(text: str) -> Path:
-    # Path("") is the working directory, which open() refuses only after the run
+    # Path("") is the working directory: open() would refuse it only after
+    # the work, naming "." where the user typed nothing
     if not text:
         raise argparse.ArgumentTypeError("expected a path, got an empty string")
     return Path(text)
@@ -105,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run one simulation and write the report")
-    sim.add_argument("--config", type=Path, help="JSON config file (flags override)")
+    sim.add_argument("--config", type=_path, help="JSON config file (flags override)")
     sim.add_argument("--n", type=int, help="number of users")
     sim.add_argument("--rounds", type=int, help="sensing periods")
     sim.add_argument("--seed", type=int, required=True, help="run seed (no ambient randomness)")
@@ -133,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma list from lp3pss,lpos,ppss,pdaft",
     )
     cost.add_argument("--n", type=_int_list, default=[10, 100, 500], help="comma list of n")
-    cost.add_argument("--out", type=Path, required=True)
+    cost.add_argument("--out", type=_path, required=True)
     cost.add_argument("--blck", type=int, default=256, help="logical ciphertext bits")
     cost.add_argument("--gamma", type=int, default=10)
     cost.add_argument("--y", type=int, default=3)
@@ -141,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cost.add_argument("--beta", type=float, default=5.0)
 
     verify = sub.add_parser("verify", help="leakage-check a JSONL transcript")
-    verify.add_argument("--transcript", type=Path, required=True)
+    verify.add_argument("--transcript", type=_path, required=True)
 
     return parser
 

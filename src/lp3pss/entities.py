@@ -27,7 +27,9 @@ the threshold or the voting threshold in any form.
 phase, subject and round, framed with AES-GCM, and logged: every event of
 a message is appended there, and callers log none of them. The sender's
 event is the send, which counts its encryption; the receiver's are the
-receipt and the decryption, which holds the payload.
+receipt and the decryption, which holds the payload. Each OPE encryption
+is one event of its own: a user's carries the reading it encrypted, and
+the fusion center's for a user's threshold is opaque.
 """
 
 from __future__ import annotations
@@ -316,7 +318,7 @@ def fc_init(
 def _wrap_tau(fc: FcState, uid: int, recorder: Recorder) -> ProtocolMessage:
     key = fc.ope_keys[uid]
     inner = ope_encrypt(key, fc.tau).to_bytes((key.range_bits + 7) // 8, "big")
-    recorder.user_op(FC_NAME, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, 0, uid)
+    recorder.crypto_op(FC_NAME, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, 0, {"user": uid})
     return seal(fc.gw_key, FC_NAME, GW_NAME, MsgPhase.INIT_C, uid, inner, recorder)
 
 
@@ -348,16 +350,18 @@ def gw_ingest_init(gw: GwState, messages: list[ProtocolMessage], recorder: Recor
 def su_sense_report(su: SuState, rss_q: int, recorder: Recorder) -> ProtocolMessage:
     """Encrypt the user's quantized RSS for the gateway.
 
-    Exactly one OPE encryption plus one channel encryption per report.
+    Exactly one OPE encryption plus one channel encryption per report, and
+    two events: the OPE encryption, which carries the reading it encrypted
+    (a ``PLAINTEXT_VALUE`` of kind ``rss`` that only this user may see),
+    and the report as sent.
     """
     if not 0 <= rss_q < su.ope_key.domain_size:
         raise ValueError(f"RSS {rss_q} outside OPE domain")
     me = su.name
-    recorder.observe(
-        me, ViewTag.PLAINTEXT_VALUE, "local", {"kind": "rss", "user": su.uid, "value": rss_q}
-    )
     inner = ope_encrypt(su.ope_key, rss_q).to_bytes((su.ope_key.range_bits + 7) // 8, "big")
-    recorder.user_op(me, OPE_ENC, ViewTag.OPAQUE_CIPHERTEXT, 0, su.uid)
+    recorder.crypto_op(
+        me, OPE_ENC, ViewTag.PLAINTEXT_VALUE, 0, {"kind": "rss", "user": su.uid, "value": rss_q}
+    )
     return seal(su.gw_key, me, GW_NAME, MsgPhase.REPORT, su.uid, inner, recorder)
 
 

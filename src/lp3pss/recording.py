@@ -175,19 +175,20 @@ class Recorder:
     * ``vote`` counts the gateway's ``COMPARE``: the comparison gave the
       bit, and the OPE values it compared are in the gateway's
       decryption events already;
-    * ``crypto_op`` and ``user_op`` each count the op in their meta, one
-      ``OPE_ENC`` or ``AEAD_DEC`` of their entity, round and phase;
+    * ``crypto_op`` counts the op in its meta, one ``OPE_ENC`` or
+      ``AEAD_DEC`` of its entity, round and phase. A user's ``OPE_ENC``
+      carries the reading it encrypted, so the encryption and what the
+      user knows of it are one event;
     * ``message_delivered`` counts the message and its bytes on its
       link and, in the sensing phase, its bytes and one logical
       ciphertext in its round;
     * ``protocol_error`` adds its row to the protocol errors;
     * ``observe`` counts nothing.
 
-    Three entry points give their events a meta shared by every event
-    that carries it, built once per run and kept in a memo keyed by the
-    fields that fix it (so it holds a few metas per user ever keyed):
+    Two kinds of meta are shared by every event that carries one, each
+    built once per run and kept in a memo keyed by the fields that fix it
+    (so it holds a few metas per user ever keyed):
 
-    * ``user_op`` is ``crypto_op`` with ``{"user": user, "op": op}``;
     * ``message_sent`` and ``message_delivered`` give a message the header
       ``{"phase": phase, "subject": subject, "link": "sender->receiver"}``
       (no ``subject`` when it is None), one per link, phase and subject;
@@ -211,8 +212,8 @@ class Recorder:
         self.round = 0
         self.phase = PHASE_INIT
         self.tally = Tally()
-        # the shared metas: (user, op), (sender, receiver, phase, subject)
-        # and ("vote", user, bit) to the one dict each names
+        # the shared metas: (sender, receiver, phase, subject) and
+        # ("vote", user, bit) to the one dict each names
         self._shared: dict[tuple, dict] = {}
 
     # -- context ---------------------------------------------------------
@@ -232,14 +233,6 @@ class Recorder:
         """``op`` is ``OPE_ENC`` or ``AEAD_DEC``; an ``AEAD_ENC`` is counted
         by ``message_sent`` and a ``COMPARE`` by ``vote``."""
         meta["op"] = op
-        self._append_op(entity, op, _DIRECTION[op], tag, size_bytes, meta)
-
-    def user_op(self, entity: str, op: str, tag: str, size_bytes: int, user: int) -> None:
-        """``crypto_op`` with the shared meta of ``user`` and ``op``."""
-        try:
-            meta = self._shared[user, op]
-        except KeyError:
-            meta = self._shared[user, op] = {"user": user, "op": op}
         self._append_op(entity, op, _DIRECTION[op], tag, size_bytes, meta)
 
     def _append_op(self, entity: str, op: str, direction: str, tag: str, size_bytes: int, meta: dict) -> None:
@@ -298,6 +291,8 @@ class Recorder:
         direction: str = "computed",
         meta: dict | None = None,
     ) -> None:
+        """Log what ``entity`` learns with no op of its own, counting
+        nothing: the baseline's readings and sum (``observability.run_baseline``)."""
         if meta is None:
             meta = {}
         self.events.append(ViewEvent(self.round, entity, direction, tag, 0, meta))

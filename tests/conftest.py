@@ -29,11 +29,11 @@ def inject_event(events, entity: str, tag: str, meta: dict, round_: int = 1) -> 
 
 def reported_rss(events) -> dict[tuple[int, int], int]:
     """Each (round, user)'s reported RSS, after the adversary step: the
-    value of the user's own ``rss`` event."""
+    value of the user's OPE encryption, the ``encrypt`` event of kind ``rss``."""
     return {
         (e.round, e.meta["user"]): e.meta["value"]
         for e in events
-        if e.direction == "local" and e.meta.get("kind") == "rss"
+        if e.direction == "encrypt" and e.meta.get("kind") == "rss"
     }
 
 

@@ -196,7 +196,7 @@ def test_simulate_rejects_config_that_is_not_utf8(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-@pytest.mark.parametrize("flag", ["--transcript", "--out"])
+@pytest.mark.parametrize("flag", ["--transcript", "--out", "--config"])
 def test_simulate_refuses_an_empty_path_before_the_run(tmp_path, monkeypatch, capsys, flag):
     monkeypatch.chdir(tmp_path)
     paths = {"--out": "r.json", "--transcript": "t.jsonl", flag: ""}
@@ -205,7 +205,24 @@ def test_simulate_refuses_an_empty_path_before_the_run(tmp_path, monkeypatch, ca
     captured = capsys.readouterr()
     assert captured.out == ""  # nothing ran
     assert f"argument {flag}: expected a path, got an empty string" in captured.err
+    assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []  # no report file, no transcript
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["costs", "--out", ""], "--out"), (["verify", "--transcript", ""], "--transcript")],
+    ids=["costs-out", "verify-transcript"],
+)
+def test_costs_and_verify_refuse_an_empty_path_before_any_work(tmp_path, monkeypatch, capsys, argv, flag):
+    # Path("") would be the working directory, and open() would name "."
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a path, got an empty string" in captured.err
+    assert "Traceback" not in captured.err and "'.'" not in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(

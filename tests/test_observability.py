@@ -19,8 +19,9 @@ from lp3pss.observability import (
     VIOLATES,
     Violation,
 )
-from lp3pss.recording import FC_NAME, GW_NAME, ViewEvent, ViewTag, user_name
-from lp3pss.scenario import ChurnConfig, CountRange
+from lp3pss import sim as sim_module
+from lp3pss.recording import FC_NAME, GW_NAME, OPE_ENC, ViewEvent, ViewTag, user_name
+from lp3pss.scenario import ALWAYS_FLIP, AdversaryProfile, Behavior, ChurnConfig, CountRange
 from lp3pss.sim import SensingConfig, SimulationConfig, run_simulation
 
 
@@ -97,6 +98,18 @@ class TestCheckLeakage:
             "U\u00b2": ["unknown entity 'U\u00b2'"],
         }
 
+    @pytest.mark.parametrize("entity", [user_name(1), FC_NAME, GW_NAME])
+    def test_another_users_reading_in_an_encryption_event_violates(self, entity):
+        # a user's OPE encryption carries its reading; the rule reads the tag
+        # and meta, not the direction, so only user 2 may hold this one
+        events = honest_events(n=3, rounds=2)
+        meta = {"kind": "rss", "user": 2, "value": 7, "op": OPE_ENC}
+        mutant = [*events, ViewEvent(1, entity, "encrypt", ViewTag.PLAINTEXT_VALUE, 0, meta)]
+        report = check_leakage(mutant)
+        assert [(v.entity, v.event) for v in report.violations] == [(entity, mutant[-1])]
+        own = ViewEvent(1, user_name(2), "encrypt", ViewTag.PLAINTEXT_VALUE, 0, dict(meta))
+        assert check_leakage([*events, own]).conforms
+
     def test_vote_bit_at_user_violates(self):
         events = inject_event(
             honest_events(), user_name(2), ViewTag.PLAINTEXT_BIT, {"kind": "vote", "user": 5, "bit": 1}
@@ -162,6 +175,39 @@ class TestCheckLeakage:
             (GW_NAME, events[1]), (user_name(1), events[3]), (user_name(1), events[4]), (user_name(1), events[5])
         ]
         assert report.verdicts == {FC_NAME: "conforms", GW_NAME: "violates", user_name(1): "violates"}
+
+
+def test_each_roster_user_sees_one_reading_a_round_its_own_in_its_encryption(monkeypatch):
+    # churn, lost reports and an always-flip adversary: each roster user
+    # reports every round, one whose report is then lost included
+    given_readings = {}  # (round, user) -> the reading its report encrypts
+    honest_sense = sim_module.su_sense_report
+
+    def sense(su, rss_q, recorder):
+        given_readings[recorder.round, su.uid] = rss_q
+        return honest_sense(su, rss_q, recorder)
+
+    monkeypatch.setattr(sim_module, "su_sense_report", sense)
+    config = SimulationConfig(
+        SensingConfig(n=6, rounds=8, seed=3, report_loss_prob=0.2),
+        churn=ChurnConfig(mu=0.8, join_count=CountRange(1, 2), leave_count=CountRange(0, 1)),
+        adversary=AdversaryProfile({2: Behavior(ALWAYS_FLIP)}),
+    )
+    result = run_simulation(config)
+    rounds = result.rounds
+    assert any(r.joins for r in rounds) and any(r.leaves for r in rounds)
+    assert any(len(r.delivered) < len(r.roster) for r in rounds)
+    readings = {}  # (round, entity) -> its events that carry a reading
+    for e in result.recorder.events:
+        if e.tag == ViewTag.PLAINTEXT_VALUE or e.meta.get("kind") == "rss":
+            readings.setdefault((e.round, e.entity), []).append(e)
+    assert set(readings) == {(r.t, user_name(uid)) for r in rounds for uid in r.roster}
+    assert len(given_readings) == len(readings)
+    for (t, entity), events in readings.items():
+        uid = int(entity[1:])
+        meta = {"kind": "rss", "user": uid, "value": given_readings[t, uid], "op": OPE_ENC}
+        assert [(e.direction, e.tag, e.meta) for e in events] == [("encrypt", ViewTag.PLAINTEXT_VALUE, meta)]
+    assert result.leakage.conforms
 
 
 def reference_leakage(events) -> LeakageReport:

@@ -104,12 +104,12 @@ def test_script_rejects_bad_argument_with_usage_error(argv, flag):
 # hashes in test_recording.py, and changed only with a deliberate change to
 # the crypto, the random draws, or the report or transcript format.
 GOLDEN_TINY_DIGESTS = """\
-wide seed=7 report=194a22103a155ee0930503a5e5f3e26b38ba33abad535aa27e290428d7ff34c3 transcript=f23e4f31efbe5955fbe569474fa24e8270282a71876520486934c8fac03056cc
-wide seed=8 report=29580e9d9479677314de950d5b5231e5aa40979b7ca3dcdb3005aa33cc6214e0 transcript=0e3f992248be737efa712ac4195dd65362e040ae4f3b480eaf4290c635358590
-long seed=7 report=aa4b2e3ec5fe04e692198933b083dfcda9cfbb83658770d439ceb383ddb5ecb3 transcript=247c60e4e28ff32f8c99fabc327fcef6f0994767ece5828af9b78929e6bae591
-long seed=8 report=f5f9f4d14f45f834cc3b173bcbc2606472d36b9fedbfc396d2c900ec934061e5 transcript=bfcfdee76bff1d601bcb19d6f9b3d2dd41acf6002b98aca19384fad9eb997438
-churn seed=7 report=400089ea1d698cb694e4f7f1ddffc1b7a7865ee7972875003877d02a9cfe3d94 transcript=6c041b84966b02fcb5000e541dd9c64c7d4eb7c83d53a4b530430bbd6ff10f0c
-churn seed=8 report=af2f55e3bffc0657949204c41cfbf2d2151cc3092132fc4e98acb3d41bcaa64c transcript=2cd1ab07c1031c60fe35b21879c69a4e02c107c9f761a14fd555bf97d51cbc9a
+wide seed=7 report=194a22103a155ee0930503a5e5f3e26b38ba33abad535aa27e290428d7ff34c3 transcript=763d8d06072cc3aa0fc732614b0b578a8b72eabc1cca71954016178ab8dfc339
+wide seed=8 report=29580e9d9479677314de950d5b5231e5aa40979b7ca3dcdb3005aa33cc6214e0 transcript=aabc5448ebb6cbe25275a9bcdac5c498fc3ebe5f2ad276a04ada9bdd0a8cfd2b
+long seed=7 report=aa4b2e3ec5fe04e692198933b083dfcda9cfbb83658770d439ceb383ddb5ecb3 transcript=3f9ab3067068a1fc1ab011372668a1340d82568a52576cf24871ebbee7175f5c
+long seed=8 report=f5f9f4d14f45f834cc3b173bcbc2606472d36b9fedbfc396d2c900ec934061e5 transcript=32ecd77b2bc2a03f2519579bb386f2975d43b2b8748c2eb5021fd87ae0bf8175
+churn seed=7 report=400089ea1d698cb694e4f7f1ddffc1b7a7865ee7972875003877d02a9cfe3d94 transcript=b74b75d1a5e97de2c2d6140ebc7a2adb69cfa5fc9b6a66a2c789d02b6fb60ff3
+churn seed=8 report=af2f55e3bffc0657949204c41cfbf2d2151cc3092132fc4e98acb3d41bcaa64c transcript=897c2b471123b12b6846269738dce47aaaa3a3107d185eace94c6104d9ce48d3
 """
 
 
@@ -131,13 +131,38 @@ def test_output_digests_print_one_line_of_hashes_per_run():
     assert len({line.split()[2] for line in lines}) == 6
     assert runs[0].stdout == GOLDEN_TINY_DIGESTS
     # standard error states each run's event count; the tiny wide and long
-    # runs are honest: 4 events per user at init, 6 per user-round, 3 per round
+    # runs are honest: 4 events per user at init, 5 per user-round, 3 per round
     counts = runs[0].stderr.splitlines()
     assert [line.split()[:2] for line in counts] == [line.split()[:2] for line in lines]
     for workload, (n, rounds) in (("wide", (20, 3)), ("long", (6, 12))):
-        events = 4 * n + 6 * n * rounds + 3 * rounds
+        events = 4 * n + 5 * n * rounds + 3 * rounds
         for seed in (7, 8):
-            assert f"{workload} seed={seed} events={events} per_user_round={events / (n * rounds):.3f}" in counts
+            stated = f"{workload} seed={seed} events={events} per_user_round={events / (n * rounds):.3f} "
+            assert any(line.startswith(stated) for line in counts), stated
+
+
+# What the digests script prints on standard error for the tiny sizes: each
+# run's event count, and how many transcript lines the reader decoded out of
+# how many. Both are as deterministic as the digests; the second changes
+# with the reader or the transcript layout.
+GOLDEN_TINY_COUNTS = """\
+wide seed=7 events=389 per_user_round=6.483 decoded_lines=212/389
+wide seed=8 events=389 per_user_round=6.483 decoded_lines=207/389
+long seed=7 events=420 per_user_round=5.833 decoded_lines=96/420
+long seed=8 events=420 per_user_round=5.833 decoded_lines=77/420
+churn seed=7 events=643 per_user_round=6.698 decoded_lines=386/643
+churn seed=8 events=655 per_user_round=6.823 decoded_lines=398/655
+"""
+
+
+def test_output_digests_count_the_transcript_lines_the_reader_decoded():
+    argv = ["scripts/output_digests.py", "--workload", "wide", "long", "churn", "--seed", "7", "8", "--size", "tiny"]
+    proc = run_script(argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == GOLDEN_TINY_COUNTS
+    for line in proc.stderr.splitlines():
+        decoded, lines = map(int, line.rpartition(" decoded_lines=")[2].split("/"))
+        assert 0 < decoded < lines and f" events={lines} " in line
 
 
 def test_output_digests_exit_1_naming_a_run_whose_transcript_reads_back_otherwise(monkeypatch, capsys):

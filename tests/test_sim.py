@@ -116,10 +116,10 @@ class TestDriver:
         assert result.recorder.tally.logical_per_round() == {1: 11}
 
     @pytest.mark.parametrize("n, rounds", [(1, 1), (3, 2), (12, 5)])
-    def test_honest_run_appends_4n_plus_6nR_plus_3R_events(self, n, rounds):
-        # init: 4 per user; each round: 6 per user, 3 for the decision vector
+    def test_honest_run_appends_4n_plus_5nR_plus_3R_events(self, n, rounds):
+        # init: 4 per user; each round: 5 per user, 3 for the decision vector
         result = small_run(n=n, rounds=rounds)
-        assert len(result.recorder.events) == 4 * n + 6 * n * rounds + 3 * rounds
+        assert len(result.recorder.events) == 4 * n + 5 * n * rounds + 3 * rounds
 
     def test_report_determinism(self):
         config = SimulationConfig(
