@@ -267,26 +267,31 @@ def pair_channel_key(master_seed: bytes, a: str | int, b: str | int) -> AeadKey:
     return AeadKey(_kdf(_kdf(master_seed, f"pair|{label}"), "aead")[:KEY_LEN], label)
 
 
+# A user's keys as ``KeyTable.add_user`` hands them out: its id, its
+# GW<->user channel key and its OPE subkey. Each party keeps its own part.
+UserKeys = tuple[int, AeadKey, OpeKey]
+
+
 @dataclass
 class KeyTable:
-    """All pairwise keys of one deployment: the FC<->GW channel key, one
-    GW<->user channel key per user, and the per-user OPE subkeys shared
-    between the fusion center and each user.
+    """The key source of one deployment: it holds the FC<->GW channel key
+    and hands out each user's keys, the GW<->user channel key and the OPE
+    subkey shared between the fusion center and the user, keeping none of
+    them. Each party keeps the keys it is handed, so a departed user's keys
+    are freed with the parties' copies.
 
     The OPE subkey is expanded from the FC<->user pair secret. The master
     seed is retained so joining users can be keyed later. The table is the
     one place that chooses user ids: ``add_user`` mints ``last_uid + 1``.
     Keys are a pure function of (seed, id), and a fresh key restarts its
     nonce counter, so keying an id twice would reuse AES-GCM nonces; ids
-    only grow, so none is keyed twice, a removed one included.
+    only grow, so none is keyed twice, a departed one included.
     """
 
     master_seed: bytes
     domain_bits: int = 16
     range_bits: int = 32
     fc_gw: AeadKey = field(init=False)
-    gw_user: dict[int, AeadKey] = field(default_factory=dict)
-    ope_user: dict[int, OpeKey] = field(default_factory=dict)
     last_uid: int = field(default=0, init=False)  # the highest id ever keyed
 
     def __post_init__(self) -> None:
@@ -294,35 +299,22 @@ class KeyTable:
             raise ValueError("master seed must be 32 bytes")
         self.fc_gw = pair_channel_key(self.master_seed, FC, GW)
 
-    def add_user(self) -> int:
-        """Key a new user and return its id, one above every id ever keyed."""
+    def add_user(self) -> UserKeys:
+        """Key a new user, one above every id ever keyed, and return its id,
+        its gateway channel key and its OPE subkey."""
         uid = self.last_uid = self.last_uid + 1
         fc_secret = _kdf(self.master_seed, f"pair|{pair_label(FC, uid)}")
-        self.gw_user[uid] = pair_channel_key(self.master_seed, GW, uid)
-        self.ope_user[uid] = OpeKey(
-            _kdf(fc_secret, "ope")[:KEY_LEN], self.domain_bits, self.range_bits
-        )
-        return uid
-
-    def remove_user(self, uid: int) -> None:
-        """Forget the user's keys; no later ``add_user`` mints its id."""
-        if type(uid) is not int or uid not in self.gw_user:  # True would remove user 1
-            raise ValueError(f"user {uid!r} not keyed")
-        del self.gw_user[uid]
-        del self.ope_user[uid]
-
-    def user_ids(self) -> list[int]:
-        return sorted(self.gw_user)
+        ope_key = OpeKey(_kdf(fc_secret, "ope")[:KEY_LEN], self.domain_bits, self.range_bits)
+        return uid, pair_channel_key(self.master_seed, GW, uid), ope_key
 
 
 def derive_pairwise_keys(
     master_seed: bytes, n_users: int, domain_bits: int = 16, range_bits: int = 32
-) -> KeyTable:
-    """Derive the pairwise key table of users 1..``n_users`` from one 32-byte
-    master seed. Deterministic: the same seed and count give a
-    byte-identical table.
+) -> tuple[KeyTable, list[UserKeys]]:
+    """Derive the key table of a deployment from one 32-byte master seed,
+    and key users 1..``n_users`` from it: returns the table and each user's
+    ``add_user`` tuple, in id order. Deterministic: the same seed and count
+    give byte-identical keys.
     """
     table = KeyTable(master_seed, domain_bits, range_bits)
-    for _ in range(n_users):
-        table.add_user()
-    return table
+    return table, [table.add_user() for _ in range(n_users)]

@@ -14,7 +14,8 @@ One sensing period works like this:
   fuses the weighted votes against the voting threshold and updates the
   reputation table;
 * membership update: joiners get fresh pairwise keys and one new wrapped
-  OPE threshold; leavers have their keys and cache entries purged; the
+  OPE threshold; each party drops its copy of a leaver's keys and its
+  cache entry, and no copy is kept anywhere else; the
   voting threshold follows the new population, since the fusion center
   computes it each period over the users present. Existing users are
   untouched.
@@ -43,6 +44,7 @@ from lp3pss.crypto import (
     KeyTable,
     MalformedCiphertext,
     OpeKey,
+    UserKeys,
     aead_decrypt,
     aead_encrypt,
     ope_encrypt,
@@ -74,10 +76,6 @@ class ProtocolError(Exception):
 
 class MessageRefused(ProtocolError):
     """``unseal`` refused a message and recorded why; the reason is the text."""
-
-
-class RoundAborted(ProtocolError):
-    """The decision vector was refused (see ``MessageRefused``); no decision."""
 
 
 class MsgPhase:
@@ -205,7 +203,9 @@ def unseal(
 class FcState:
     """The fusion center's state. ``records`` is also its roster: its keys
     are the live users, each with its reputation, in the order they were
-    keyed."""
+    keyed. It is one dict for the whole run, and each record is updated in
+    place. ``ope_keys`` holds the only copy the fusion center keeps of each
+    live user's OPE subkey."""
 
     tau: int
     alpha: float
@@ -280,26 +280,26 @@ def unpack_decision_vector(roster: list[int], payload: bytes) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def make_su_state(keys: KeyTable, uid: int) -> SuState:
-    return SuState(uid, user_name(uid), keys.ope_user[uid], keys.gw_user[uid])
+def make_su_states(users: list[UserKeys]) -> dict[int, SuState]:
+    return {uid: SuState(uid, user_name(uid), ope_key, gw_key) for uid, gw_key, ope_key in users}
 
 
-def make_su_states(keys: KeyTable) -> dict[int, SuState]:
-    return {uid: make_su_state(keys, uid) for uid in keys.user_ids()}
-
-
-def gw_init(keys: KeyTable) -> GwState:
-    return GwState(fc_key=keys.fc_gw, user_keys=dict(keys.gw_user))
+def gw_init(keys: KeyTable, users: list[UserKeys]) -> GwState:
+    """The gateway's state: its key with the fusion center and each user's
+    channel key, taken from ``users``."""
+    return GwState(fc_key=keys.fc_gw, user_keys={uid: gw_key for uid, gw_key, _ in users})
 
 
 def fc_init(
     tau: int,
     profile: DetectionProfile,
     keys: KeyTable,
+    users: list[UserKeys],
     recorder: Recorder,
 ) -> tuple[FcState, list[ProtocolMessage]]:
-    """Set thresholds and produce the per-user wrapped OPE thresholds."""
-    users = keys.user_ids()
+    """Set thresholds and produce the per-user wrapped OPE thresholds. The
+    fusion center keeps each user's OPE key from ``users`` and its
+    channel key with the gateway from ``keys``."""
     if not users:
         raise ValueError("need at least one user")
     if not 0 <= tau < (1 << keys.domain_bits):
@@ -308,10 +308,10 @@ def fc_init(
         tau=tau,
         alpha=compute_alpha(profile),
         gw_key=keys.fc_gw,
-        ope_keys=dict(keys.ope_user),
-        records={uid: ReputationRecord() for uid in users},
+        ope_keys={uid: ope_key for uid, _, ope_key in users},
+        records={uid: ReputationRecord() for uid, _, _ in users},
     )
-    messages = [_wrap_tau(fc, uid, recorder) for uid in users]
+    messages = [_wrap_tau(fc, uid, recorder) for uid in fc.records]
     return fc, messages
 
 
@@ -415,11 +415,13 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
 
     Absent users contribute nothing to the vote sum, keep their counts,
     and the voting threshold is recomputed over the number of users
-    actually present this round. Every live user's new weight is written
-    into its record in place. A vector that is malformed, fails
-    authentication (tampered, replayed, or packed over another roster) or
-    has the wrong length is refused by ``unseal`` and yields no votes:
-    ``RoundAborted`` is raised with the recorded reason.
+    actually present this round. Each present user's counts and every
+    live user's new weight are written into its record in place. A vector
+    that is malformed, fails authentication (tampered, replayed, or packed
+    over another roster) or has the wrong length is refused by ``unseal``,
+    which records why and raises ``MessageRefused``: the round has no
+    votes, and no record changes. A message of another phase raises
+    ``ProtocolError``.
 
     The fusion center's view of the votes is its decryption of the vector,
     whose meta ``unseal`` gives the payload as ``value``: it logs no event
@@ -429,15 +431,13 @@ def fc_decide(fc: FcState, msg: ProtocolMessage, recorder: Recorder) -> RoundRes
         raise ProtocolError(f"not a decision vector: {msg.phase}")
     roster = sorted(fc.records)
     length = 2 * ((len(roster) + 7) // 8)
-    try:
-        payload = unseal(fc.gw_key, msg, recorder, ViewTag.PLAINTEXT_BIT, "vote_vector", roster, length)
-    except MessageRefused as exc:
-        raise RoundAborted(str(exc)) from exc
+    payload = unseal(fc.gw_key, msg, recorder, ViewTag.PLAINTEXT_BIT, "vote_vector", roster, length)
     bits = unpack_decision_vector(roster, payload)
     lam_round = compute_lambda(len(bits), fc.alpha) if bits else 1
-    outcome = fuse_votes([fc.records[uid].weight for uid in bits], list(bits.values()), lam_round)
-    records = fc.records = update_reputation(fc.records, bits, outcome.decision)
-    weights = compute_weights([records[uid].phi for uid in roster], len(roster))
+    records = fc.records
+    outcome = fuse_votes([records[uid].weight for uid in bits], list(bits.values()), lam_round)
+    update_reputation(records, bits, outcome.decision)
+    weights = compute_weights([records[uid].phi for uid in roster])
     for uid, weight in zip(roster, weights):
         records[uid].weight = weight
     return RoundResult(outcome, bits, n_live=len(roster))
@@ -459,14 +459,19 @@ def handle_membership(
     """Remove the leavers, then key ``n_join`` new users and wrap a
     threshold for each.
 
-    Each joiner's id is minted by ``keys.add_user``, so none was keyed
-    before. Each leaving id must be a live user's, given once, as a plain
-    int (a bool is not one: ``True`` would remove user 1), and a change may
-    not empty the network. Every check runs before any state changes, and
-    a refused change raises ``ProtocolError``. No stored state of any
+    Each joiner's keys come from ``keys.add_user``, which mints its id, so
+    none was keyed before; they go straight to the fusion center, the
+    gateway and the joiner's state, and the key table keeps none. A
+    leaver's keys go with the parties' copies. ``n_join`` must be a plain
+    int >= 0 (a bool is not one). Each leaving id must be a live user's,
+    given once, as a plain int (``True`` would remove user 1), and a change
+    may not empty the network. Every check runs before any state changes,
+    and a refused change raises ``ProtocolError``. No stored state of any
     remaining user changes. Returns states for the joining users, in the
     order their ids were minted.
     """
+    if type(n_join) is not int or n_join < 0:
+        raise ProtocolError(f"join count must be an int >= 0, got {n_join!r}")
     for uid in leaves:
         if type(uid) is not int:
             raise ProtocolError(f"user id must be an int, got {uid!r}")
@@ -478,17 +483,16 @@ def handle_membership(
     if len(leaves) == len(fc.records) and n_join < 1:
         raise ProtocolError("membership change emptied the network")
     for uid in leaves:
-        keys.remove_user(uid)
         del fc.ope_keys[uid]
         del fc.records[uid]
         del gw.user_keys[uid]
         gw.tau_cache.pop(uid, None)  # absent if the leaver's wrapped threshold was refused
     new_states: dict[int, SuState] = {}
     for _ in range(n_join):
-        uid = keys.add_user()
-        fc.ope_keys[uid] = keys.ope_user[uid]
+        uid, gw_key, ope_key = keys.add_user()
+        fc.ope_keys[uid] = ope_key
         fc.records[uid] = ReputationRecord()
-        gw.user_keys[uid] = keys.gw_user[uid]
+        gw.user_keys[uid] = gw_key
         gw_ingest_init(gw, [_wrap_tau(fc, uid, recorder)], recorder)
-        new_states[uid] = make_su_state(keys, uid)
+        new_states[uid] = SuState(uid, user_name(uid), ope_key, gw_key)
     return new_states

@@ -42,9 +42,10 @@ class DetectionProfile:
 
 @dataclass(slots=True)
 class ReputationRecord:
-    """Agreement/disagreement counts plus the current contribution weight,
-    which ``entities.fc_decide`` writes in place, so no two users may share
-    a record. Not frozen, so cheap to build, and not hashable."""
+    """Agreement/disagreement counts plus the current contribution weight.
+    ``update_reputation`` and ``entities.fc_decide`` write them in place,
+    so no two users may share a record. Not frozen, so cheap to build, and
+    not hashable."""
 
     rho: int = 0
     eta: int = 0
@@ -114,38 +115,34 @@ def update_reputation(
     records: Mapping[int, ReputationRecord],
     bits: Mapping[int, int],
     decision: int,
-) -> dict[int, ReputationRecord]:
+) -> None:
     """Credit users whose vote matched the global decision, debit the rest.
 
-    ``bits`` holds only the users present this round. Each present user
-    gets a new record; an absent user's record is the input's own object,
-    shared, not copied. No input record is written.
+    ``bits`` holds only the users present this round, each of them a key
+    of ``records``. Each present user's record gains one to ``rho`` or to
+    ``eta``, in place; an absent user's record, and the mapping itself,
+    are not written.
     """
     if decision not in (0, 1):
         raise ValueError("decision must be 0 or 1")
-    updated: dict[int, ReputationRecord] = {}
-    for uid, record in records.items():
-        bit = bits.get(uid)
-        if bit is None:
-            updated[uid] = record
-        elif bit == decision:
-            updated[uid] = ReputationRecord(record.rho + 1, record.eta, record.weight)
+    for uid, bit in bits.items():
+        record = records[uid]
+        if bit == decision:
+            record.rho += 1
         else:
-            updated[uid] = ReputationRecord(record.rho, record.eta + 1, record.weight)
-    return updated
+            record.eta += 1
 
 
-def compute_weights(phi_values: Sequence[float], n_live: int) -> list[float]:
-    """Normalize credibilities so weights sum to the live-user count.
+def compute_weights(phi_values: Sequence[float]) -> list[float]:
+    """Normalize credibilities so weights sum to the live-user count, the
+    number of scores given.
 
     Uniform credibility therefore yields all-ones weights, keeping the
     weighted vote sum on the same scale as plain vote counting.
     """
     if not phi_values:
         raise ValueError("no credibility scores given")
-    if len(phi_values) != n_live:
-        raise ValueError(f"expected {n_live} scores, got {len(phi_values)}")
     if any(not 0.0 < phi < 1.0 for phi in phi_values):
         raise ValueError("credibility scores must lie in (0, 1)")
-    total = sum(phi_values)
+    n_live, total = len(phi_values), sum(phi_values)
     return [n_live * phi / total for phi in phi_values]

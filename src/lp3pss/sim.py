@@ -46,8 +46,8 @@ from typing import Any
 from lp3pss import costs
 from lp3pss.entities import (
     FcState,
+    MessageRefused,
     ProtocolMessage,
-    RoundAborted,
     RoundResult,
     fc_decide,
     fc_init,
@@ -531,16 +531,17 @@ def _run(config: SimulationConfig) -> SimulationResult:
     profile = sensing.profile
     rngs = spawn_rngs(sensing.seed, ["truth", "rss", "churn", "malice", "loss"])
 
-    keys = derive_pairwise_keys(
+    keys, users = derive_pairwise_keys(
         master_seed_bytes(sensing.seed), sensing.n, config.crypto.domain_bits, config.crypto.range_bits
     )
     recorder = Recorder()
     recorder.start_round(0)
     recorder.set_phase(PHASE_INIT)
-    fc, init_msgs = fc_init(tau, profile, keys, recorder)
-    gw = gw_init(keys)
+    fc, init_msgs = fc_init(tau, profile, keys, users, recorder)
+    gw = gw_init(keys, users)
     gw_ingest_init(gw, init_msgs, recorder)
-    sus = make_su_states(keys)
+    sus = make_su_states(users)
+    del users  # each party keeps its own keys, so a leaver's are freed when it leaves
 
     fold = RunFold(config, recorder.tally)
     records: list[RoundRecord] = []
@@ -573,7 +574,7 @@ def _run(config: SimulationConfig) -> SimulationResult:
         zeta, delivered = gw_compare(gw, arrived, recorder)
         try:
             result = fc_decide(fc, zeta, recorder)
-        except RoundAborted:
+        except MessageRefused:  # the vector was refused and the reason recorded
             result = RoundResult(None, {}, n_live=len(roster))
         record = RoundRecord(
             t=t,

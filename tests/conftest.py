@@ -6,7 +6,10 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from lp3pss import sim
-from lp3pss.recording import ViewEvent
+from lp3pss.crypto import derive_pairwise_keys
+from lp3pss.entities import fc_init, gw_init, gw_ingest_init, make_su_states
+from lp3pss.fusion import DetectionProfile
+from lp3pss.recording import Recorder, ViewEvent
 
 settings.register_profile(
     "default",
@@ -19,6 +22,27 @@ settings.load_profile("default")
 @pytest.fixture
 def master_seed() -> bytes:
     return bytes(range(32))
+
+
+PROFILE = DetectionProfile(0.1, 0.1)
+TAU = 3000
+
+
+def setup_network(
+    n: int, master_seed: bytes, tau: int = TAU, profile: DetectionProfile = PROFILE, ingest: bool = True
+):
+    """A keyed network of users 1..``n`` after initialization, built by the
+    entity functions alone: returns ``(keys, fc, gw, sus, recorder, msgs)``,
+    where ``msgs`` are the fusion center's wrapped thresholds. With
+    ``ingest=False`` the gateway has not read them yet."""
+    keys, users = derive_pairwise_keys(master_seed, n)
+    recorder = Recorder()
+    recorder.start_round(0)
+    fc, msgs = fc_init(tau, profile, keys, users, recorder)
+    gw = gw_init(keys, users)
+    if ingest:
+        gw_ingest_init(gw, msgs, recorder)
+    return keys, fc, gw, make_su_states(users), recorder, msgs
 
 
 def inject_event(events, entity: str, tag: str, meta: dict, round_: int = 1) -> list[ViewEvent]:

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import pickle
 import tracemalloc
+import weakref
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -229,85 +230,81 @@ class TestAead:
 class TestKeyTable:
     def test_single_user_yields_three_pairs(self, master_seed):
         # FC<->GW and GW<->U1 channels, and the FC<->U1 OPE subkey
-        table = derive_pairwise_keys(master_seed, 1)
-        assert 1 + len(table.gw_user) + len(table.ope_user) == 3
-        assert set(table.gw_user) == set(table.ope_user) == {1}
-        assert table.user_ids() == [1]
+        table, users = derive_pairwise_keys(master_seed, 1)
+        [(uid, gw_key, ope_key)] = users
+        assert uid == 1 and table.last_uid == 1
+        assert (type(table.fc_gw), type(gw_key), type(ope_key)) == (AeadKey, AeadKey, OpeKey)
 
     def test_deterministic(self, master_seed):
-        t1 = derive_pairwise_keys(master_seed, 3)
-        t2 = derive_pairwise_keys(master_seed, 3)
+        t1, users1 = derive_pairwise_keys(master_seed, 3)
+        t2, users2 = derive_pairwise_keys(master_seed, 3)
         assert t1.fc_gw.key_bytes == t2.fc_gw.key_bytes
-        assert all(t1.gw_user[u].key_bytes == t2.gw_user[u].key_bytes for u in (1, 2, 3))
-        assert all(t1.ope_user[u].key_bytes == t2.ope_user[u].key_bytes for u in (1, 2, 3))
+        for (u1, gw1, ope1), (u2, gw2, ope2) in zip(users1, users2, strict=True):
+            assert (u1, gw1.key_bytes, ope1.key_bytes) == (u2, gw2.key_bytes, ope2.key_bytes)
 
     def test_fifty_users_yield_101_pairs(self, master_seed):
-        table = derive_pairwise_keys(master_seed, 50)
-        assert 1 + len(table.gw_user) + len(table.ope_user) == 2 * 50 + 1
+        table, users = derive_pairwise_keys(master_seed, 50)
+        keys = [table.fc_gw] + [key for _, gw_key, ope_key in users for key in (gw_key, ope_key)]
+        assert len({key.key_bytes for key in keys}) == 2 * 50 + 1
 
     def test_users_are_minted_in_order_from_one(self, master_seed):
-        table = derive_pairwise_keys(master_seed, 3)
-        assert table.user_ids() == [1, 2, 3] and table.last_uid == 3
-        assert [table.add_user(), table.add_user()] == [4, 5]
-        assert table.user_ids() == [1, 2, 3, 4, 5] and table.gw_user[4].label == "GW|4"
+        table, users = derive_pairwise_keys(master_seed, 3)
+        assert [uid for uid, _, _ in users] == [1, 2, 3] and table.last_uid == 3
+        (uid4, gw4, _), (uid5, _, ope5) = table.add_user(), table.add_user()
+        assert [uid4, uid5] == [4, 5] and table.last_uid == 5 and gw4.label == "GW|4"
         # a user keyed later holds the keys derivation gives its id
-        assert table.ope_user[5].key_bytes == derive_pairwise_keys(master_seed, 5).ope_user[5].key_bytes
+        assert ope5.key_bytes == derive_pairwise_keys(master_seed, 5)[1][4][2].key_bytes
 
     @pytest.mark.parametrize("uid", [True, False, -1, 1.0, "1"], ids=["true", "false", "negative", "float", "str"])
     def test_only_plain_non_negative_ints_are_keyed_as_users(self, master_seed, uid):
-        # True equals 1 but would remove user 1, or label a pair "GW|True"
-        table = derive_pairwise_keys(master_seed, 2)
-        with pytest.raises(ValueError, match="not keyed"):
-            table.remove_user(uid)
-        assert table.user_ids() == [1, 2]
+        # True equals 1 but would label a pair "GW|True"
         with pytest.raises(ValueError, match="unknown entity id"):
             pair_channel_key(master_seed, FC, uid)
 
     def test_all_keys_distinct(self, master_seed):
-        table = derive_pairwise_keys(master_seed, 19)
+        table, users = derive_pairwise_keys(master_seed, 19)
         raws = [table.fc_gw.key_bytes]
         raws += [pair_channel_key(master_seed, FC, u).key_bytes for u in range(1, 20)]
-        raws += [k.key_bytes for k in table.gw_user.values()]
-        raws += [k.key_bytes for k in table.ope_user.values()]
+        raws += [gw_key.key_bytes for _, gw_key, _ in users]
+        raws += [ope_key.key_bytes for _, _, ope_key in users]
         assert len(set(raws)) == len(raws)
 
     def test_key_separation_between_users(self, master_seed):
-        table = derive_pairwise_keys(master_seed, 2)
-        ct = aead_encrypt(table.gw_user[1], b"for user 1 channel", b"")
+        _, [(_, gw1, _), (_, gw2, _)] = derive_pairwise_keys(master_seed, 2)
+        ct = aead_encrypt(gw1, b"for user 1 channel", b"")
         with pytest.raises(AuthenticationFailure):
-            aead_decrypt(table.gw_user[2], ct, b"")
+            aead_decrypt(gw2, ct, b"")
 
     def test_departed_user_keys_removed(self, master_seed):
-        table = derive_pairwise_keys(master_seed, 2)
-        table.remove_user(1)
-        assert 1 not in table.gw_user and 1 not in table.ope_user
-        assert table.user_ids() == [2]
-        assert 1 + len(table.gw_user) + len(table.ope_user) == 3
-        with pytest.raises(ValueError):
-            table.remove_user(1)
+        # the table hands keys out and keeps none: once their holders drop
+        # them, a user's keys are freed, AES contexts and all
+        table, users = derive_pairwise_keys(master_seed, 2)
+        refs = [weakref.ref(key) for _, gw_key, ope_key in users for key in (gw_key, ope_key)]
+        refs += [weakref.ref(key) for key in table.add_user()[1:]]
+        del users
+        assert [ref() for ref in refs] == [None] * 6
+        assert [type(v) for v in vars(table).values() if isinstance(v, (AeadKey, OpeKey))] == [AeadKey]
 
     def test_departed_user_id_is_never_keyed_again(self, master_seed):
         # derivation is a pure function of (seed, id) and a fresh key starts
-        # its nonce counter at 0, so re-keying an id would reuse its nonces
-        table = derive_pairwise_keys(master_seed, 2)
-        table.remove_user(1)
-        assert table.add_user() == 3
-        table.remove_user(3)  # the highest id ever keyed leaves too
-        table.remove_user(2)
-        assert [table.add_user(), table.add_user()] == [4, 5]
-        assert table.user_ids() == [4, 5] and table.last_uid == 5
+        # its nonce counter at 0, so re-keying an id would reuse its nonces;
+        # the table mints from its counter whoever has left
+        table, users = derive_pairwise_keys(master_seed, 2)
+        del users  # both users leave
+        assert table.add_user()[0] == 3
+        assert [table.add_user()[0], table.add_user()[0]] == [4, 5] and table.last_uid == 5
 
     def test_derived_key_bytes_are_pinned(self, master_seed):
         # the FC<->GW, GW<->user and OPE keys and the baseline's FC<->user
         # channel keys, as derived since the key table was introduced
-        table = derive_pairwise_keys(master_seed, 3)
+        table, users = derive_pairwise_keys(master_seed, 3)
         raws = [table.fc_gw.key_bytes]
-        raws += [table.gw_user[u].key_bytes for u in (1, 2, 3)]
-        raws += [table.ope_user[u].key_bytes for u in (1, 2, 3)]
+        raws += [gw_key.key_bytes for _, gw_key, _ in users]
+        raws += [ope_key.key_bytes for _, _, ope_key in users]
         raws += [pair_channel_key(master_seed, FC, u).key_bytes for u in (1, 2, 3)]
         assert hashlib.sha256(b"".join(raws)).hexdigest() == (
             "7ba85cfecd52b847be55cb42c2983f58a29bf2ed84e1d1f331b0f8e79a5f1460"
         )
-        assert [table.fc_gw.label, table.gw_user[2].label, pair_channel_key(master_seed, 2, FC).label] == [
+        assert [table.fc_gw.label, users[1][1].label, pair_channel_key(master_seed, 2, FC).label] == [
             "FC|GW", "GW|2", "FC|2"
         ]

@@ -4,30 +4,20 @@ import copy
 import dataclasses
 
 import pytest
-from conftest import flip_tag_bit
+from conftest import TAU, flip_tag_bit, setup_network
 from hypothesis import given, strategies as st
 
 from lp3pss import entities
-from lp3pss.crypto import (
-    OpeKey,
-    aead_decrypt,
-    aead_encrypt,
-    derive_pairwise_keys,
-    ope_encrypt,
-)
+from lp3pss.crypto import OpeKey, aead_decrypt, aead_encrypt, ope_encrypt
 from lp3pss.entities import (
     MessageRefused,
     MsgPhase,
     ProtocolError,
     ProtocolMessage,
-    RoundAborted,
     fc_decide,
-    fc_init,
     gw_compare,
-    gw_init,
     gw_ingest_init,
     handle_membership,
-    make_su_states,
     message_assoc,
     pack_decision_vector,
     seal,
@@ -45,26 +35,10 @@ from lp3pss.recording import (
     OPE_ENC,
     PHASE_MEMBERSHIP,
     PHASE_SENSING,
-    Recorder,
     ViewEvent,
     ViewTag,
     user_name,
 )
-
-PROFILE = DetectionProfile(0.1, 0.1)
-TAU = 3000
-
-
-def setup_network(n: int, master_seed: bytes, tau: int = TAU):
-    keys = derive_pairwise_keys(master_seed, n)
-    recorder = Recorder()
-    recorder.start_round(0)
-    fc, msgs = fc_init(tau, PROFILE, keys, recorder)
-    gw = gw_init(keys)
-    gw_ingest_init(gw, msgs, recorder)
-    sus = make_su_states(keys)
-    return keys, fc, gw, sus, recorder, msgs
-
 
 def run_round(fc, gw, sus, recorder, rss: dict[int, int], t: int = 1, drop: set[int] = frozenset()):
     recorder.start_round(t)
@@ -86,18 +60,17 @@ class TestInit:
 
     def test_gw_cache_matches_recomputed_threshold(self, master_seed):
         # white-box: a harness holding the per-user OPE key re-encrypts tau
-        keys, _, gw, _, _, _ = setup_network(3, master_seed)
+        _, _, gw, sus, _, _ = setup_network(3, master_seed)
         for uid in (1, 2, 3):
-            assert gw.tau_cache[uid] == ope_encrypt(keys.ope_user[uid], TAU)
+            assert gw.tau_cache[uid] == ope_encrypt(sus[uid].ope_key, TAU)
 
     def test_inner_ciphertexts_differ_across_users_for_equal_tau(self, master_seed):
-        keys, _, _, _, _, _ = setup_network(2, master_seed)
-        assert ope_encrypt(keys.ope_user[1], TAU) != ope_encrypt(keys.ope_user[2], TAU)
+        _, _, _, sus, _, _ = setup_network(2, master_seed)
+        assert ope_encrypt(sus[1].ope_key, TAU) != ope_encrypt(sus[2].ope_key, TAU)
 
     def test_tau_out_of_domain_rejected(self, master_seed):
-        keys = derive_pairwise_keys(master_seed, 1)
-        with pytest.raises(ValueError):
-            fc_init(1 << 16, PROFILE, keys, Recorder())
+        with pytest.raises(ValueError, match="outside OPE domain"):
+            setup_network(1, master_seed, tau=1 << 16)
 
     def test_initial_lambda_and_weights(self, master_seed):
         _, fc, gw, sus, recorder, _ = setup_network(10, master_seed)
@@ -128,14 +101,14 @@ class TestSensing:
         assert ops[1, name, PHASE_SENSING, AEAD_ENC] == 1
 
     def test_same_reading_same_inner_different_outer(self, master_seed):
-        keys, _, _, sus, recorder, _ = setup_network(1, master_seed)
+        _, _, gw, sus, recorder, _ = setup_network(1, master_seed)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
         m1 = su_sense_report(sus[1], 1234, recorder)
         recorder.start_round(2)
         m2 = su_sense_report(sus[1], 1234, recorder)
-        inner1 = aead_decrypt(keys.gw_user[1], m1.body, message_assoc(MsgPhase.REPORT, 1, 1))
-        inner2 = aead_decrypt(keys.gw_user[1], m2.body, message_assoc(MsgPhase.REPORT, 1, 2))
+        inner1 = aead_decrypt(gw.user_keys[1], m1.body, message_assoc(MsgPhase.REPORT, 1, 1))
+        inner2 = aead_decrypt(gw.user_keys[1], m2.body, message_assoc(MsgPhase.REPORT, 1, 2))
         assert inner1 == inner2  # deterministic OPE layer
         assert m1.body != m2.body  # fresh nonce outside
 
@@ -146,12 +119,7 @@ class TestSensing:
 
     def test_comparison_bits(self, master_seed):
         # tau=120 on plaintexts (100,130,120,119): equality votes busy
-        keys = derive_pairwise_keys(master_seed, 4)
-        recorder = Recorder()
-        fc, msgs = fc_init(120, PROFILE, keys, recorder)
-        gw = gw_init(keys)
-        gw_ingest_init(gw, msgs, recorder)
-        sus = make_su_states(keys)
+        _, fc, gw, sus, recorder, _ = setup_network(4, master_seed, tau=120)
         rss = {1: 100, 2: 130, 3: 120, 4: 119}
         result = run_round(fc, gw, sus, recorder, rss)
         assert [result.bits[u] for u in (1, 2, 3, 4)] == [0, 1, 1, 0]
@@ -172,9 +140,9 @@ class TestSensing:
         assert result.outcome.lam == 2  # recomputed over the 4 present users
 
     def test_unknown_sender_skipped(self, master_seed):
-        keys, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
-        stranger_keys = derive_pairwise_keys(bytes(32), 9)
-        stranger = make_su_states(stranger_keys)[9]
+        _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
+        _, _, _, strangers, _, _ = setup_network(9, bytes(32))  # another deployment's user 9
+        stranger = strangers[9]
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
         reports = [
@@ -261,11 +229,8 @@ class TestSensing:
         assert len(recorder.events) == events + 1  # the error alone: not received, not decrypted
 
     def test_malformed_init_message_leaves_its_user_uncached(self, master_seed):
-        keys = derive_pairwise_keys(master_seed, 3)
-        recorder = Recorder()
-        _, msgs = fc_init(TAU, PROFILE, keys, recorder)
+        _, _, gw, _, recorder, msgs = setup_network(3, master_seed, ingest=False)
         msgs[1] = dataclasses.replace(msgs[1], body=msgs[1].body[:-1])
-        gw = gw_init(keys)
         gw_ingest_init(gw, msgs, recorder)
         assert set(gw.tau_cache) == {1, 3}
         assert [e["reason"] for e in recorder.tally.protocol_errors] == ["init message is malformed"]
@@ -283,26 +248,21 @@ class TestDecision:
         assert result.outcome.decision == CHANNEL_BUSY
 
     def test_or_rule_single_vote(self, master_seed):
-        keys = derive_pairwise_keys(master_seed, 5)
-        recorder = Recorder()
         # p_f << p_m pushes alpha high enough that lambda = 1 (OR rule)
-        fc, msgs = fc_init(TAU, DetectionProfile(0.01, 0.55), keys, recorder)
-        gw = gw_init(keys)
-        gw_ingest_init(gw, msgs, recorder)
-        sus = make_su_states(keys)
+        _, fc, gw, sus, recorder, _ = setup_network(5, master_seed, profile=DetectionProfile(0.01, 0.55))
         result = run_round(fc, gw, sus, recorder, {1: 4000, 2: 100, 3: 100, 4: 100, 5: 100})
         assert result.outcome.lam == 1
         assert result.outcome.decision == CHANNEL_BUSY
 
     def test_aborted_round_leaves_reputation_unchanged(self, master_seed):
-        keys, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
+        _, fc, gw, sus, recorder, _ = setup_network(2, master_seed)
         records_before = copy.deepcopy(fc.records)
         recorder.start_round(1)
         recorder.set_phase(PHASE_SENSING)
         assoc = message_assoc(MsgPhase.DECISION_VEC, None, 1, [1, 2])
-        forged_body = aead_encrypt(keys.gw_user[1], b"\x03\x03", assoc)  # wrong key entirely
+        forged_body = aead_encrypt(gw.user_keys[1], b"\x03\x03", assoc)  # wrong key entirely
         forged = ProtocolMessage(GW_NAME, FC_NAME, MsgPhase.DECISION_VEC, None, forged_body)
-        with pytest.raises(RoundAborted):
+        with pytest.raises(MessageRefused, match="decision vector failed authentication"):
             fc_decide(fc, forged, recorder)
         assert fc.records == records_before
 
@@ -312,7 +272,7 @@ class TestDecision:
         recorder.set_phase(PHASE_SENSING)
         zeta, _ = gw_compare(gw, [su_sense_report(sus[1], 4000, recorder)], recorder)
         forged = dataclasses.replace(zeta, body=flip_tag_bit(zeta.body))
-        with pytest.raises(RoundAborted):
+        with pytest.raises(MessageRefused, match="decision vector failed authentication"):
             fc_decide(fc, forged, recorder)
         failed = [e for e in recorder.view_logs[FC_NAME] if e.meta.get("op") == AEAD_DEC]
         assert len(failed) == recorder.tally.ops[1, FC_NAME, PHASE_SENSING, AEAD_DEC] == 1
@@ -330,7 +290,7 @@ class TestDecision:
         fc_decide(fc, stale, recorder)
         records_after_round_1 = copy.deepcopy(fc.records)
         recorder.start_round(2)
-        with pytest.raises(RoundAborted):
+        with pytest.raises(MessageRefused, match="decision vector failed authentication"):
             fc_decide(fc, stale, recorder)
         assert fc.records == records_after_round_1
 
@@ -345,7 +305,7 @@ class TestDecision:
         recorder.set_phase(PHASE_SENSING)
         reports = [su_sense_report(sus[u], rss, recorder) for u, rss in ((2, 4000), (3, 100), (4, 100))]
         zeta, _ = gw_compare(gw, reports, recorder)
-        with pytest.raises(RoundAborted):
+        with pytest.raises(MessageRefused, match="decision vector failed authentication"):
             fc_decide(fc, zeta, recorder)
         assert fc.records == records_before
         assert [e["reason"] for e in recorder.tally.protocol_errors] == [
@@ -403,7 +363,7 @@ class TestMembership:
         keys, fc, gw, sus, recorder, _ = setup_network(10, master_seed)
         handle_membership(fc, gw, 0, [7], keys, recorder)
         assert 7 not in fc.records and 7 not in set(gw.tau_cache)
-        assert 7 not in keys.gw_user and 7 not in keys.ope_user
+        assert 7 not in fc.ope_keys and 7 not in gw.user_keys
         result = run_round(fc, gw, sus, recorder, {u: 4000 for u in fc.records})
         assert result.outcome.lam == 5  # ceil(9/2) with symmetric profile
 
@@ -424,7 +384,8 @@ class TestMembership:
         assert list(handle_membership(fc, gw, 1, [], keys, recorder)) == [4]
         handle_membership(fc, gw, 0, [3, 4], keys, recorder)  # the two highest ids leave
         assert list(handle_membership(fc, gw, 2, [], keys, recorder)) == [5, 6]
-        assert list(fc.records) == sorted(gw.user_keys) == keys.user_ids() == [1, 2, 5, 6]
+        assert list(fc.records) == sorted(gw.user_keys) == sorted(fc.ope_keys) == [1, 2, 5, 6]
+        assert keys.last_uid == 6
 
     @pytest.mark.parametrize(
         "n_join, leaves, reason",
@@ -437,9 +398,15 @@ class TestMembership:
             # ill-typed ids: a list, and a bool, which equals 0 or 1 but is no user id
             (0, [[1]], r"must be an int, got \[1\]"),
             (0, [True], "must be an int, got True"),
+            # an ill-typed or negative join count is refused before the leave of U2
+            (1.5, [2], "join count must be an int >= 0, got 1.5"),
+            ("2", [2], "join count must be an int >= 0, got '2'"),
+            (None, [2], "join count must be an int >= 0, got None"),
+            (-1, [2], "join count must be an int >= 0, got -1"),
+            (True, [2], "join count must be an int >= 0, got True"),  # True would key one user
         ],
         ids=["repeated-leave", "repeated-leave-with-joins", "departed-leave", "negative-leave", "emptied",
-             "list-leave", "bool-leave"],
+             "list-leave", "bool-leave", "float-join", "str-join", "none-join", "negative-join", "bool-join"],
     )
     def test_refused_change_leaves_every_state_alone(self, master_seed, n_join, leaves, reason):
         keys, fc, gw, _, recorder, _ = setup_network(4, master_seed)
@@ -483,8 +450,7 @@ class TestPacking:
 
 class TestUnseal:
     def sealed(self, master_seed, phase, subject, payload=b"\x01\x02"):
-        keys = derive_pairwise_keys(master_seed, 3)
-        recorder = Recorder()
+        keys, _, _, _, recorder, _ = setup_network(3, master_seed)
         recorder.start_round(1)
         msg = seal(keys.fc_gw, GW_NAME, FC_NAME, phase, subject, payload, recorder)
         return keys.fc_gw, msg, recorder, len(recorder.events)

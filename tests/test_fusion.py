@@ -1,6 +1,5 @@
 """Voting threshold, weighted fusion, and beta reputation arithmetic."""
 
-import copy
 import itertools
 import math
 
@@ -101,12 +100,30 @@ class TestFuseVotes:
                 assert fuse_votes([1] * n, list(bits), lam).decision == expected
 
 
+def reference_update(
+    counts: dict[int, tuple[int, int]], bits: dict[int, int], decision: int
+) -> dict[int, tuple[int, int]]:
+    """Each user's (rho, eta) after one round, by the arithmetic that built
+    a new record for each present user: rho + 1 on agreement, eta + 1 on
+    disagreement, and an absent user's counts as they were."""
+    updated = {}
+    for uid, (rho, eta) in counts.items():
+        bit = bits.get(uid)
+        if bit is None:
+            updated[uid] = (rho, eta)
+        elif bit == decision:
+            updated[uid] = (rho + 1, eta)
+        else:
+            updated[uid] = (rho, eta + 1)
+    return updated
+
+
 class TestReputation:
     def test_agreement_credits(self):
         records = {1: ReputationRecord()}
-        updated = update_reputation(records, {1: 1}, 1)
-        assert updated[1].rho == 1 and updated[1].eta == 0
-        assert updated[1].phi == pytest.approx(2 / 3)
+        assert update_reputation(records, {1: 1}, 1) is None
+        assert records[1].rho == 1 and records[1].eta == 0
+        assert records[1].phi == pytest.approx(2 / 3)
 
     def test_phi_arithmetic(self):
         assert ReputationRecord(rho=3, eta=1).phi == pytest.approx(4 / 6)
@@ -115,22 +132,41 @@ class TestReputation:
         assert ReputationRecord().phi == 0.5
 
     def test_absent_user_untouched(self):
-        records = {1: ReputationRecord(rho=3, eta=1), 2: ReputationRecord()}
-        updated = update_reputation(records, {2: 0}, 0)
-        assert updated[1] == records[1]
-        assert updated[2].rho == 1
-
-    def test_input_records_are_never_written(self):
-        records = {1: ReputationRecord(3, 1), 2: ReputationRecord(0, 2, 0.5), 3: ReputationRecord()}
-        before = copy.deepcopy(records)
-        updated = update_reputation(records, {1: 1, 2: 0}, 1)
-        assert records == before
-        assert updated[3] is records[3]  # absent: shared, not copied
-        assert updated[1] is not records[1] and updated[2] is not records[2]
+        absent = ReputationRecord(rho=3, eta=1, weight=0.5)
+        records = {1: absent, 2: ReputationRecord()}
+        update_reputation(records, {2: 0}, 0)
+        assert records[1] is absent and records[1] == ReputationRecord(3, 1, 0.5)
+        assert records[2].rho == 1
 
     def test_disagreement_debits(self):
-        updated = update_reputation({1: ReputationRecord()}, {1: 0}, 1)
-        assert updated[1].eta == 1 and updated[1].rho == 0
+        records = {1: ReputationRecord()}
+        update_reputation(records, {1: 0}, 1)
+        assert records[1].eta == 1 and records[1].rho == 0
+
+    @given(
+        st.dictionaries(
+            st.integers(1, 30),
+            st.tuples(st.integers(0, 40), st.integers(0, 40), st.floats(0.0, 4.0)),
+            min_size=1,
+        ),
+        st.data(),
+    )
+    def test_in_place_update_matches_the_reference(self, fields, data):
+        records = {u: ReputationRecord(*f) for u, f in fields.items()}
+        present = data.draw(st.sets(st.sampled_from(sorted(records)), max_size=len(records)))
+        bits = {u: data.draw(st.integers(0, 1), label=f"bit{u}") for u in sorted(present)}
+        decision = data.draw(st.integers(0, 1))
+        objects = dict(records)
+        counts = {u: (r.rho, r.eta) for u, r in records.items()}
+        assert update_reputation(records, bits, decision) is None
+        assert list(records) == list(objects)  # the same keys, in the same order
+        expected = reference_update(counts, bits, decision)
+        for uid, record in records.items():
+            assert record is objects[uid]  # updated in place, never rebuilt
+            assert (record.rho, record.eta) == expected[uid]
+            assert record.weight == fields[uid][2]
+            gained = record.rho + record.eta - sum(counts[uid])
+            assert gained == (1 if uid in bits else 0)
 
     @given(
         st.dictionaries(st.integers(1, 30), st.tuples(st.integers(0, 40), st.integers(0, 40)), min_size=1),
@@ -141,9 +177,9 @@ class TestReputation:
         present = data.draw(st.sets(st.sampled_from(sorted(records)), max_size=len(records)))
         bits = {u: data.draw(st.integers(0, 1), label=f"bit{u}") for u in sorted(present)}
         decision = data.draw(st.integers(0, 1))
-        updated = update_reputation(records, bits, decision)
         before = sum(r.rho + r.eta for r in records.values())
-        after = sum(r.rho + r.eta for r in updated.values())
+        update_reputation(records, bits, decision)
+        after = sum(r.rho + r.eta for r in records.values())
         assert after == before + len(present)
 
     @given(st.integers(0, 1000), st.integers(0, 1000))
@@ -156,14 +192,14 @@ class TestReputation:
 
 class TestWeights:
     def test_uniform_credibility_gives_unit_weights(self):
-        assert compute_weights([0.5, 0.5, 0.5], 3) == pytest.approx([1, 1, 1])
+        assert compute_weights([0.5, 0.5, 0.5]) == pytest.approx([1, 1, 1])
 
     def test_scaled_values(self):
-        assert compute_weights([0.8, 0.2], 2) == pytest.approx([1.6, 0.4])
+        assert compute_weights([0.8, 0.2]) == pytest.approx([1.6, 0.4])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_weights([], 0)
+            compute_weights([])
 
     # Rounding is monotone, so n * phi / total never reverses an order, but
     # two scores one ulp apart can round to the same weight. Strict order is
@@ -173,7 +209,7 @@ class TestWeights:
     @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=40))
     @example([0.5, 0.9899999999999999, 0.99])
     def test_sum_and_order_preserved(self, phis):
-        weights = compute_weights(phis, len(phis))
+        weights = compute_weights(phis)
         assert sum(weights) == pytest.approx(len(phis), rel=1e-9)
         for (p1, w1), (p2, w2) in itertools.combinations(zip(phis, weights), 2):
             if p1 < p2:
@@ -185,5 +221,5 @@ class TestWeights:
 
     def test_argmax_preserved(self):
         phis = [0.3, 0.9, 0.5, 0.7]
-        weights = compute_weights(phis, 4)
+        weights = compute_weights(phis)
         assert weights.index(max(weights)) == phis.index(max(phis))

@@ -1,7 +1,7 @@
 """Leakage verdicts, injected-violation mutants, and attack oracles."""
 
 import pytest
-from conftest import inject_event
+from conftest import inject_event, setup_network
 from hypothesis import given, settings, strategies as st
 
 from lp3pss.observability import (
@@ -396,17 +396,9 @@ class TestCompleteness:
         # two RSS assignments inducing identical per-user comparisons give
         # the gateway the same tag sequence and the same bit vector
         def gw_trace(rss_by_user):
-            from lp3pss.crypto import derive_pairwise_keys
-            from lp3pss.entities import fc_init, gw_init, gw_ingest_init, make_su_states, su_sense_report, gw_compare
-            from lp3pss.recording import Recorder
-            from lp3pss.fusion import DetectionProfile
+            from lp3pss.entities import su_sense_report, gw_compare
 
-            keys = derive_pairwise_keys(bytes(32), 3)
-            recorder = Recorder()
-            fc, msgs = fc_init(3000, DetectionProfile(0.1, 0.1), keys, recorder)
-            gw = gw_init(keys)
-            gw_ingest_init(gw, msgs, recorder)
-            sus = make_su_states(keys)
+            _, _, gw, sus, recorder, _ = setup_network(3, bytes(32), tau=3000)
             recorder.start_round(1)
             recorder.set_phase("sensing")
             reports = [su_sense_report(sus[u], rss_by_user[u], recorder) for u in (1, 2, 3)]

@@ -5,12 +5,14 @@ import dataclasses
 import gc
 import io
 import json
+import weakref
 from collections import Counter
 
 import pytest
 from conftest import collection, flip_tag_bit, reported_rss, young_count
 from hypothesis import event, given, settings, strategies as st
 
+from lp3pss import crypto as crypto_module
 from lp3pss import entities as entities_module
 from lp3pss import sim as sim_module
 from lp3pss.costs import (
@@ -181,6 +183,56 @@ class TestDriver:
             assert list(record.roster) == roster
         assert any(r.joins for r in result.rounds) and any(r.leaves for r in result.rounds)
         assert sorted(result.fc.records) == roster
+
+    def test_a_departed_users_keys_are_freed_while_the_run_goes_on(self, monkeypatch):
+        # each key lives only in the copies of the parties that use it, so a
+        # leaver's are freed within the round it leaves in; a check after the
+        # run would miss a list the driver kept, since its locals are gone then
+        refs: dict[int, list[weakref.ref]] = {}
+        honest_add_user = crypto_module.KeyTable.add_user
+
+        def add_user(table):
+            issued = honest_add_user(table)
+            refs[issued[0]] = [weakref.ref(key) for key in issued[1:]]
+            return issued
+
+        departed, alive = [], []
+        honest_end_round = sim_module.RunFold.end_round
+
+        def end_round(fold, record, fc):
+            gone = [ref for uid, keys in refs.items() if uid not in fc.records for ref in keys]
+            departed.append(len(gone))
+            alive.append(sum(ref() is not None for ref in gone))
+            honest_end_round(fold, record, fc)
+
+        monkeypatch.setattr(crypto_module.KeyTable, "add_user", add_user)
+        monkeypatch.setattr(sim_module.RunFold, "end_round", end_round)
+        config = SimulationConfig(
+            SensingConfig(n=20, rounds=8, seed=4),
+            churn=ChurnConfig(mu=1.0, join_count=CountRange(2, 2), leave_count=CountRange(2, 2)),
+        )
+        run_simulation(config)
+        assert departed == [0, 4, 8, 12, 16, 20, 24, 28]  # two keys for each leaver so far
+        assert alive == [0] * 8
+
+    def test_the_reputation_table_is_one_dict_updated_in_place(self, monkeypatch):
+        tables, record_of = [], {}
+        honest_end_round = sim_module.RunFold.end_round
+
+        def end_round(fold, record, fc):
+            tables.append(fc.records)
+            for uid, rec in fc.records.items():
+                assert record_of.setdefault(uid, rec) is rec  # one record from join to leave
+            honest_end_round(fold, record, fc)
+
+        monkeypatch.setattr(sim_module.RunFold, "end_round", end_round)
+        config = SimulationConfig(
+            SensingConfig(n=6, rounds=10, seed=2, report_loss_prob=0.2),
+            churn=ChurnConfig(mu=0.8, join_count=CountRange(0, 2), leave_count=CountRange(0, 2)),
+        )
+        result = run_simulation(config)
+        assert len(tables) == 10 and all(records is result.fc.records for records in tables)
+        assert len(record_of) > 6  # users joined during the run
 
 
 # One count raised by one at round 1 of a run of 3 users with no churn, and
